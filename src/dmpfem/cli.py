@@ -3,9 +3,7 @@
 Subcommands: `mesh-gen`, `solve`, `dmp-check`, `report`.  Exit codes: 0 ok,
 1 usage or I/O problem, 2 fixed-point divergence, 3 linear-solver divergence,
 4 a requested certificate verdict failed.  Identical inputs and seed produce
-byte-identical output files.  The environment variable DMPFEM_THREADS (0 =
-auto) caps worker counts; the current implementation computes in a single
-vectorized process and records the setting.
+byte-identical output files.
 """
 from __future__ import annotations
 
@@ -70,7 +68,6 @@ class RunConfig:
     dmp_params: dict = field(default_factory=dict)
     output_dir: str = "."
     seed: int = 0
-    threads: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -80,19 +77,7 @@ class RunConfig:
             "solver_options": self.solver_options,
             "dmp_params": self.dmp_params,
             "seed": self.seed,
-            "threads": self.threads,
         }
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("DMPFEM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DmpFemError(f"DMPFEM_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise DmpFemError("DMPFEM_THREADS must be >= 0")
-    return value
 
 
 def _json_default(obj):
@@ -191,7 +176,6 @@ def _solver_options(args) -> SolveOptions:
     return SolveOptions(
         picard_max_iter=args.picard_max_iter,
         picard_tol=args.picard_tol,
-        linear_max_iter=args.linear_max_iter,
         linear_tol=args.linear_tol,
         damping=args.damping,
     )
@@ -201,8 +185,9 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("solver")
     group.add_argument("--picard-max-iter", type=int, default=100)
     group.add_argument("--picard-tol", type=float, default=1e-10)
-    group.add_argument("--linear-max-iter", type=int, default=300)
-    group.add_argument("--linear-tol", type=float, default=1e-12)
+    group.add_argument("--linear-tol", type=float, default=1e-12,
+                       help="each sparse LU solve must reach a relative residual "
+                            "of at most 10x this (default 1e-12)")
     group.add_argument("--damping", type=float, default=1.0)
 
 
@@ -244,8 +229,7 @@ def _run_solve(mesh: Mesh, args, config: RunConfig):
     opts = _solver_options(args)
     config.solver_options = {
         "picard_max_iter": opts.picard_max_iter, "picard_tol": opts.picard_tol,
-        "linear_max_iter": opts.linear_max_iter, "linear_tol": opts.linear_tol,
-        "damping": opts.damping,
+        "linear_tol": opts.linear_tol, "damping": opts.damping,
     }
     validate_coefficients(coeffs, mesh, seed=config.seed)
     result = picard_solve(mesh, coeffs, opts)
@@ -266,8 +250,7 @@ def _write_solution(outdir: str, mesh: Mesh, result: SolveResult,
 def cmd_solve(args) -> int:
     mesh = load_mesh(args.mesh)
     config = RunConfig(command="solve", mesh_source=args.mesh,
-                       output_dir=args.output_dir, seed=args.seed,
-                       threads=_threads_from_env())
+                       output_dir=args.output_dir, seed=args.seed)
     try:
         coeffs, result = _run_solve(mesh, args, config)
     except PicardDiverged as exc:
@@ -303,8 +286,7 @@ def cmd_dmp_check(args) -> int:
         if c not in ALL_CHECKS:
             raise DmpFemError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
     config = RunConfig(command="dmp-check", mesh_source=args.mesh,
-                       output_dir=args.output_dir, seed=args.seed,
-                       threads=_threads_from_env())
+                       output_dir=args.output_dir, seed=args.seed)
     params = DmpParams(p=args.p, r=args.r, lambda_star=args.lambda_star,
                        alpha_exponent=args.alpha_exponent)
     config.dmp_params = params.to_dict()

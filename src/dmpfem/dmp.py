@@ -34,6 +34,7 @@ from .solver import (
 SIGN_TOL = 1e-10  # relative slack for ">= 0" verdicts on assembled sums
 PAIR_TOL = 1e-12  # relative slack for per-pair / per-edge integral verdicts
 BOUND_TOL = 1e-9  # absolute slack for nodal solution bounds
+_BLOCK_ENTRIES = 1 << 20  # entries of one row block of a levels x levels table
 
 ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 
@@ -402,11 +403,19 @@ def level_set_measure(mesh: Mesh, u_h: P1Field, k: float) -> float:
 
 
 def level_set_profile(mesh: Mesh, u_h: P1Field, k_values) -> np.ndarray:
-    """Vectorized level-set measures over a grid of cut levels."""
+    """Level-set measures over a grid of cut levels: suffix sums of the cell
+    measures sorted by nodal maximum, exactly non-increasing in the level."""
     k_values = np.asarray(k_values, dtype=float)
     cell_max = u_h.nodal_values[mesh.cells].max(axis=1)
-    above = cell_max[:, None] > k_values[None, :]
-    return mesh.cell_measures @ above
+    order = np.argsort(cell_max, kind="stable")
+    tail = np.append(np.cumsum(mesh.cell_measures[order][::-1])[::-1], 0.0)
+    return tail[np.searchsorted(cell_max[order], k_values, side="right")]
+
+
+def _row_blocks(n: int):
+    """(lo, hi) row ranges of an n x n table, about _BLOCK_ENTRIES entries each."""
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 # -- iteration lemma -----------------------------------------------------------
@@ -488,12 +497,17 @@ def fit_decay_constant(samples, alpha: float, beta: float, k0: float) -> float:
         return 0.0
     logphi = np.where(positive, np.log(np.where(positive, phis, 1.0)), 0.0)
     span_end = np.append(ks[1:], np.inf)
-    # candidate[a, b] for level pairs k in [ks[a], ks[a+1]), s in [ks[b], ks[b+1])
-    valid = positive[:, None] & positive[None, :] \
-        & (np.arange(len(ks))[:, None] <= np.arange(len(ks))[None, :])
-    spans = np.where(valid, span_end[None, :] - ks[:, None], 1.0)
-    cand = np.log(spans) + (logphi[None, :] - beta * logphi[:, None]) / alpha
-    return float(np.exp(cand[valid].max()))
+    index = np.arange(len(ks))
+    best = -np.inf
+    # candidate[a, b >= a]: k in [ks[a], ks[a+1]), s in [ks[b], ks[b+1]); row blocks
+    for lo, hi in _row_blocks(len(ks)):
+        valid = positive[lo:hi, None] & positive[None, lo:] \
+            & (index[lo:hi, None] <= index[None, lo:])
+        spans = np.where(valid, span_end[None, lo:] - ks[lo:hi, None], 1.0)
+        cand = np.log(spans) + (logphi[None, lo:] - beta * logphi[lo:hi, None]) / alpha
+        if valid.any():
+            best = max(best, cand[valid].max())
+    return float(np.exp(best))
 
 
 # The abstract lemma only bounds the vanishing threshold from one side; the
@@ -571,17 +585,19 @@ def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
     pos = phis_g > 0.0
     with np.errstate(divide="ignore"):
         logphi = np.where(pos, np.log(np.where(pos, phis_g, 1.0)), -np.inf)
-    gaps = grid[None, :] - grid[:, None]  # [k index, s index]
-    pair = gaps > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = inp.alpha * (math.log(inp.M) - np.log(np.where(pair, gaps, 1.0))) \
-            + inp.beta * logphi[:, None]
-    violated = pair & (logphi[None, :] > rhs + math.log1p(hyp_tol))
-    if violated.any():
-        ai, bi = np.argwhere(violated)[0]
-        raise HypothesisViolated(
-            f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
-            f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
+    # pairs k < s of the increasing grid by row blocks; report the first in row order
+    for lo, hi in _row_blocks(len(grid)):
+        gaps = grid[None, lo:] - grid[lo:hi, None]  # [k index, s index]
+        pair = gaps > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = inp.alpha * (math.log(inp.M) - np.log(np.where(pair, gaps, 1.0))) \
+                + inp.beta * logphi[lo:hi, None]
+        violated = pair & (logphi[None, lo:] > rhs + math.log1p(hyp_tol))
+        if violated.any():
+            ai, bi = np.argwhere(violated)[0] + lo
+            raise HypothesisViolated(
+                f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
+                f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
 
     taus = np.arange(tau_max + 1)
     ladder = inp.k0 + rho - rho / 2.0 ** taus

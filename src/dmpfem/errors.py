@@ -26,7 +26,7 @@ class MissingBoundaryValue(DmpFemError):
 
 
 class LinearSolveDiverged(DmpFemError):
-    """Iterative linear solver failed to reach the requested residual."""
+    """Linear solve failed: singular factorization or residual above tolerance."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dmpfem import expressions
+from dmpfem import expressions, solver
 from dmpfem.cli import main
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import load_mesh
@@ -137,13 +137,27 @@ class TestSolveCommand:
                     "--picard-max-iter", "0", "-o", tmp_path / "bad"])
         assert code == 2
 
-    def test_linear_divergence_exit_code(self, tmp_path):
-        big = tmp_path / "big.json"
-        assert run(["mesh-gen", "--square", "24x24", "-o", big]) == 0
-        code = run(["solve", "--mesh", big, "--problem", "poisson",
-                    "--linear-max-iter", "1", "--linear-tol", "1e-14",
+    def test_linear_divergence_exit_code(self, square_mesh, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "splu", singular)
+        code = run(["solve", "--mesh", square_mesh, "--problem", "poisson",
                     "-o", tmp_path / "runl"])
         assert code == 3
+        assert not (tmp_path / "runl" / "solve.json").exists()
+
+    def test_run_record_fields(self, square_mesh, tmp_path):
+        outdir = tmp_path / "rec"
+        assert run(["solve", "--mesh", square_mesh, "--problem", "poisson",
+                    "-o", outdir]) == 0
+        record = json.loads((outdir / "solve.json").read_text())["run"]
+        assert sorted(record) == ["command", "dmp_params", "mesh_source", "problem",
+                                  "seed", "solver_options"]
+        assert sorted(record["solver_options"]) == [
+            "damping", "linear_tol", "picard_max_iter", "picard_tol"]
+        assert run(["solve", "--mesh", square_mesh, "--linear-max-iter", "5",
+                    "-o", tmp_path / "gone"]) == 1
 
     def test_coefficient_file(self, square_mesh, tmp_path):
         spec = {
@@ -231,17 +245,6 @@ class TestDmpCheckCommand:
         cert = json.loads((outdir / "certificate.json").read_text())
         assert cert["de_giorgi"]["verdict"] == "pass"
         assert cert["de_giorgi"]["rho"] > 0
-
-    def test_threads_env_validation(self, square_mesh, tmp_path, monkeypatch):
-        monkeypatch.setenv("DMPFEM_THREADS", "quick")
-        assert run(["dmp-check", "--mesh", square_mesh, "--solve",
-                    "-o", tmp_path / "t"]) == 1
-        monkeypatch.setenv("DMPFEM_THREADS", "2")
-        assert run(["dmp-check", "--mesh", square_mesh, "--solve",
-                    "--problem", "poisson", "--f", "-1",
-                    "-o", tmp_path / "t2"]) == 0
-        cert = json.loads((tmp_path / "t2" / "certificate.json").read_text())
-        assert cert["run"]["threads"] == 2
 
 
 class TestReportCommand:

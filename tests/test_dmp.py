@@ -235,6 +235,16 @@ class TestLevelSets:
             measures = level_set_profile(m, v, ks)
             assert np.all(np.diff(measures) <= 1e-15)
 
+    def test_profile_matches_per_level_measure(self):
+        m = generate_structured_3d(2, 2, 2)
+        rng = np.random.default_rng(21)
+        v = random_nodal_field(m, rng)
+        # nodal values themselves (ties at the cut) plus levels outside the range
+        ks = np.concatenate([np.unique(v.nodal_values), [-5.0, 5.0],
+                             rng.uniform(-1.2, 1.2, size=10)])
+        expected = [level_set_measure(m, v, k) for k in ks]
+        assert level_set_profile(m, v, ks) == pytest.approx(expected, rel=1e-14, abs=1e-16)
+
 
 class TestDeGiorgi:
     def test_rho_examples(self):
@@ -306,6 +316,30 @@ class TestDeGiorgi:
                             samples=profile)
         with pytest.raises(HypothesisViolated):
             de_giorgi_verify(inp)
+
+    def test_row_blocks_do_not_change_results(self, monkeypatch):
+        from dmpfem import dmp
+        m = generate_structured_2d(8, 8)
+        result = picard_solve(m, poisson(f=1.0, g=0.0))
+        grid = np.unique(np.concatenate([[0.0], np.unique(result.u_h.nodal_values)]))
+        profile = np.column_stack([grid, level_set_profile(m, result.u_h, grid)])
+
+        def outcomes():
+            fitted = fit_decay_constant(profile, 4.0, 1.5, 0.0)
+            found = [fitted]
+            for scale in (1.0, 0.1):
+                inp = DeGiorgiInput(M=fitted * scale, alpha=4.0, beta=1.5, k0=0.0,
+                                    samples=profile)
+                try:
+                    found.append(de_giorgi_verify(inp).to_dict())
+                except HypothesisViolated as exc:
+                    found.append(exc.pair)
+            return found
+
+        whole = outcomes()
+        monkeypatch.setattr(dmp, "_BLOCK_ENTRIES", 7 * len(grid))
+        assert outcomes() == whole
+        assert isinstance(whole[2], tuple)  # the undershooting constant is caught
 
     def test_positive_tail_rejected_by_fit(self):
         samples = np.array([[0.0, 1.0], [1.0, 0.5]])

@@ -239,6 +239,26 @@ class TestDirichlet:
         exact = m.vertices[:, 0] - 2.0 * m.vertices[:, 1] + 0.5 * m.vertices[:, 2]
         assert np.abs(result.u_h.nodal_values - exact).max() <= 1e-10
 
+    def test_matches_diagonal_projection(self):
+        # Oracle: diag(free) A diag(free) + diag(pinned), b - A lift on free rows.
+        m = generate_structured_2d(4, 3, skew=0.3)
+        coeffs = advection_diffusion([0.7, -0.4], f=-1.0, c0=0.2,
+                                     g=lambda x: 1.0 + x[..., 0])
+        system = assemble_q(m, constant_field(m, 0.0), coeffs)
+        assignment = interpolate_boundary(m, coeffs.g)
+        constrained = apply_dirichlet(system, assignment, m)
+        mask = np.zeros(m.num_vertices, dtype=bool)
+        lift = np.zeros(m.num_vertices)
+        for j, v in assignment.items():
+            mask[j], lift[j] = True, v
+        free = np.diag((~mask).astype(float))
+        a = system.matrix.toarray()
+        expected = free @ a @ free + np.diag(mask.astype(float))
+        assert constrained.matrix.toarray() == pytest.approx(expected, abs=0.0)
+        rhs = np.where(mask, lift, system.rhs - a @ lift)
+        assert constrained.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-15)
+        assert constrained.dirichlet_values == pytest.approx(lift, abs=0.0)
+
 
 class TestLinearSolve:
     def test_identity_returns_rhs(self):
@@ -248,24 +268,38 @@ class TestLinearSolve:
                               np.zeros(n, bool), np.zeros(n))
         assert linear_solve(system) == pytest.approx(rhs, abs=1e-14)
 
-    def test_gmres_matches_dense_lu(self):
-        # 24x24 grid -> 625 nodes, above the dense fallback threshold
-        m = generate_structured_2d(24, 24)
-        coeffs = poisson(f=1.0, g=0.0)
+    @pytest.mark.parametrize("case", [
+        "poisson-2d-484-nodes", "poisson-2d-529-nodes", "drift-2d", "poisson-3d-kuhn"])
+    def test_matches_dense_oracle(self, case):
+        # 484 and 529 nodes straddle the size at which an earlier solver
+        # switched from dense LU to an iterative method.
+        from dmpfem.mesh import generate_structured_3d
+        if case == "poisson-2d-484-nodes":
+            m, coeffs = generate_structured_2d(21, 21), poisson(f=1.0, g=0.0)
+        elif case == "poisson-2d-529-nodes":
+            m, coeffs = generate_structured_2d(22, 22), poisson(f=1.0, g=0.0)
+        elif case == "drift-2d":
+            m = generate_structured_2d(16, 16)
+            coeffs = advection_diffusion([3.0, -2.0], f=-1.0, c0=0.5,
+                                         g=lambda x: x[..., 0] - x[..., 1])
+        else:
+            m, coeffs = generate_structured_3d(7, 7, 7), poisson(f=1.0, g=0.0)
         system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
-                                 interpolate_boundary(m, 0.0), m)
-        assert system.size > 500
-        iterative = linear_solve(system, SolveOptions())
+                                 interpolate_boundary(m, coeffs.g), m)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        assert np.abs(iterative - dense).max() <= 1e-8
+        x = linear_solve(system)
+        assert np.abs(x - dense).max() <= 1e-10 * np.abs(dense).max()
 
     def test_divergence_reported(self):
-        m = generate_structured_2d(24, 24)
-        coeffs = poisson(f=1.0, g=0.0)
-        system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
-                                 interpolate_boundary(m, 0.0), m)
-        with pytest.raises(LinearSolveDiverged):
-            linear_solve(system, SolveOptions(linear_max_iter=1, linear_tol=1e-14))
+        # a zero row (singular factor) and a NaN entry both fail the factorization
+        n = 6
+        for bad in (0.0, np.nan):
+            matrix = sparse.identity(n, format="lil")
+            matrix[3, 3] = bad
+            system = SparseSystem(matrix.tocsr(), np.ones(n), np.zeros(n, bool),
+                                  np.zeros(n))
+            with pytest.raises(LinearSolveDiverged):
+                linear_solve(system)
 
 
 class TestPicard:
