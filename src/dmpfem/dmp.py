@@ -25,7 +25,7 @@ from .p1 import P1Field, QuadratureRule, constant_field, cut_minus, cut_plus, \
 from .solver import (
     CoefficientSet,
     SolveResult,
-    assemble_q,
+    assemble_matrix,
     check_zeroth_order_condition,
     interpolate_boundary,
     local_form_parts,
@@ -157,17 +157,33 @@ def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
     return grid
 
 
+def _default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
+    return quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
+
+
+def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
+                w: P1Field | None):
+    """`local_form_parts` frozen at w, with zero and the default rule for None."""
+    return local_form_parts(mesh, constant_field(mesh, 0.0) if w is None else w,
+                            coeffs, rule or _default_rule(mesh, coeffs))
+
+
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
                        rule: QuadratureRule | None = None,
-                       k_star: float = 0.0) -> AssumptionSweep:
-    """Evaluate the cut-pair form value at every decisive cut level >= k_star."""
-    system = assemble_q(mesh, u_h, coeffs, rule)
+                       k_star: float = 0.0, parts=None) -> AssumptionSweep:
+    """Evaluate the cut-pair form value at every decisive cut level >= k_star.
+
+    `parts` are the `local_form_parts` frozen at u_h, computed when not given.
+    """
+    if parts is None:
+        parts = _form_parts(mesh, coeffs, rule, u_h)
+    matrix = assemble_matrix(mesh, parts)
     grid = _cut_level_grid(u_h, k_star)
     q_values = np.empty(len(grid))
     for i, k in enumerate(grid):
         plus = cut_plus(u_h, k).nodal_values
         minus = cut_minus(u_h, k).nodal_values
-        q_values[i] = plus @ (system.matrix @ minus)
+        q_values[i] = plus @ (matrix @ minus)
     scale = max(1.0, float(np.abs(q_values).max())) if len(q_values) else 1.0
     min_value = float(q_values.min()) if len(q_values) else 0.0
     return AssumptionSweep(k_values=grid, q_values=q_values, min_value=min_value,
@@ -207,7 +223,8 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
                             rule: QuadratureRule | None = None,
                             case: str = "poisson-like",
                             lambda_star: float | None = None,
-                            w: P1Field | None = None) -> ElementConditionReport:
+                            w: P1Field | None = None,
+                            parts=None) -> ElementConditionReport:
     """Check the per-pair element integrals that force the cut-pair inequality.
 
     For each cell and ordered vertex pair (i, j) with i != j the quantity
@@ -218,18 +235,17 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
     must dominate a geometric reference: `lambda_star * |grad_i||grad_j||T|`
     in the strict cases, and `lam * |grad_i||grad_j| cos(angle_ij) |T|`
     together with nonnegativity in the diffusion-only case (where the drift
-    and reaction integrals must vanish).
+    and reaction integrals must vanish).  `parts` are the `local_form_parts`
+    frozen at w (zero when None), computed when not given.
     """
     if case not in ELEMENT_CASES:
         raise InvalidParameters(f"case must be one of {ELEMENT_CASES}")
-    if w is None:
-        w = constant_field(mesh, 0.0)
-    if rule is None:
-        rule = quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
     if lambda_star is None:
         lambda_star = 0.1 * coeffs.lam
 
-    diffusion, advection, reaction = local_form_parts(mesh, w, coeffs, rule)
+    if parts is None:
+        parts = _form_parts(mesh, coeffs, rule, w)
+    diffusion, advection, reaction = parts
     # local_form_parts stores [cell, test, trial]; the pair quantity carries
     # the gradient on the first index, so transpose to [cell, i, j].
     total = np.swapaxes(diffusion + advection + reaction, 1, 2)
@@ -323,70 +339,59 @@ def _looks_like_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
 def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
                             rule: QuadratureRule | None = None,
                             w: P1Field | None = None,
-                            poisson_identity: bool | None = None) -> EdgeConditionReport:
+                            poisson_identity: bool | None = None,
+                            parts=None) -> EdgeConditionReport:
     """Check nonpositivity of the two-cell integral sum over each interior edge.
 
     For the unit Laplacian the sum has the closed form
     -sin(alpha+beta)/(2 sin alpha sin beta) in the two opposite angles, which
     is nonpositive exactly when alpha + beta <= pi; when the coefficients are
     detected (or declared) to be of that form the identity is verified to
-    rounding as a cross-check of the assembled integrals.
+    rounding as a cross-check of the assembled integrals.  `parts` are the
+    `local_form_parts` frozen at w (zero when None), computed when not given.
     """
     if mesh.dim != 2:
         raise DimensionMismatch("edge-based verification is 2D only")
-    if w is None:
-        w = constant_field(mesh, 0.0)
-    if rule is None:
-        rule = quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
     if poisson_identity is None:
         poisson_identity = _looks_like_unit_poisson(mesh, coeffs)
 
-    diffusion, advection, reaction = local_form_parts(mesh, w, coeffs, rule)
+    if parts is None:
+        parts = _form_parts(mesh, coeffs, rule, w)
+    diffusion, advection, reaction = parts
     total = diffusion + advection + reaction  # [cell, test, trial]
-    scale_part = np.abs(diffusion) + np.abs(advection) + np.abs(reaction)
+    cell_scale = (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
 
-    local_index = {}
-    for t, cell in enumerate(mesh.cells):
-        for loc, v in enumerate(cell):
-            local_index[(t, int(v))] = loc
-
-    records = []
-    all_pass = True
-    max_sum = -math.inf
+    edges = interior_edges_2d(mesh)
+    nodes, cells = edges.nodes, edges.cells
+    owned = mesh.cells[cells]  # (E, 2, 3)
+    lm = np.argmax(owned == nodes[:, None, :1], axis=2)
+    ln = np.argmax(owned == nodes[:, None, 1:], axis=2)
+    # gradient carried by m, test n -> [test, trial] = [ln, lm]; sums start
+    # from +0.0 so that two -0.0 entries add up to +0.0
+    fwd = total[cells, ln, lm]
+    rev = total[cells, lm, ln]
+    s_fwd = 0.0 + fwd[:, 0] + fwd[:, 1]
+    s_rev = 0.0 + rev[:, 0] + rev[:, 1]
+    scale = np.maximum(1.0, cell_scale[cells].max(axis=1))
+    alpha, beta = edges.opposite_angles.T
+    closed = -np.sin(alpha + beta) / (2.0 * np.sin(alpha) * np.sin(beta))
+    passed = np.maximum(s_fwd, s_rev) <= PAIR_TOL * scale
     identity_err = 0.0
-    for edge in interior_edges_2d(mesh):
-        s_fwd = 0.0
-        s_rev = 0.0
-        scale = 1.0
-        for t in edge.adjacent_cells:
-            lm = local_index[(t, edge.node_m)]
-            ln = local_index[(t, edge.node_n)]
-            # gradient carried by m, test n -> [test, trial] = [ln, lm]
-            s_fwd += total[t, ln, lm]
-            s_rev += total[t, lm, ln]
-            scale = max(scale, float(scale_part[t].max()))
-        alpha, beta = edge.opposite_angles
-        closed = -math.sin(alpha + beta) / (2.0 * math.sin(alpha) * math.sin(beta))
-        verdict = max(s_fwd, s_rev) <= PAIR_TOL * scale
-        all_pass &= bool(verdict)
-        max_sum = max(max_sum, float(s_fwd), float(s_rev))
-        if poisson_identity:
-            identity_err = max(identity_err,
-                               abs(s_fwd - closed) / max(1.0, abs(closed)))
-        records.append({
-            "node_m": edge.node_m, "node_n": edge.node_n,
-            "sum": float(s_fwd), "sum_reversed": float(s_rev),
-            "poisson_closed_form": closed,
-            "angle_sum": float(alpha + beta),
-            "verdict": "pass" if verdict else "fail",
-        })
-    if poisson_identity and identity_err > PAIR_TOL:
-        raise InvalidParameters(
-            f"assembled edge sums deviate from the cotangent closed form by "
-            f"{identity_err:.3e}")
+    if poisson_identity and len(closed):
+        identity_err = float((np.abs(s_fwd - closed) / np.maximum(1.0, np.abs(closed))).max())
+        if identity_err > PAIR_TOL:
+            raise InvalidParameters(
+                f"assembled edge sums deviate from the cotangent closed form by "
+                f"{identity_err:.3e}")
+    records = [
+        {"node_m": m, "node_n": n, "sum": sf, "sum_reversed": sr,
+         "poisson_closed_form": cf, "angle_sum": a, "verdict": "pass" if ok else "fail"}
+        for m, n, sf, sr, cf, a, ok in zip(
+            nodes[:, 0].tolist(), nodes[:, 1].tolist(), s_fwd.tolist(), s_rev.tolist(),
+            closed.tolist(), (alpha + beta).tolist(), passed.tolist())]
     return EdgeConditionReport(
-        all_pass=all_pass,
-        max_sum=float(max_sum) if records else 0.0,
+        all_pass=bool(passed.all()),
+        max_sum=float(max(s_fwd.max(), s_rev.max())) if records else 0.0,
         num_edges=len(records),
         edges=records,
         poisson_identity_checked=bool(poisson_identity),
@@ -760,9 +765,8 @@ def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float) -> float:
     return float(total ** (1.0 / exponent))
 
 
-def _select_element_case(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-                         rule: QuadratureRule) -> str:
-    diffusion, advection, reaction = local_form_parts(mesh, w, coeffs, rule)
+def _select_element_case(parts, coeffs: CoefficientSet) -> str:
+    diffusion, advection, reaction = parts
     scale = max(1.0, float(np.abs(diffusion).max()))
     b_zero = float(np.abs(advection).max()) <= PAIR_TOL * scale
     c_zero = float(np.abs(reaction).max()) <= PAIR_TOL * scale
@@ -784,14 +788,26 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     params = params or DmpParams()
     params.check_for_dim(mesh.dim)
     if rule is None:
-        rule = quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
+        rule = _default_rule(mesh, coeffs)
 
     u_h = solve_result.u_h
     assignment = interpolate_boundary(mesh, coeffs.g)
     k_star = compute_k_star(mesh, assignment, coeffs.c_mode)
     sup_uh = u_h.max_value()
 
-    sweep = assumption_a_sweep(mesh, u_h, coeffs, rule, k_star)
+    # The (C, M, M) parts are shared by the sweep and the element and edge
+    # checks, and dropped before the quadrature-point passes that follow.
+    parts = local_form_parts(mesh, u_h, coeffs, rule)
+    sweep = assumption_a_sweep(mesh, u_h, coeffs, rule, k_star, parts=parts)
+    case = element_case or _select_element_case(parts, coeffs)
+    element = element_condition_check(mesh, coeffs, rule, case=case,
+                                      lambda_star=params.lambda_star, w=u_h,
+                                      parts=parts)
+    edge = None
+    if mesh.dim == 2:
+        edge = edge_condition_check_2d(mesh, coeffs, rule, w=u_h, parts=parts)
+    del parts
+
     zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule)
 
     xq = physical_points(mesh, rule)
@@ -808,13 +824,6 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent)
     overshoot = max(sup_uh - k_star, 0.0)
     empirical_c = overshoot / f_norm if f_norm > 1e-300 else None
-
-    case = element_case or _select_element_case(mesh, u_h, coeffs, rule)
-    element = element_condition_check(mesh, coeffs, rule, case=case,
-                                      lambda_star=params.lambda_star, w=u_h)
-    edge = None
-    if mesh.dim == 2:
-        edge = edge_condition_check_2d(mesh, coeffs, rule, w=u_h)
 
     grid = np.unique(np.concatenate([[k_star], np.unique(u_h.nodal_values)]))
     profile = np.column_stack([grid, level_set_profile(mesh, u_h, grid)])

@@ -17,6 +17,10 @@ class NonManifold(DmpFemError):
     """A facet is shared by more than two cells."""
 
 
+class NonFiniteValue(DmpFemError):
+    """A vertex coordinate is NaN or infinite."""
+
+
 class DimensionMismatch(DmpFemError):
     """Operation requested for an unsupported spatial dimension."""
 

@@ -68,6 +68,16 @@ def _compile(source: str, names: set):
     return compile(tree, f"<expr {source!r}>", "eval")
 
 
+def _evaluate(code, source: str, env: dict) -> np.ndarray:
+    """Run compiled formula code.  Constant subexpressions run in Python
+    arithmetic, where division by zero and overflow raise and a negative base
+    to a fractional power gives a complex number (a TypeError for float)."""
+    try:
+        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+    except (ArithmeticError, TypeError) as exc:
+        raise InvalidParameters(f"cannot evaluate {source!r}: {exc}") from exc
+
+
 def _coordinate_env(x: np.ndarray, dim: int) -> dict:
     env = {"x": x[..., 0], "y": x[..., 1]}
     if dim == 3:
@@ -84,8 +94,7 @@ def point_function(source: str, dim: int):
         x = np.asarray(x, dtype=float)
         env = dict(_FUNCTIONS)
         env.update(_coordinate_env(x, dim))
-        return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
-                                          dtype=float), x.shape[:-1])
+        return np.broadcast_to(_evaluate(code, source, env), x.shape[:-1])
 
     return fn
 
@@ -106,8 +115,7 @@ def state_function(source: str, dim: int, with_gradient: bool = True):
             p = np.asarray(p, dtype=float)
             for k in range(dim):
                 env[f"p{k + 1}"] = p[..., k]
-            out = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
-            return np.broadcast_to(out, np.shape(eta))
+            return np.broadcast_to(_evaluate(code, source, env), np.shape(eta))
         return fn
 
     def fn(x, eta):
@@ -115,8 +123,7 @@ def state_function(source: str, dim: int, with_gradient: bool = True):
         env = dict(_FUNCTIONS)
         env.update(_coordinate_env(x, dim))
         env["eta"] = np.asarray(eta, dtype=float)
-        out = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
-        return np.broadcast_to(out, np.shape(eta))
+        return np.broadcast_to(_evaluate(code, source, env), np.shape(eta))
     return fn
 
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCell, DimensionMismatch, IndexOutOfRange, NonManifold
+from .errors import (
+    DegenerateCell,
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidParameters,
+    NonFiniteValue,
+    NonManifold,
+)
 
 # Separates genuine right angles of structured meshes from rounding noise.
 ANGLE_TOL = 1e-10
@@ -57,7 +64,7 @@ def _pairwise_diameters(verts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable simplicial mesh with cached per-cell geometry.
+    """Immutable simplicial mesh with cached per-cell geometry and facet incidence.
 
     Attributes
     ----------
@@ -68,6 +75,11 @@ class Mesh:
     cell_measures : per-cell area/volume, all positive.
     cell_diameters : per-cell max pairwise vertex distance.
     h : mesh size, max of cell_diameters.
+    interior_facets : (n_interior, dim) ascending vertex rows of the facets
+        shared by two cells, in lexicographic order.
+    interior_owners : (n_interior, 2) owner slots `cell * (dim+1) + local` of
+        those facets, cells ascending; local vertex `local` is the one
+        opposite the facet.
     """
 
     dim: int
@@ -77,6 +89,8 @@ class Mesh:
     cell_measures: np.ndarray
     cell_diameters: np.ndarray
     h: float
+    interior_facets: np.ndarray
+    interior_owners: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -100,13 +114,16 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class InteriorEdge:
-    """An edge shared by exactly two triangles, with the two opposite angles."""
+class InteriorEdges:
+    """Triangle edges shared by two cells, one row per edge, in lexicographic
+    order of the node pairs."""
 
-    node_m: int
-    node_n: int
-    adjacent_cells: tuple
-    opposite_angles: tuple  # (alpha, beta) radians, ordered like adjacent_cells
+    nodes: np.ndarray  # (E, 2) node pairs m < n
+    cells: np.ndarray  # (E, 2) the two owning cells, ascending
+    opposite_angles: np.ndarray  # (E, 2) radians, at each cell's vertex opposite the edge
+
+    def __len__(self) -> int:
+        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -147,17 +164,41 @@ class AngleReport:
         }
 
 
-def _facets_of_cell(cell: np.ndarray) -> list:
-    n = len(cell)
-    return [tuple(sorted(np.delete(cell, i))) for i in range(n)]
+def _facet_table(cells: np.ndarray, nv: int):
+    """Facet incidence from one sort of packed facet keys.
+
+    Facet i of a cell is its sorted vertex row without local vertex i, stored
+    at slot `cell * (d+1) + i`.  Returns the boundary vertices (those on a
+    facet of one cell) and, for the facets of two cells in lexicographic
+    order, their vertex rows and owner slots (cells ascending).  Raises
+    `NonManifold` for a facet of three or more cells.
+    """
+    m = cells.shape[1]
+    if nv ** (m - 1) > 2 ** 63:
+        raise InvalidParameters(f"{nv} vertices overflow the int64 facet keys")
+    others = np.array([[j for j in range(m) if j != i] for i in range(m)])
+    rows = np.sort(cells[:, others], axis=2).reshape(-1, m - 1)
+    keys = rows[:, 0]
+    for col in range(1, m - 1):
+        keys = keys * nv + rows[:, col]
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")  # slots grouped by facet
+    first = np.cumsum(counts) - counts
+    if (counts > 2).any():
+        f = int(np.argmax(counts > 2))
+        raise NonManifold(f"facet {tuple(rows[order[first[f]]].tolist())} "
+                          f"shared by {counts[f]} cells")
+    boundary = np.unique(rows[order[first[counts == 1]]])
+    owners = order[first[counts == 2, None] + np.arange(2)]
+    return boundary, rows[owners[:, 0]], owners
 
 
 def build_mesh(vertices, cells) -> Mesh:
     """Validate raw vertex/cell arrays and assemble a `Mesh`.
 
     Cells with negative orientation are silently repaired by swapping their
-    last two vertices.  Raises `IndexOutOfRange`, `DegenerateCell` or
-    `NonManifold` on malformed input.
+    last two vertices.  Raises `NonFiniteValue`, `IndexOutOfRange`,
+    `DegenerateCell` or `NonManifold` on malformed input.
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
@@ -166,13 +207,18 @@ def build_mesh(vertices, cells) -> Mesh:
     dim = vertices.shape[1]
     if cells.ndim != 2 or cells.shape[1] != dim + 1:
         raise DimensionMismatch(f"cells must be (n, {dim + 1}) for dim={dim}, got {cells.shape}")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NonFiniteValue(f"vertex {j} has a non-finite coordinate: {vertices[j].tolist()}")
 
     nv = vertices.shape[0]
     if cells.size and (cells.min() < 0 or cells.max() >= nv):
         raise IndexOutOfRange(f"cell vertex index outside [0, {nv})")
-    for k, cell in enumerate(cells):
-        if len(set(cell.tolist())) != dim + 1:
-            raise DegenerateCell(f"cell {k} repeats a vertex: {cell.tolist()}")
+    repeats = (np.diff(np.sort(cells, axis=1), axis=1) == 0).any(axis=1)
+    if repeats.any():
+        k = int(np.argmax(repeats))
+        raise DegenerateCell(f"cell {k} repeats a vertex: {cells[k].tolist()}")
 
     cells = cells.copy()
     signed = _signed_measures(vertices[cells])
@@ -188,26 +234,17 @@ def build_mesh(vertices, cells) -> Mesh:
         k = int(np.argmax(degenerate))
         raise DegenerateCell(f"cell {k} has measure {measures[k]:.3e} below threshold")
 
-    facet_count: dict = {}
-    for cell in cells:
-        for facet in _facets_of_cell(cell):
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    for facet, count in facet_count.items():
-        if count > 2:
-            raise NonManifold(f"facet {facet} shared by {count} cells")
-    boundary = set()
-    for facet, count in facet_count.items():
-        if count == 1:
-            boundary.update(facet)
-
+    boundary, interior_facets, interior_owners = _facet_table(cells, nv)
     return Mesh(
         dim=dim,
         vertices=vertices,
         cells=cells,
-        boundary_nodes=frozenset(int(i) for i in boundary),
+        boundary_nodes=frozenset(boundary.tolist()),
         cell_measures=measures,
         cell_diameters=diameters,
         h=float(diameters.max()) if len(diameters) else 0.0,
+        interior_facets=interior_facets,
+        interior_owners=interior_owners,
     )
 
 
@@ -227,37 +264,17 @@ def generate_structured_2d(nx: int, ny: int, pattern: str = "right-diagonal",
     if pattern not in ("right-diagonal", "crisscross"):
         raise InvalidStructuredSpec(f"unknown pattern {pattern!r}")
 
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    index = {}
-    verts = []
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            index[(i, j)] = len(verts)
-            verts.append((x + skew * y, y))
-
-    cells = []
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    verts = np.column_stack([(x + skew * y).ravel(), y.ravel()])  # vertex j*(nx+1) + i
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # square corners
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
     if pattern == "right-diagonal":
-        for j in range(ny):
-            for i in range(nx):
-                v00, v10 = index[(i, j)], index[(i + 1, j)]
-                v01, v11 = index[(i, j + 1)], index[(i + 1, j + 1)]
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
+        cells = np.column_stack([v00, v10, v11, v00, v11, v01])
     else:
-        for j in range(ny):
-            for i in range(nx):
-                v00, v10 = index[(i, j)], index[(i + 1, j)]
-                v01, v11 = index[(i, j + 1)], index[(i + 1, j + 1)]
-                cx = 0.5 * (verts[v00][0] + verts[v11][0])
-                cy = 0.5 * (verts[v00][1] + verts[v11][1])
-                vc = len(verts)
-                verts.append((cx, cy))
-                cells.append((v00, v10, vc))
-                cells.append((v10, v11, vc))
-                cells.append((v11, v01, vc))
-                cells.append((v01, v00, vc))
-    return build_mesh(np.array(verts), np.array(cells))
+        vc = len(verts) + np.arange(len(v00))
+        verts = np.vstack([verts, 0.5 * (verts[v00] + verts[v11])])
+        cells = np.column_stack([v00, v10, vc, v10, v11, vc, v11, v01, vc, v01, v00, vc])
+    return build_mesh(verts, cells.reshape(-1, 3))
 
 
 _KUHN_PERMUTATIONS = list(itertools.permutations(range(3)))
@@ -269,29 +286,16 @@ def generate_structured_3d(nx: int, ny: int, nz: int) -> Mesh:
     if nx < 1 or ny < 1 or nz < 1:
         raise InvalidStructuredSpec(f"grid counts must be >= 1, got {nx}x{ny}x{nz}")
 
-    counts = (nx, ny, nz)
-    steps = [np.linspace(0.0, 1.0, n + 1) for n in counts]
-    index = {}
-    verts = []
-    for k, z in enumerate(steps[2]):
-        for j, y in enumerate(steps[1]):
-            for i, x in enumerate(steps[0]):
-                index[(i, j, k)] = len(verts)
-                verts.append((x, y, z))
-
-    cells = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                base = np.array((i, j, k))
-                for perm in _KUHN_PERMUTATIONS:
-                    corner = base.copy()
-                    tet = [index[tuple(corner)]]
-                    for axis in perm:
-                        corner[axis] += 1
-                        tet.append(index[tuple(corner)])
-                    cells.append(tet)
-    return build_mesh(np.array(verts), np.array(cells))
+    z, y, x = np.meshgrid(*(np.linspace(0.0, 1.0, n + 1) for n in (nz, ny, nx)),
+                          indexing="ij")
+    verts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    base = (i * stride[0] + j * stride[1] + k * stride[2]).ravel()
+    # Each tetrahedron walks from the cube's base corner along one axis order.
+    paths = np.array([np.concatenate([[0], np.cumsum(stride[list(perm)])])
+                      for perm in _KUHN_PERMUTATIONS])
+    return build_mesh(verts, (base[:, None, None] + paths).reshape(-1, 4))
 
 
 def outward_normals(mesh: Mesh, cell: int) -> np.ndarray:
@@ -365,39 +369,29 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
     )
 
 
-def _vertex_angle(verts: np.ndarray, at: int, others: tuple) -> float:
-    u = verts[others[0]] - verts[at]
-    v = verts[others[1]] - verts[at]
-    c = float(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
-    return float(np.arccos(c))
-
-
-def interior_edges_2d(mesh: Mesh) -> list:
-    """All triangle edges shared by exactly two cells, with opposite angles."""
+def interior_edges_2d(mesh: Mesh) -> InteriorEdges:
+    """All triangle edges shared by two cells, with opposite angles: a view of
+    the mesh's facet table."""
     if mesh.dim != 2:
         raise DimensionMismatch("interior edges with opposite angles are 2D only")
-    edge_cells: dict = {}
-    for t, cell in enumerate(mesh.cells):
-        for facet in _facets_of_cell(cell):
-            edge_cells.setdefault(facet, []).append(t)
+    nodes = mesh.interior_facets
+    cells, local = np.divmod(mesh.interior_owners, 3)
+    apex = mesh.vertices[mesh.cells[cells, local]]  # (E, 2, 2)
+    u = mesh.vertices[nodes[:, :1]] - apex
+    v = mesh.vertices[nodes[:, 1:]] - apex
+    cos = _row_dots(u, v) / (np.sqrt(_row_dots(u, u)) * np.sqrt(_row_dots(v, v)))
+    return InteriorEdges(nodes=nodes, cells=cells,
+                         opposite_angles=np.arccos(np.clip(cos, -1.0, 1.0)))
 
-    edges = []
-    for (m, n), owners in sorted(edge_cells.items()):
-        if len(owners) != 2:
-            continue
-        angles = []
-        for t in owners:
-            cell = mesh.cells[t]
-            local = {int(v): k for k, v in enumerate(cell)}
-            opposite = next(k for v, k in local.items() if v not in (m, n))
-            angles.append(_vertex_angle(mesh.cell_vertices(t), opposite,
-                                        (local[int(m)], local[int(n)])))
-        edges.append(InteriorEdge(
-            node_m=int(m), node_n=int(n),
-            adjacent_cells=tuple(int(t) for t in owners),
-            opposite_angles=tuple(angles),
-        ))
-    return edges
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last-axis rows of a and b.
+
+    Stacked (1, d) @ (d, 1) products take each one as a single BLAS dot, as
+    `u @ v` and `np.linalg.norm(u)` do on single vectors, so angles computed
+    from them match the single-vector formula bit for bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def macro_elements(mesh: Mesh) -> list:

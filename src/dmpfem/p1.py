@@ -289,15 +289,41 @@ def field_to_csv(field: P1Field, path) -> None:
 
 
 def field_from_csv(mesh: Mesh, path) -> P1Field:
-    values = np.full(mesh.num_vertices, np.nan)
+    """Read a `field_to_csv` file: one row per node, each with a finite value.
+
+    Raises `InvalidParameters` naming the first bad line for a missing
+    `value` column, a row of the wrong width, a node index that is not an
+    integer in [0, n_vertices) or appears twice, or a value that is not a
+    finite number; and when rows do not cover every node.
+    """
+    n = mesh.num_vertices
+    values = np.full(n, np.nan)
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip().split(",")
+        if "value" not in header:
+            raise InvalidParameters(f"solution file {path} has no 'value' column")
         idx_value = header.index("value")
-        for line in fp:
-            if not line.strip():
-                continue
+        for lineno, line in enumerate(fp, start=2):
             parts = line.strip().split(",")
-            values[int(parts[0])] = float(parts[idx_value])
-    if np.isnan(values).any():
-        raise InvalidParameters(f"solution file {path} does not cover every node")
+            if parts == [""]:
+                continue
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+                j = int(parts[0])
+                value = float(parts[idx_value])
+                if not 0 <= j < n:
+                    raise ValueError(f"node index {j} outside [0, {n})")
+                if not math.isfinite(value):
+                    raise ValueError(f"node {j} has value {value}")
+                if not math.isnan(values[j]):
+                    raise ValueError(f"node {j} appears twice")
+            except ValueError as exc:
+                raise InvalidParameters(f"solution file {path} line {lineno}: {exc}") from exc
+            values[j] = value
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        raise InvalidParameters(
+            f"solution file {path} does not cover every node: {missing.size} missing, "
+            f"e.g. {missing[:5].tolist()}")
     return P1Field(mesh, values)

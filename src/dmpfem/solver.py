@@ -272,6 +272,18 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     return diffusion, advection, reaction
 
 
+def assemble_matrix(mesh: Mesh, parts) -> sparse.csr_matrix:
+    """Global matrix of the form from its `local_form_parts`."""
+    diffusion, advection, reaction = parts
+    local = diffusion + advection + reaction
+    m = mesh.dim + 1
+    n = mesh.num_vertices
+    rows = np.repeat(mesh.cells[:, :, None], m, axis=2)
+    cols = np.repeat(mesh.cells[:, None, :], m, axis=1)
+    return sparse.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+
+
 def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
                rule: QuadratureRule | None = None) -> SparseSystem:
     """Assemble matrix and load vector of the form with coefficients frozen at w."""
@@ -281,16 +293,8 @@ def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
         warnings.warn("quadrature degree < 4 with non-constant coefficients",
                       QuadratureDegreeTooLow)
 
-    diffusion, advection, reaction = local_form_parts(mesh, w, coeffs, rule)
-    local = diffusion + advection + reaction
-
-    m = mesh.dim + 1
+    matrix = assemble_matrix(mesh, local_form_parts(mesh, w, coeffs, rule))
     n = mesh.num_vertices
-    rows = np.repeat(mesh.cells[:, :, None], m, axis=2)
-    cols = np.repeat(mesh.cells[:, None, :], m, axis=1)
-    matrix = sparse.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
-
     xq = physical_points(mesh, rule)
     fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
     local_rhs = np.einsum("cq,qm,q->cm", fvals, rule.points, rule.weights)

@@ -1,11 +1,13 @@
 """Shared geometry builders and independent oracles for the test suite."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dmpfem.errors import NonManifold
 from dmpfem.mesh import Mesh, build_mesh
 
 
@@ -103,3 +105,141 @@ def random_triangle(rng: np.random.Generator, min_angle: float = 0.2,
 def random_nodal_field(mesh: Mesh, rng: np.random.Generator, scale: float = 1.0):
     from dmpfem.p1 import P1Field
     return P1Field(mesh, rng.uniform(-scale, scale, size=mesh.num_vertices))
+
+
+def perturbed_mesh(mesh: Mesh, rng: np.random.Generator, amount: float) -> Mesh:
+    """Move every interior vertex by up to `amount` times the mesh size."""
+    verts = mesh.vertices.copy()
+    inner = ~mesh.boundary_mask()
+    verts[inner] += rng.uniform(-amount, amount, size=verts[inner].shape) * mesh.h
+    return build_mesh(verts, mesh.cells)
+
+
+def oracle_meshes() -> dict:
+    """Small 2D meshes of every kind the loop oracles are compared on."""
+    return {
+        "right-diagonal": build_mesh(*loop_structured_2d(6, 5)),
+        "crisscross": build_mesh(*loop_structured_2d(4, 3, "crisscross", 0.2)),
+        "skewed-obtuse": build_mesh(*loop_structured_2d(5, 5, skew=0.6)),
+        "equilateral": equilateral_mesh(5, 4),
+        "perturbed": perturbed_mesh(build_mesh(*loop_structured_2d(9, 7)),
+                                    np.random.default_rng(11), 0.2),
+    }
+
+
+# -- loop oracles of the vectorized mesh code ----------------------------------
+
+def loop_structured_2d(nx: int, ny: int, pattern: str = "right-diagonal",
+                       skew: float = 0.0):
+    """Vertex and cell arrays of `generate_structured_2d`, built point by point."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    index = {}
+    verts = []
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            index[(i, j)] = len(verts)
+            verts.append((x + skew * y, y))
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = index[(i, j)], index[(i + 1, j)]
+            v01, v11 = index[(i, j + 1)], index[(i + 1, j + 1)]
+            if pattern == "right-diagonal":
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+                continue
+            vc = len(verts)
+            verts.append((0.5 * (verts[v00][0] + verts[v11][0]),
+                          0.5 * (verts[v00][1] + verts[v11][1])))
+            cells += [(v00, v10, vc), (v10, v11, vc), (v11, v01, vc), (v01, v00, vc)]
+    return np.array(verts), np.array(cells)
+
+
+def loop_structured_3d(nx: int, ny: int, nz: int):
+    """Vertex and cell arrays of `generate_structured_3d`, built point by point."""
+    steps = [np.linspace(0.0, 1.0, n + 1) for n in (nx, ny, nz)]
+    index = {}
+    verts = []
+    for k, z in enumerate(steps[2]):
+        for j, y in enumerate(steps[1]):
+            for i, x in enumerate(steps[0]):
+                index[(i, j, k)] = len(verts)
+                verts.append((x, y, z))
+    cells = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                for perm in itertools.permutations(range(3)):
+                    corner = [i, j, k]
+                    tet = [index[tuple(corner)]]
+                    for axis in perm:
+                        corner[axis] += 1
+                        tet.append(index[tuple(corner)])
+                    cells.append(tet)
+    return np.array(verts), np.array(cells)
+
+
+def loop_facet_owners(cells: np.ndarray) -> dict:
+    """Sorted facet tuple -> owning cells in ascending order, by a dict loop;
+    raises `NonManifold` for a facet of three or more cells."""
+    owners: dict = {}
+    for t, cell in enumerate(cells.tolist()):
+        for i in range(len(cell)):
+            owners.setdefault(tuple(sorted(cell[:i] + cell[i + 1:])), []).append(t)
+    for facet, ts in owners.items():
+        if len(ts) > 2:
+            raise NonManifold(f"facet {facet} shared by {len(ts)} cells")
+    return owners
+
+
+def loop_boundary_nodes(cells: np.ndarray) -> frozenset:
+    return frozenset(v for facet, ts in loop_facet_owners(cells).items()
+                     if len(ts) == 1 for v in facet)
+
+
+def loop_interior_edges_2d(mesh: Mesh) -> list:
+    """(m, n, (cell, cell), (angle, angle)) per interior edge, lexicographic,
+    with each opposite angle from the scalar arccos formula."""
+    edges = []
+    for (m, n), owners in sorted(loop_facet_owners(mesh.cells).items()):
+        if len(owners) != 2:
+            continue
+        angles = []
+        for t in owners:
+            apex = next(v for v in mesh.cells[t].tolist() if v not in (m, n))
+            u = mesh.vertices[m] - mesh.vertices[apex]
+            v = mesh.vertices[n] - mesh.vertices[apex]
+            c = float(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
+            angles.append(float(np.arccos(c)))
+        edges.append((m, n, tuple(owners), tuple(angles)))
+    return edges
+
+
+def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
+    """Per-edge loop of the two-cell edge sums from `local_form_parts`:
+    (records, all_pass, max_sum, Poisson identity error)."""
+    diffusion, advection, reaction = parts
+    total = diffusion + advection + reaction
+    scale_part = np.abs(diffusion) + np.abs(advection) + np.abs(reaction)
+    local_index = {(t, int(v)): loc for t, cell in enumerate(mesh.cells)
+                   for loc, v in enumerate(cell)}
+    records, all_pass, max_sum, identity_err = [], True, -math.inf, 0.0
+    for m, n, owners, (alpha, beta) in loop_interior_edges_2d(mesh):
+        s_fwd = s_rev = 0.0
+        scale = 1.0
+        for t in owners:
+            lm, ln = local_index[(t, m)], local_index[(t, n)]
+            s_fwd += total[t, ln, lm]
+            s_rev += total[t, lm, ln]
+            scale = max(scale, float(scale_part[t].max()))
+        closed = -math.sin(alpha + beta) / (2.0 * math.sin(alpha) * math.sin(beta))
+        verdict = max(s_fwd, s_rev) <= pair_tol * scale
+        all_pass &= bool(verdict)
+        max_sum = max(max_sum, float(s_fwd), float(s_rev))
+        identity_err = max(identity_err, abs(s_fwd - closed) / max(1.0, abs(closed)))
+        records.append({
+            "node_m": m, "node_n": n, "sum": float(s_fwd), "sum_reversed": float(s_rev),
+            "poisson_closed_form": closed, "angle_sum": float(alpha + beta),
+            "verdict": "pass" if verdict else "fail",
+        })
+    return records, all_pass, max_sum if records else 0.0, float(identity_err)

@@ -58,6 +58,14 @@ class TestExpressions:
         assert out.shape == (4, 2)
         assert np.all(out[:, 0] == 1.0) and np.all(out[:, 1] == 0.0)
 
+    def test_constant_arithmetic_errors(self):
+        x = np.zeros((2, 2))
+        for source in ("1/0", "0/0", "2.0^5000", "(-1)^0.5"):
+            with pytest.raises(InvalidParameters, match="cannot evaluate"):
+                expressions.point_function(source, dim=2)(x)
+        with pytest.raises(InvalidParameters, match="cannot evaluate"):
+            expressions.state_function("eta + 1/0", dim=2)(x, np.zeros(2), x)
+
     def test_usage_flags(self):
         assert expressions.uses_state("1 + eta")
         assert expressions.uses_state("p2 - 1")
@@ -124,6 +132,21 @@ class TestSolveCommand:
         assert solve_info["picard_iterations"] == 1
         assert (outdir / "solution.csv").exists()
         assert (outdir / "solution.vtk").exists()
+
+    @pytest.mark.parametrize("formula", ["1/0", "0/0"])
+    def test_constant_division_by_zero_exits_one(self, square_mesh, tmp_path, capsys,
+                                                 formula):
+        assert run(["solve", "--mesh", square_mesh, f"--f={formula}",
+                    "-o", tmp_path / "run"]) == 1
+        assert "cannot evaluate" in capsys.readouterr().err
+
+    def test_non_finite_vertex_exits_one(self, square_mesh, tmp_path, capsys):
+        data = json.loads(square_mesh.read_text())
+        data["vertices"][10][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        assert run(["solve", "--mesh", bad, "-o", tmp_path / "run"]) == 1
+        assert "vertex 10 has a non-finite coordinate" in capsys.readouterr().err
 
     def test_quasilinear_reports_iterations(self, square_mesh, tmp_path):
         outdir = tmp_path / "runq"
@@ -245,6 +268,48 @@ class TestDmpCheckCommand:
         cert = json.loads((outdir / "certificate.json").read_text())
         assert cert["de_giorgi"]["verdict"] == "pass"
         assert cert["de_giorgi"]["rho"] > 0
+
+
+class TestSolutionFile:
+    """`dmp-check --solution` rejects a malformed solution CSV with exit 1."""
+
+    @pytest.fixture
+    def solution_lines(self, square_mesh, tmp_path):
+        outdir = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", outdir]) == 0
+        return (outdir / "solution.csv").read_text().splitlines()
+
+    def _check(self, square_mesh, tmp_path, lines):
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return run(["dmp-check", "--mesh", square_mesh, "--solution", path,
+                    "-o", tmp_path / "check"])
+
+    def test_index_out_of_range(self, square_mesh, tmp_path, capsys, solution_lines):
+        solution_lines[5] = "99" + solution_lines[5][solution_lines[5].index(","):]
+        assert self._check(square_mesh, tmp_path, solution_lines) == 1
+        assert "line 6: node index 99 outside [0, 81)" in capsys.readouterr().err
+
+    def test_nan_value(self, square_mesh, tmp_path, capsys, solution_lines):
+        solution_lines[5] = solution_lines[5].rsplit(",", 1)[0] + ",nan"
+        assert self._check(square_mesh, tmp_path, solution_lines) == 1
+        assert "line 6: node 4 has value nan" in capsys.readouterr().err
+
+    def test_malformed_rows(self, square_mesh, tmp_path, capsys, solution_lines):
+        for row in ("4,0.5,0", "4,0.5,0,abc", "four,0.5,0,1.0"):
+            edited = list(solution_lines)
+            edited[5] = row
+            assert self._check(square_mesh, tmp_path, edited) == 1
+            assert "line 6:" in capsys.readouterr().err
+
+    def test_missing_and_repeated_nodes(self, square_mesh, tmp_path, capsys,
+                                        solution_lines):
+        assert self._check(square_mesh, tmp_path, solution_lines[:5]
+                           + solution_lines[6:]) == 1
+        assert "does not cover every node: 1 missing, e.g. [4]" in capsys.readouterr().err
+        assert self._check(square_mesh, tmp_path, solution_lines
+                           + [solution_lines[5]]) == 1
+        assert "node 4 appears twice" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import dmpfem.dmp
+import dmpfem.solver
 from dmpfem.dmp import (
+    PAIR_TOL,
     AssumptionSweep,
     DeGiorgiInput,
     DmpParams,
@@ -35,9 +39,16 @@ from dmpfem.solver import (
     local_form_parts,
     picard_solve,
     poisson,
+    quasilinear_a,
 )
 
-from conftest import adjacent_pair, equilateral_mesh, random_nodal_field
+from conftest import (
+    adjacent_pair,
+    equilateral_mesh,
+    loop_edge_records,
+    oracle_meshes,
+    random_nodal_field,
+)
 
 
 class TestKStar:
@@ -209,6 +220,40 @@ class TestEdgeCondition:
             i, j = record["node_m"], record["node_n"]
             assert record["sum"] == pytest.approx(a[j, i], abs=1e-12)
             assert record["sum_reversed"] == pytest.approx(a[i, j], abs=1e-12)
+
+
+    @pytest.mark.parametrize("name", sorted(oracle_meshes()))
+    def test_records_match_loop_oracle(self, name):
+        mesh = oracle_meshes()[name]
+        w = random_nodal_field(mesh, np.random.default_rng(4))
+        for unit, coeffs in ((True, poisson()), (False, quasilinear_a()),
+                             (False, advection_diffusion([1.0, -2.0], c0=0.5))):
+            rule = quadrature_rule(2, 2 if coeffs.constant_coefficients else 4)
+            parts = local_form_parts(mesh, w, coeffs, rule)
+            records, all_pass, max_sum, identity_err = loop_edge_records(
+                mesh, parts, PAIR_TOL)
+            for given in (None, parts):
+                report = edge_condition_check_2d(mesh, coeffs, rule, w=w,
+                                                 poisson_identity=False, parts=given)
+                # json.dumps tells every bit, the sign of zero included
+                assert json.dumps(report.edges) == json.dumps(records)
+                assert (report.all_pass, report.max_sum, report.num_edges) == \
+                    (all_pass, max_sum, len(records))
+            if unit:
+                report = edge_condition_check_2d(mesh, coeffs, rule, w=w)
+                assert report.poisson_identity_checked
+                assert report.identity_max_error == identity_err
+
+
+    def test_negative_zero_entries_sum_to_positive_zero(self):
+        # as in the scalar sum 0.0 + x + y, which certificate bytes depend on
+        mesh = adjacent_pair(math.pi / 2, math.pi / 2)
+        parts = tuple(np.full((2, 3, 3), -0.0) for _ in range(3))
+        records, _, _, _ = loop_edge_records(mesh, parts, PAIR_TOL)
+        report = edge_condition_check_2d(mesh, poisson(), poisson_identity=False,
+                                         parts=parts)
+        assert json.dumps(report.edges) == json.dumps(records)
+        assert math.copysign(1.0, report.edges[0]["sum"]) == 1.0
 
 
 class TestLevelSets:
@@ -452,6 +497,21 @@ class TestCertificate:
                     "element_condition", "edge_condition", "level_sets",
                     "de_giorgi"):
             assert payload[key]["verdict"] in ("pass", "fail", "not-applicable")
+
+    def test_form_parts_computed_once(self, monkeypatch):
+        m = generate_structured_2d(6, 6)
+        coeffs = poisson(f=1.0)
+        result = picard_solve(m, coeffs)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return local_form_parts(*args, **kwargs)
+
+        monkeypatch.setattr(dmpfem.dmp, "local_form_parts", counted)
+        monkeypatch.setattr(dmpfem.solver, "local_form_parts", counted)
+        dmp_certificate(m, result, coeffs)
+        assert len(calls) == 1
 
     def test_3d_certificate(self):
         m = generate_structured_3d(2, 2, 2)

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmpfem.errors import (
     DegenerateCell,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteValue,
     NonManifold,
 )
 from dmpfem.mesh import (
@@ -29,7 +31,18 @@ from dmpfem.mesh import (
     InvalidStructuredSpec,
 )
 
-from conftest import brute_force_dihedrals, equilateral_mesh, triangle_vertex_angles
+from conftest import (
+    brute_force_dihedrals,
+    equilateral_mesh,
+    loop_boundary_nodes,
+    loop_facet_owners,
+    loop_interior_edges_2d,
+    loop_structured_2d,
+    loop_structured_3d,
+    oracle_meshes,
+    perturbed_mesh,
+    triangle_vertex_angles,
+)
 
 
 class TestBuildMesh:
@@ -73,6 +86,13 @@ class TestBuildMesh:
         with pytest.raises(NonManifold):
             build_mesh(verts, cells)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        verts[2][1] = bad
+        with pytest.raises(NonFiniteValue, match="vertex 2"):
+            build_mesh(verts, [[0, 1, 2], [0, 2, 3]])
+
 
 class TestGenerators:
     def test_single_square_split(self):
@@ -109,6 +129,23 @@ class TestGenerators:
             generate_structured_2d(1, 1, pattern="diagonal")
         with pytest.raises(InvalidStructuredSpec):
             generate_structured_3d(1, 0, 1)
+
+    @pytest.mark.parametrize("args", [(1, 1, "right-diagonal", 0.0),
+                                      (5, 3, "right-diagonal", 0.35),
+                                      (4, 6, "crisscross", 0.0),
+                                      (3, 2, "crisscross", 0.6)])
+    def test_matches_loop_generator_2d(self, args):
+        m = generate_structured_2d(*args)
+        ref = build_mesh(*loop_structured_2d(*args))
+        assert np.array_equal(m.vertices, ref.vertices)
+        assert np.array_equal(m.cells, ref.cells)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 2, 4)])
+    def test_matches_loop_generator_3d(self, counts):
+        m = generate_structured_3d(*counts)
+        ref = build_mesh(*loop_structured_3d(*counts))
+        assert np.array_equal(m.vertices, ref.vertices)
+        assert np.array_equal(m.cells, ref.cells)
 
     def test_kuhn_cube(self):
         m = generate_structured_3d(1, 1, 1)
@@ -205,31 +242,84 @@ class TestInteriorEdges:
         m = build_mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
         edges = interior_edges_2d(m)
         assert len(edges) == 1
-        edge = edges[0]
-        assert {edge.node_m, edge.node_n} == {0, 2}
-        assert edge.opposite_angles[0] + edge.opposite_angles[1] == pytest.approx(
+        assert edges.nodes.tolist() == [[0, 2]]
+        assert edges.cells.tolist() == [[0, 1]]
+        assert edges.opposite_angles.sum() == pytest.approx(
             math.pi / 2 + math.pi / 2, abs=1e-12)
 
     def test_structured_count(self):
         assert len(interior_edges_2d(generate_structured_2d(2, 2))) == 8
 
     def test_single_cell_no_interior(self, reference_triangle):
-        assert interior_edges_2d(reference_triangle) == []
+        edges = interior_edges_2d(reference_triangle)
+        assert len(edges) == 0
+        assert edges.nodes.shape == edges.cells.shape == (0, 2)
 
     def test_law_of_cosines_match(self):
         m = generate_structured_2d(3, 3, skew=0.3)
-        for edge in interior_edges_2d(m):
-            for cell, stored in zip(edge.adjacent_cells, edge.opposite_angles):
+        edges = interior_edges_2d(m)
+        for (node_m, node_n), cells, angles in zip(
+                edges.nodes.tolist(), edges.cells.tolist(), edges.opposite_angles):
+            for cell, stored in zip(cells, angles):
                 verts = m.cell_vertices(cell)
                 nodes = m.cells[cell].tolist()
-                at = next(k for k, v in enumerate(nodes)
-                          if v not in (edge.node_m, edge.node_n))
+                at = next(k for k, v in enumerate(nodes) if v not in (node_m, node_n))
                 oracle = triangle_vertex_angles(verts)[at]
                 assert stored == pytest.approx(oracle, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             interior_edges_2d(generate_structured_3d(1, 1, 1))
+
+
+def _assert_topology_matches_loops(m):
+    assert m.boundary_nodes == loop_boundary_nodes(m.cells)
+    oracle = loop_interior_edges_2d(m)
+    edges = interior_edges_2d(m)
+    assert edges.nodes.tolist() == [[e[0], e[1]] for e in oracle]
+    assert edges.cells.tolist() == [list(e[2]) for e in oracle]
+    # exact equality: the angles feed certificate bytes
+    assert edges.opposite_angles.tolist() == [list(e[3]) for e in oracle]
+    cells, local = np.divmod(m.interior_owners, m.dim + 1)
+    assert np.array_equal(cells, edges.cells)
+    opposite = m.cells[cells, local]
+    assert not (opposite[..., None] == edges.nodes[:, None, :]).any()
+
+
+class TestFacetTable:
+    """The vectorized facet table against the dict-and-loop oracles."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_meshes()))
+    def test_matches_loop_oracle_2d(self, name):
+        _assert_topology_matches_loops(oracle_meshes()[name])
+
+    def test_boundary_nodes_3d(self):
+        rng = np.random.default_rng(5)
+        for m in (generate_structured_3d(3, 2, 4),
+                  perturbed_mesh(generate_structured_3d(3, 3, 3), rng, 0.1)):
+            assert m.boundary_nodes == loop_boundary_nodes(m.cells)
+            owners = loop_facet_owners(m.cells)
+            shared = sorted((f, ts) for f, ts in owners.items() if len(ts) == 2)
+            assert m.interior_facets.tolist() == [list(f) for f, _ in shared]
+            assert (m.interior_owners // 4).tolist() == [ts for _, ts in shared]
+
+    def test_non_manifold_3d(self):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
+        cells = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+        with pytest.raises(NonManifold):
+            loop_facet_owners(cells)
+        with pytest.raises(NonManifold, match=r"facet \(0, 1, 2\) shared by 3"):
+            build_mesh(verts, cells)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(nx=st.integers(1, 6), ny=st.integers(1, 6),
+           pattern=st.sampled_from(["right-diagonal", "crisscross"]),
+           skew=st.floats(0.0, 0.7), amount=st.floats(0.0, 0.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_meshes_match_loop_oracle(self, nx, ny, pattern, skew, amount, seed):
+        m = generate_structured_2d(nx, ny, pattern=pattern, skew=skew)
+        _assert_topology_matches_loops(
+            perturbed_mesh(m, np.random.default_rng(seed), amount))
 
 
 class TestMacroElements:
