@@ -20,8 +20,8 @@ from .errors import (
     UnsupportedCMode,
 )
 from .mesh import Mesh, acuteness_audit, interior_edges_2d
-from .p1 import P1Field, QuadratureRule, constant_field, cut_minus, cut_plus, \
-    gradient_table, physical_points, quadrature_rule
+from .p1 import P1Field, QuadratureRule, constant_field, gradient_table, \
+    physical_points, quadrature_rule
 from .solver import (
     CoefficientSet,
     SolveResult,
@@ -34,7 +34,11 @@ from .solver import (
 SIGN_TOL = 1e-10  # relative slack for ">= 0" verdicts on assembled sums
 PAIR_TOL = 1e-12  # relative slack for per-pair / per-edge integral verdicts
 BOUND_TOL = 1e-9  # absolute slack for nodal solution bounds
-_BLOCK_ENTRIES = 1 << 20  # entries of one row block of a levels x levels table
+_BLOCK_TERMS = 1 << 18  # (entry, level) or (row, column) terms evaluated at once
+# Rounding can hide a row maximum from the bisection of `_row_maxima` by a few
+# ulps per depth; rows within this slack (relative to the magnitude of the
+# summed logarithms) of the deciding value are rescanned exactly.
+_ROW_SLACK = 1e-9
 
 ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 
@@ -168,22 +172,53 @@ def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
                             coeffs, rule or _default_rule(mesh, coeffs))
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Concatenated index ranges [lo[s], hi[s]) and the range s of each index."""
+    lens = hi - lo
+    seg = np.repeat(np.arange(len(lens)), lens)
+    return seg, np.arange(len(seg)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+
+
+def _range_blocks(lens: np.ndarray):
+    """Runs (s0, s1) of consecutive ranges holding about _BLOCK_TERMS indices
+    each; a longer range forms a run of its own."""
+    ends = np.cumsum(lens)
+    s0 = 0
+    while s0 < len(lens):
+        stop = ends[s0] - lens[s0] + _BLOCK_TERMS
+        s1 = max(s0 + 1, int(np.searchsorted(ends, stop, side="right")))
+        yield s0, s1
+        s0 = s1
+
+
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
                        rule: QuadratureRule | None = None,
                        k_star: float = 0.0, parts=None) -> AssumptionSweep:
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
-    `parts` are the `local_form_parts` frozen at u_h, computed when not given.
+    A nonzero matrix entry a_ij with u_i > u_j couples the cut pair exactly
+    on the levels u_j < k < u_i, where it adds (u_i - k) * a_ij * (u_j - k);
+    each level sums the terms of the entries straddling it, each term with
+    its exact sign.  `parts` are the `local_form_parts` frozen at u_h,
+    computed when not given.
     """
     if parts is None:
         parts = _form_parts(mesh, coeffs, rule, u_h)
-    matrix = assemble_matrix(mesh, parts)
+    matrix = assemble_matrix(mesh, parts).tocoo()
     grid = _cut_level_grid(u_h, k_star)
-    q_values = np.empty(len(grid))
-    for i, k in enumerate(grid):
-        plus = cut_plus(u_h, k).nodal_values
-        minus = cut_minus(u_h, k).nodal_values
-        q_values[i] = plus @ (matrix @ minus)
+    u = u_h.nodal_values
+    u_i, u_j = u[matrix.row], u[matrix.col]
+    keep = (u_i > u_j) & (matrix.data != 0.0)
+    u_i, u_j, a_ij = u_i[keep], u_j[keep], matrix.data[keep]
+    first = np.searchsorted(grid, u_j, side="right")
+    stop = np.searchsorted(grid, u_i, side="left")
+    q_values = np.zeros(len(grid))
+    for s0, s1 in _range_blocks(stop - first):
+        entry, level = _ranges(first[s0:s1], stop[s0:s1])
+        entry += s0
+        k = grid[level]
+        terms = (u_i[entry] - k) * (a_ij[entry] * (u_j[entry] - k))
+        q_values += np.bincount(level, weights=terms, minlength=len(grid))
     scale = max(1.0, float(np.abs(q_values).max())) if len(q_values) else 1.0
     min_value = float(q_values.min()) if len(q_values) else 0.0
     return AssumptionSweep(k_values=grid, q_values=q_values, min_value=min_value,
@@ -417,13 +452,70 @@ def level_set_profile(mesh: Mesh, u_h: P1Field, k_values) -> np.ndarray:
     return tail[np.searchsorted(cell_max[order], k_values, side="right")]
 
 
-def _row_blocks(n: int):
-    """(lo, hi) row ranges of an n x n table, about _BLOCK_ENTRIES entries each."""
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
-
-
 # -- iteration lemma -----------------------------------------------------------
+
+# Both De Giorgi tables have entries log(L_b - l_a) + g(a) + h(b) with
+# increasing l and L, whose differences increase in (a, b); so the column of
+# a row maximum is non-decreasing in the row, and `_row_maxima` finds every
+# row maximum in O((rows + columns) log rows) evaluations instead of the
+# rows x columns of the table.
+
+def _row_maxima(value, starts: np.ndarray, stop: int) -> np.ndarray:
+    """Maximum over the columns [starts[a], stop) of every row a of a table
+    whose row argmax is non-decreasing in a, by divide and conquer run
+    breadth first: each depth evaluates one batch of O(rows + columns)
+    entries.  `starts` is non-decreasing and below `stop`; `value(rows,
+    cols)` evaluates entries elementwise and never gives NaN."""
+    best = np.empty(len(starts))
+    if not len(starts):
+        return best
+    r_lo, r_hi = np.array([0]), np.array([len(starts)])  # rows [r_lo, r_hi)
+    c_lo, c_hi = np.array([0]), np.array([stop])  # columns [c_lo, c_hi)
+    while len(r_lo):
+        mid = (r_lo + r_hi) // 2
+        lo = np.maximum(c_lo, starts[mid])
+        seg, cols = _ranges(lo, c_hi)
+        vals = value(mid[seg], cols)
+        top = np.maximum.reduceat(vals, np.cumsum(c_hi - lo) - (c_hi - lo))
+        hits = np.flatnonzero(vals == top[seg])
+        at = cols[hits[np.searchsorted(seg[hits], np.arange(len(mid)))]]
+        best[mid] = top
+        # rows above mid search columns up to its argmax, rows below from it on
+        up, down = r_lo < mid, mid + 1 < r_hi
+        r_lo, r_hi, c_lo, c_hi = (
+            np.concatenate([r_lo[up], mid[down] + 1]),
+            np.concatenate([mid[up], r_hi[down]]),
+            np.concatenate([c_lo[up], at[down]]),
+            np.concatenate([at[up] + 1, c_hi[down]]))
+    return best
+
+
+def _row_entries(rows: np.ndarray, starts: np.ndarray, stop: int):
+    """(row, column) index arrays of the given rows over the columns
+    [starts[row], stop), in row-major order, a block at a time."""
+    for s0, s1 in _range_blocks(stop - starts[rows]):
+        seg, cols = _ranges(starts[rows[s0:s1]], np.full(s1 - s0, stop))
+        yield rows[s0:s1][seg], cols
+
+
+def _log_span_bound(levels: np.ndarray) -> float:
+    """Largest |log(levels[b] - levels[a])| over a < b of increasing levels."""
+    with np.errstate(divide="ignore"):
+        return float(np.abs(np.log([np.diff(levels).min(), levels[-1] - levels[0]])).max())
+
+
+def _log_phi(values: np.ndarray) -> np.ndarray:
+    positive = values > 0.0
+    return np.where(positive, np.log(np.where(positive, values, 1.0)), -np.inf)
+
+
+def _decay_bound(gap, logphi_k, alpha: float, beta: float, log_m: float,
+                 rel_tol: float):
+    """Elementwise log of the largest phi(s), s = k + gap, that the decay
+    hypothesis phi(s) <= (M/gap)^alpha phi(k)^beta allows with relative slack
+    rel_tol, from log phi(k) (-inf where phi(k) = 0)."""
+    return alpha * (log_m - np.log(gap)) + beta * logphi_k + math.log1p(rel_tol)
+
 
 @dataclass(frozen=True)
 class DeGiorgiInput:
@@ -497,21 +589,24 @@ def fit_decay_constant(samples, alpha: float, beta: float, k0: float) -> float:
             "last sample has positive value; the hypothesis cannot hold "
             "with any finite constant")
 
-    positive = phis > 0.0
-    if not positive.any():
+    positive = np.flatnonzero(phis > 0.0)
+    if not len(positive):
         return 0.0
-    logphi = np.where(positive, np.log(np.where(positive, phis, 1.0)), 0.0)
-    span_end = np.append(ks[1:], np.inf)
-    index = np.arange(len(ks))
-    best = -np.inf
-    # candidate[a, b >= a]: k in [ks[a], ks[a+1]), s in [ks[b], ks[b+1]); row blocks
-    for lo, hi in _row_blocks(len(ks)):
-        valid = positive[lo:hi, None] & positive[None, lo:] \
-            & (index[lo:hi, None] <= index[None, lo:])
-        spans = np.where(valid, span_end[None, lo:] - ks[lo:hi, None], 1.0)
-        cand = np.log(spans) + (logphi[None, lo:] - beta * logphi[lo:hi, None]) / alpha
-        if valid.any():
-            best = max(best, cand[valid].max())
+    # candidate (a, b >= a) over the positive samples: k in [ks[a], ks[a+1]),
+    # s in [ks[b], ks[b+1])
+    k_a, end_b = ks[positive], ks[positive + 1]
+    logphi = np.log(phis[positive])
+
+    def candidate(a, b):
+        return np.log(end_b[b] - k_a[a]) + (logphi[b] - beta * logphi[a]) / alpha
+
+    n = len(positive)
+    starts = np.arange(n)
+    row_best = _row_maxima(candidate, starts, n)
+    scale = 1.0 + _log_span_bound(ks[:positive[-1] + 2]) \
+        + (1.0 + beta) * np.abs(logphi).max() / alpha
+    rows = np.flatnonzero(row_best >= row_best.max() - _ROW_SLACK * scale)
+    best = max(candidate(a, b).max() for a, b in _row_entries(rows, starts, n))
     return float(np.exp(best))
 
 
@@ -554,16 +649,38 @@ class DeGiorgiReport:
         }
 
 
-def _hypothesis_holds(inp: DeGiorgiInput, s: float, k: float, rel_tol: float) -> bool:
-    phi_s = float(inp.phi(s))
-    if phi_s <= 0.0:
-        return True
-    phi_k = float(inp.phi(k))
-    if phi_k <= 0.0:
-        return False
-    lhs = math.log(phi_s)
-    rhs = inp.alpha * (math.log(inp.M) - math.log(s - k)) + inp.beta * math.log(phi_k)
-    return lhs <= rhs + math.log1p(rel_tol)
+def _first_violation(levels: np.ndarray, logphi: np.ndarray, alpha: float,
+                     beta: float, log_m: float, rel_tol: float):
+    """First level-index pair (a, b), a < b, in row order at which log phi
+    exceeds its `_decay_bound`, or None."""
+    n = len(levels)
+    positive = np.flatnonzero(logphi > -np.inf)
+    found = None
+    if len(positive) and positive[-1] >= len(positive):
+        # the first level with phi = 0 fails at the next level with phi > 0
+        a = int(np.argmin(logphi > -np.inf))
+        found = (a, int(positive[np.searchsorted(positive, a)]))
+
+    rows = positive[positive < (n - 1 if found is None else found[0])]
+    if not len(rows):
+        return found
+
+    def bound(a, b):
+        return _decay_bound(levels[b] - levels[a], logphi[a], alpha, beta, log_m, rel_tol)
+
+    def margin(r, b):
+        return logphi[b] - bound(rows[r], b)
+
+    row_best = _row_maxima(margin, rows + 1, n)
+    scale = 1.0 + (1.0 + beta) * np.abs(logphi[positive]).max() \
+        + alpha * (abs(log_m) + _log_span_bound(levels))
+    starts = np.arange(1, n + 1)
+    for a, b in _row_entries(rows[row_best > -_ROW_SLACK * scale], starts, n):
+        bad = logphi[b] > bound(a, b)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return a[i], b[i]
+    return found
 
 
 def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
@@ -586,35 +703,29 @@ def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
     if len(grid) == 0 or grid[0] > inp.k0:
         grid = np.concatenate([[inp.k0], grid])
     hyp_tol = 1e-12
-    phis_g = np.asarray(inp.phi(grid), dtype=float)
-    pos = phis_g > 0.0
-    with np.errstate(divide="ignore"):
-        logphi = np.where(pos, np.log(np.where(pos, phis_g, 1.0)), -np.inf)
-    # pairs k < s of the increasing grid by row blocks; report the first in row order
-    for lo, hi in _row_blocks(len(grid)):
-        gaps = grid[None, lo:] - grid[lo:hi, None]  # [k index, s index]
-        pair = gaps > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = inp.alpha * (math.log(inp.M) - np.log(np.where(pair, gaps, 1.0))) \
-                + inp.beta * logphi[lo:hi, None]
-        violated = pair & (logphi[None, lo:] > rhs + math.log1p(hyp_tol))
-        if violated.any():
-            ai, bi = np.argwhere(violated)[0] + lo
-            raise HypothesisViolated(
-                f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
-                f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
+    log_m = math.log(inp.M)
+    # every pair k < s of the increasing grid; report the first in row order
+    failure = _first_violation(grid, _log_phi(inp.phi(grid)), inp.alpha, inp.beta,
+                               log_m, hyp_tol)
+    if failure is not None:
+        ai, bi = failure
+        raise HypothesisViolated(
+            f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
+            f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
 
     taus = np.arange(tau_max + 1)
     ladder = inp.k0 + rho - rho / 2.0 ** taus
     if rho > 0:
-        for t in range(tau_max):
-            if ladder[t + 1] <= ladder[t]:
-                continue  # ladder step collapsed by rounding
-            if not _hypothesis_holds(inp, float(ladder[t + 1]), float(ladder[t]),
-                                     hyp_tol):
-                raise HypothesisViolated(
-                    f"decay hypothesis fails on the ladder pair tau={t}",
-                    pair=(float(ladder[t]), float(ladder[t + 1])))
+        k, s = ladder[:-1], ladder[1:]
+        step = s > k  # a step collapsed by rounding is skipped
+        bad = step & (_log_phi(inp.phi(s)) > _decay_bound(
+            np.where(step, s - k, 1.0), _log_phi(inp.phi(k)), inp.alpha, inp.beta,
+            log_m, hyp_tol))
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise HypothesisViolated(
+                f"decay hypothesis fails on the ladder pair tau={t}",
+                pair=(float(ladder[t]), float(ladder[t + 1])))
 
     phi0 = inp.phi_k0()
     ratio = 2.0 ** (inp.alpha / (inp.beta - 1.0))

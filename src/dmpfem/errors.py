@@ -18,7 +18,7 @@ class NonManifold(DmpFemError):
 
 
 class NonFiniteValue(DmpFemError):
-    """A vertex coordinate is NaN or infinite."""
+    """A vertex coordinate or a sampled coefficient value is NaN or infinite."""
 
 
 class DimensionMismatch(DmpFemError):

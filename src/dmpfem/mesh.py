@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,8 @@ class Mesh:
     interior_owners : (n_interior, 2) owner slots `cell * (dim+1) + local` of
         those facets, cells ascending; local vertex `local` is the one
         opposite the facet.
+    shape_gradients : (n_cells, dim+1, dim) read-only shape gradients of every
+        cell, computed on first use and kept.
     """
 
     dim: int
@@ -91,6 +94,16 @@ class Mesh:
     h: float
     interior_facets: np.ndarray
     interior_owners: np.ndarray
+
+    @cached_property
+    def shape_gradients(self) -> np.ndarray:
+        # Kept as the strided view into the inverse: einsum picks its loop
+        # order from the strides.  On a contiguous copy the advection einsum of
+        # `local_form_parts` ran 2.4x slower in 3D and moved 2D drift entries
+        # in the last digits.
+        grads = barycentric_gradients(self.vertices[self.cells])
+        grads.flags.writeable = False
+        return grads
 
     @property
     def num_vertices(self) -> int:
@@ -326,7 +339,7 @@ def element_angles(mesh: Mesh, cell: int) -> np.ndarray:
 
 def _all_element_angles(mesh: Mesh) -> np.ndarray:
     """Vectorized `element_angles` over every cell: (n_cells, n_pairs)."""
-    grads = barycentric_gradients(mesh.vertices[mesh.cells])
+    grads = mesh.shape_gradients
     norms = np.linalg.norm(grads, axis=-1)
     normals = -grads / norms[..., None]
     pairs = list(itertools.combinations(range(mesh.dim + 1), 2))

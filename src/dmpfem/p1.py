@@ -51,8 +51,9 @@ def angle_from_gradients(data: ShapeData, i: int, j: int) -> float:
 
 
 def gradient_table(mesh: Mesh) -> np.ndarray:
-    """Shape gradients of every cell at once: (n_cells, d+1, d)."""
-    return barycentric_gradients(mesh.vertices[mesh.cells])
+    """Shape gradients of every cell at once: (n_cells, d+1, d), read-only and
+    computed once per mesh (`Mesh.shape_gradients`)."""
+    return mesh.shape_gradients
 
 
 # -- quadrature ---------------------------------------------------------------

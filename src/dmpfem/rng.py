@@ -31,7 +31,12 @@ class SplitMix64:
         if size is None:
             return low + (high - low) * (self.next_u64() >> 11) * 2.0 ** -53
         n = int(np.prod(size))
-        vals = np.array([(self.next_u64() >> 11) * 2.0 ** -53 for _ in range(n)])
+        # the same n draws as n next_u64 calls, in wrapping uint64 arithmetic
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        vals = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53
         return (low + (high - low) * vals).reshape(size)
 
     def integers(self, low: int, high: int, size=None):

@@ -31,6 +31,7 @@ from .errors import (
     InvalidParameters,
     LinearSolveDiverged,
     MissingBoundaryValue,
+    NonFiniteValue,
     PicardDiverged,
     QuadratureDegreeTooLow,
 )
@@ -141,7 +142,8 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1
                           seed: int = 0, state_range: float = 10.0) -> dict:
     """Spot-check the declared bounds at random (x, eta, p) samples.
 
-    Raises `CoefficientBoundsViolation` on the first broken bound; returns the
+    Raises `NonFiniteValue` if a sample of a, b or c is NaN or infinite, and
+    `CoefficientBoundsViolation` on the first broken bound; returns the
     observed extrema otherwise.
     """
     rng = SplitMix64(seed)
@@ -154,6 +156,13 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1
     a = np.broadcast_to(np.asarray(coeffs.a(x, eta, p), float), eta.shape)
     b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
     c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+    for name, values in (("a", a), ("b", b), ("c", c)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite.reshape(n_samples, -1).all(axis=1)))
+            raise NonFiniteValue(
+                f"coefficient {name} is {values[k].tolist()} at x={x[k].tolist()}, "
+                f"eta={float(eta[k])!r}")
 
     slack = 1e-12 * max(1.0, coeffs.Lam)
     if a.min() < coeffs.lam - slack:

@@ -243,3 +243,132 @@ def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
             "verdict": "pass" if verdict else "fail",
         })
     return records, all_pass, max_sum if records else 0.0, float(identity_err)
+
+
+# -- per-level and table oracles of the certificate ------------------------------
+
+def loop_assumption_sweep(mesh: Mesh, u_h, parts, k_star: float):
+    """(k_values, q_values) of `assumption_a_sweep` by one matrix-vector
+    product per cut level of the decisive grid."""
+    from dmpfem.dmp import _cut_level_grid
+    from dmpfem.p1 import cut_minus, cut_plus
+    from dmpfem.solver import assemble_matrix
+
+    matrix = assemble_matrix(mesh, parts)
+    grid = _cut_level_grid(u_h, k_star)
+    q_values = np.empty(len(grid))
+    for i, k in enumerate(grid):
+        plus = cut_plus(u_h, k).nodal_values
+        minus = cut_minus(u_h, k).nodal_values
+        q_values[i] = plus @ (matrix @ minus)
+    return grid, q_values
+
+
+def _table_row_blocks(n: int):
+    """(lo, hi) row ranges of an n x n table, about 2^20 entries each."""
+    rows = max(1, (1 << 20) // max(n, 1))
+    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
+
+def table_fit_decay_constant(samples, alpha: float, beta: float, k0: float) -> float:
+    """`fit_decay_constant` from the full table of level pairs, in row blocks."""
+    samples = np.asarray(samples, dtype=float)
+    start = int(np.searchsorted(samples[:, 0], k0, side="right") - 1)
+    ks = samples[start:, 0].copy()
+    phis = samples[start:, 1]
+    ks[0] = k0
+    positive = phis > 0.0
+    if not positive.any():
+        return 0.0
+    logphi = np.where(positive, np.log(np.where(positive, phis, 1.0)), 0.0)
+    span_end = np.append(ks[1:], np.inf)
+    index = np.arange(len(ks))
+    best = -np.inf
+    for lo, hi in _table_row_blocks(len(ks)):
+        valid = positive[lo:hi, None] & positive[None, lo:] \
+            & (index[lo:hi, None] <= index[None, lo:])
+        spans = np.where(valid, span_end[None, lo:] - ks[lo:hi, None], 1.0)
+        cand = np.log(spans) + (logphi[None, lo:] - beta * logphi[lo:hi, None]) / alpha
+        if valid.any():
+            best = max(best, cand[valid].max())
+    return float(np.exp(best))
+
+
+def _scalar_hypothesis_holds(inp, s: float, k: float, rel_tol: float) -> bool:
+    phi_s = float(inp.phi(s))
+    if phi_s <= 0.0:
+        return True
+    phi_k = float(inp.phi(k))
+    if phi_k <= 0.0:
+        return False
+    lhs = math.log(phi_s)
+    rhs = inp.alpha * (math.log(inp.M) - math.log(s - k)) + inp.beta * math.log(phi_k)
+    return lhs <= rhs + math.log1p(rel_tol)
+
+
+def table_de_giorgi_verify(inp, rho=None, tau_max: int = 40, rel_tol: float = 1e-9):
+    """`de_giorgi_verify` from the full table of grid level pairs, in row
+    blocks, and a per-step scalar check of the ladder."""
+    from dmpfem.dmp import DeGiorgiReport, de_giorgi_rho
+    from dmpfem.errors import HypothesisViolated
+
+    if rho is None:
+        rho = de_giorgi_rho(inp)
+    ks = inp.samples[:, 0]
+    grid = ks[ks >= inp.k0]
+    if len(grid) == 0 or grid[0] > inp.k0:
+        grid = np.concatenate([[inp.k0], grid])
+    hyp_tol = 1e-12
+    phis_g = np.asarray(inp.phi(grid), dtype=float)
+    pos = phis_g > 0.0
+    with np.errstate(divide="ignore"):
+        logphi = np.where(pos, np.log(np.where(pos, phis_g, 1.0)), -np.inf)
+    for lo, hi in _table_row_blocks(len(grid)):
+        gaps = grid[None, lo:] - grid[lo:hi, None]
+        pair = gaps > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = inp.alpha * (math.log(inp.M) - np.log(np.where(pair, gaps, 1.0))) \
+                + inp.beta * logphi[lo:hi, None]
+        violated = pair & (logphi[None, lo:] > rhs + math.log1p(hyp_tol))
+        if violated.any():
+            ai, bi = np.argwhere(violated)[0] + lo
+            raise HypothesisViolated(
+                f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
+                f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
+
+    taus = np.arange(tau_max + 1)
+    ladder = inp.k0 + rho - rho / 2.0 ** taus
+    if rho > 0:
+        for t in range(tau_max):
+            if ladder[t + 1] <= ladder[t]:
+                continue
+            if not _scalar_hypothesis_holds(inp, float(ladder[t + 1]), float(ladder[t]),
+                                            hyp_tol):
+                raise HypothesisViolated(
+                    f"decay hypothesis fails on the ladder pair tau={t}",
+                    pair=(float(ladder[t]), float(ladder[t + 1])))
+
+    phi0 = inp.phi_k0()
+    ratio = 2.0 ** (inp.alpha / (inp.beta - 1.0))
+    decay_ok = True
+    first_failure = None
+    log_phi0 = math.log(phi0) if phi0 > 0 else -math.inf
+    for t in taus:
+        val = float(inp.phi(ladder[t]))
+        if val <= 0.0:
+            continue
+        if phi0 <= 0.0 or math.log(val) > log_phi0 - t * math.log(ratio) \
+                + math.log1p(rel_tol):
+            decay_ok = False
+            first_failure = int(t)
+            break
+
+    tail_value = float(inp.phi(inp.k0 + rho))
+    if phi0 <= 0.0:
+        tail_ok = tail_value <= 0.0
+    else:
+        log_tail_bound = log_phi0 - tau_max * math.log(ratio) + math.log1p(rel_tol)
+        tail_ok = tail_value <= 0.0 or math.log(tail_value) <= log_tail_bound
+    return DeGiorgiReport(rho=float(rho), decay_ratio=ratio, hypothesis_ok=True,
+                          decay_ok=decay_ok, first_decay_failure=first_failure,
+                          tail_ok=tail_ok, tail_value=tail_value, tau_max=tau_max)

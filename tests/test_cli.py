@@ -79,6 +79,22 @@ class TestSplitMix:
         a, b = SplitMix64(123), SplitMix64(123)
         assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
 
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_uniform_array_matches_scalar_stream(self, seed):
+        scalar = SplitMix64(seed)
+        want = np.array([(scalar.next_u64() >> 11) * 2.0 ** -53 for _ in range(10 ** 4)])
+        vector = SplitMix64(seed)
+        got = vector.uniform(size=(100, 100)).ravel()
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert vector.state == scalar.state
+        assert vector.next_u64() == scalar.next_u64()
+
+    def test_scalar_stream_pinned(self):
+        # the published splitmix64 outputs for seed 0
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
     def test_uniform_range(self):
         rng = SplitMix64(7)
         vals = rng.uniform(-2.0, 3.0, size=(100,))
@@ -196,6 +212,22 @@ class TestSolveCommand:
                     "-o", outdir]) == 0
         info = json.loads((outdir / "solve.json").read_text())
         assert info["run"]["problem"]["coeffs_file"] == str(coeffs_path)
+
+
+    @pytest.mark.parametrize("entry, value", [("a", "1 + 0*(x-0.5)^0.5"),
+                                              ("c", "0*eta^0.5")])
+    def test_non_finite_coefficient_exits_one(self, square_mesh, tmp_path, capsys,
+                                              entry, value):
+        spec = {"a": "1", "b": ["0", "0"], "c": "0", "f": "-1", "g": "0",
+                "lambda": 1.0, "Lambda": 1.0, "nu": 0.0, "c_mode": "nonnegative"}
+        spec[entry] = value
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text(json.dumps(spec))
+        with np.errstate(invalid="ignore"):
+            code = run(["dmp-check", "--mesh", square_mesh, "--solve", "--coeffs",
+                        coeffs_path, "-o", tmp_path / "run"])
+        assert code == 1
+        assert f"coefficient {entry} is nan" in capsys.readouterr().err
 
 
 class TestDmpCheckCommand:

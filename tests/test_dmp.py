@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dmpfem.dmp
+import dmpfem.p1
 import dmpfem.solver
 from dmpfem.dmp import (
     PAIR_TOL,
@@ -45,10 +47,22 @@ from dmpfem.solver import (
 from conftest import (
     adjacent_pair,
     equilateral_mesh,
+    loop_assumption_sweep,
     loop_edge_records,
     oracle_meshes,
+    perturbed_mesh,
     random_nodal_field,
+    table_de_giorgi_verify,
+    table_fit_decay_constant,
 )
+
+
+def _verify_outcome(verify, inp):
+    """The report of a De Giorgi verification, or the pair it rejects."""
+    try:
+        return verify(inp).to_dict()
+    except HypothesisViolated as exc:
+        return exc.pair
 
 
 class TestKStar:
@@ -362,29 +376,79 @@ class TestDeGiorgi:
         with pytest.raises(HypothesisViolated):
             de_giorgi_verify(inp)
 
-    def test_row_blocks_do_not_change_results(self, monkeypatch):
-        from dmpfem import dmp
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(nx=st.integers(1, 7), ny=st.integers(1, 7),
+           pattern=st.sampled_from(["right-diagonal", "crisscross"]),
+           skew=st.floats(0.0, 0.7), amount=st.floats(0.0, 0.2),
+           problem=st.sampled_from(["poisson", "drift", "quasilinear"]),
+           field=st.sampled_from(["random", "ties", "constant", "solved"]),
+           level=st.sampled_from(["zero", "below", "top"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sweep_fit_verify_match_oracles(self, nx, ny, pattern, skew, amount,
+                                            problem, field, level, seed):
+        rng = np.random.default_rng(seed)
+        m = perturbed_mesh(generate_structured_2d(nx, ny, pattern=pattern, skew=skew),
+                           rng, amount)
+        coeffs = {"poisson": poisson(f=1.0),
+                  "drift": advection_diffusion([3.0, -2.0], f=1.0, c0=0.5),
+                  "quasilinear": quasilinear_a(f=1.0)}[problem]
+        v = {"random": lambda: random_nodal_field(m, rng),
+             "ties": lambda: P1Field(m, np.round(rng.uniform(-1, 1, m.num_vertices), 1)),
+             "constant": lambda: constant_field(m, 0.25),
+             "solved": lambda: picard_solve(m, coeffs).u_h}[field]()
+        # "top" leaves the single level k* = max u
+        k_star = {"zero": 0.0, "below": v.min_value() - 0.1, "top": v.max_value()}[level]
+
+        parts = local_form_parts(m, v, coeffs, quadrature_rule(2, 4))
+        sweep = assumption_a_sweep(m, v, coeffs, k_star=k_star, parts=parts)
+        k_values, q_values = loop_assumption_sweep(m, v, parts, k_star)
+        assert np.array_equal(sweep.k_values, k_values)
+        scale = max(1.0, float(np.abs(q_values).max()))
+        assert np.abs(sweep.q_values - q_values).max() <= 1e-12 * scale
+        if q_values.min() >= 0.0:
+            assert sweep.min_value >= 0.0
+
+        grid = np.unique(np.concatenate([[k_star], v.nodal_values]))
+        profile = np.column_stack([grid, level_set_profile(m, v, grid)])
+        profile = profile[profile[:, 0] >= k_star]
+        for alpha, beta in ((4.0, 1.5), (2.0, 3.0)):
+            fitted = fit_decay_constant(profile, alpha, beta, k_star)
+            assert fitted == table_fit_decay_constant(profile, alpha, beta, k_star)
+            for factor in (1.0, 0.999, 0.5, 0.01):
+                inp = DeGiorgiInput(M=max(fitted * factor, 1e-30), alpha=alpha,
+                                    beta=beta, k0=k_star, samples=profile)
+                assert _verify_outcome(de_giorgi_verify, inp) \
+                    == _verify_outcome(table_de_giorgi_verify, inp)
+
+    def test_small_blocks_match_oracles(self, monkeypatch):
         m = generate_structured_2d(8, 8)
-        result = picard_solve(m, poisson(f=1.0, g=0.0))
-        grid = np.unique(np.concatenate([[0.0], np.unique(result.u_h.nodal_values)]))
-        profile = np.column_stack([grid, level_set_profile(m, result.u_h, grid)])
+        coeffs = advection_diffusion([3.0, -2.0], f=1.0)
+        v = picard_solve(m, coeffs).u_h
+        grid = np.unique(np.concatenate([[0.0], v.nodal_values]))
+        profile = np.column_stack([grid, level_set_profile(m, v, grid)])
+        monkeypatch.setattr(dmpfem.dmp, "_BLOCK_TERMS", 7)
+        monkeypatch.setattr(dmpfem.dmp, "_ROW_SLACK", np.inf)  # rescan every row
+        sweep = assumption_a_sweep(m, v, coeffs)
+        _, q_values = loop_assumption_sweep(m, v, local_form_parts(
+            m, v, coeffs, quadrature_rule(2, 2)), 0.0)
+        assert sweep.q_values == pytest.approx(q_values, rel=1e-12, abs=1e-12)
+        fitted = fit_decay_constant(profile, 4.0, 1.5, 0.0)
+        assert fitted == table_fit_decay_constant(profile, 4.0, 1.5, 0.0)
+        outcomes = []
+        for factor in (1.0, 0.1):
+            inp = DeGiorgiInput(M=fitted * factor, alpha=4.0, beta=1.5, k0=0.0,
+                                samples=profile)
+            outcomes.append(_verify_outcome(de_giorgi_verify, inp))
+            assert outcomes[-1] == _verify_outcome(table_de_giorgi_verify, inp)
+        assert isinstance(outcomes[1], tuple)  # the undershooting constant is caught
 
-        def outcomes():
-            fitted = fit_decay_constant(profile, 4.0, 1.5, 0.0)
-            found = [fitted]
-            for scale in (1.0, 0.1):
-                inp = DeGiorgiInput(M=fitted * scale, alpha=4.0, beta=1.5, k0=0.0,
-                                    samples=profile)
-                try:
-                    found.append(de_giorgi_verify(inp).to_dict())
-                except HypothesisViolated as exc:
-                    found.append(exc.pair)
-            return found
-
-        whole = outcomes()
-        monkeypatch.setattr(dmp, "_BLOCK_ENTRIES", 7 * len(grid))
-        assert outcomes() == whole
-        assert isinstance(whole[2], tuple)  # the undershooting constant is caught
+    def test_zero_level_before_positive_violates(self):
+        # phi may rise by rounding-size steps; a zero followed by a positive
+        # value fails at the first such pair
+        samples = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1e-16], [3.0, 0.0]])
+        inp = DeGiorgiInput(M=10.0, alpha=1.0, beta=2.0, k0=0.0, samples=samples)
+        assert _verify_outcome(de_giorgi_verify, inp) == (1.0, 2.0)
+        assert _verify_outcome(table_de_giorgi_verify, inp) == (1.0, 2.0)
 
     def test_positive_tail_rejected_by_fit(self):
         samples = np.array([[0.0, 1.0], [1.0, 0.5]])
@@ -512,6 +576,20 @@ class TestCertificate:
         monkeypatch.setattr(dmpfem.solver, "local_form_parts", counted)
         dmp_certificate(m, result, coeffs)
         assert len(calls) == 1
+
+    def test_no_per_level_cut_fields(self, monkeypatch):
+        m = generate_structured_2d(6, 6)
+        coeffs = poisson(f=1.0)
+        result = picard_solve(m, coeffs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the certificate builds a cut field per level")
+
+        for name in ("cut_plus", "cut_minus"):
+            monkeypatch.setattr(dmpfem.p1, name, refused)
+            monkeypatch.setattr(dmpfem.dmp, name, refused, raising=False)
+        cert = dmp_certificate(m, result, coeffs)
+        assert len(cert.assumption.k_values) > 1
 
     def test_3d_certificate(self):
         m = generate_structured_3d(2, 2, 2)

@@ -15,13 +15,14 @@ from dmpfem.p1 import (
     discrete_lp,
     field_from_csv,
     field_to_csv,
+    gradient_table,
     integrate,
     interpolate,
     lp_norm,
     quadrature_rule,
     shape_data,
 )
-from dmpfem.mesh import element_angles, macro_measures
+from dmpfem.mesh import barycentric_gradients, element_angles, macro_measures
 
 from conftest import random_nodal_field, triangle_vertex_angles
 
@@ -41,6 +42,16 @@ class TestShapeData:
         sd = shape_data(reference_triangle, 0)
         assert sd.gradients == pytest.approx(
             np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), abs=1e-14)
+
+    def test_gradient_table_cached_per_mesh(self):
+        m = generate_structured_2d(3, 3)
+        table = gradient_table(m)
+        assert gradient_table(m) is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, barycentric_gradients(m.vertices[m.cells]))
+        # built lazily: a fresh mesh holds no table until first asked
+        fresh = generate_structured_2d(3, 3)
+        assert "shape_gradients" not in vars(fresh)
 
     def test_equilateral_gradient_norms(self):
         s = math.sqrt(3.0) / 2.0

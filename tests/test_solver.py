@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dmpfem.errors import (
     CoefficientBoundsViolation,
     LinearSolveDiverged,
     MissingBoundaryValue,
+    NonFiniteValue,
     PicardDiverged,
     QuadratureDegreeTooLow,
 )
@@ -81,6 +83,22 @@ class TestCoefficientValidation:
             f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=2.0, c_mode="nonnegative")
         with pytest.raises(CoefficientBoundsViolation):
             validate_coefficients(bad, m)
+
+
+    @pytest.mark.parametrize("entry", ["a", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, entry, bad):
+        # non-finite on half the domain, where every bound comparison is false
+        m = generate_structured_2d(8, 8)
+        base = poisson()
+        spoiled = {
+            "a": lambda x, e, p: np.where(x[..., 0] < 0.5, bad, 1.0),
+            "b": lambda x, e, p: np.where(x[..., :1] < 0.5, bad, np.zeros(np.shape(x))),
+            "c": lambda x, e: np.where(x[..., 0] < 0.5, bad, 0.0),
+        }
+        coeffs = replace(base, **{entry: spoiled[entry]})
+        with pytest.raises(NonFiniteValue, match=f"coefficient {entry} is"):
+            validate_coefficients(coeffs, m)
 
 
 class TestBoundaryInterpolation:
