@@ -337,7 +337,7 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
 @dataclass(frozen=True)
 class EdgeConditionReport:
     """Two-cell edge sums and, for the unit Laplacian, the closed form
-    -sin(alpha+beta) / (2 sin(alpha) sin(beta)) they must reproduce."""
+    -(cot alpha + cot beta) / 2 they must reproduce."""
 
     all_pass: bool
     max_sum: float
@@ -379,8 +379,9 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
     """Check nonpositivity of the two-cell integral sum over each interior edge.
 
     For the unit Laplacian the sum has the closed form
-    -sin(alpha+beta)/(2 sin alpha sin beta) in the two opposite angles, which
-    is nonpositive exactly when alpha + beta <= pi; when the coefficients are
+    -(cot alpha + cot beta)/2 = -sin(alpha+beta)/(2 sin alpha sin beta) in the
+    two opposite angles, which is nonpositive exactly when alpha + beta <= pi;
+    it is evaluated from the apex-vector cotangents.  When the coefficients are
     detected (or declared) to be of that form the identity is verified to
     rounding as a cross-check of the assembled integrals.  `parts` are the
     `local_form_parts` frozen at w (zero when None), computed when not given.
@@ -409,7 +410,8 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
     s_rev = 0.0 + rev[:, 0] + rev[:, 1]
     scale = np.maximum(1.0, cell_scale[cells].max(axis=1))
     alpha, beta = edges.opposite_angles.T
-    closed = -np.sin(alpha + beta) / (2.0 * np.sin(alpha) * np.sin(beta))
+    cot = edges.opposite_cotangents
+    closed = -(cot[:, 0] + cot[:, 1]) / 2.0
     passed = np.maximum(s_fwd, s_rev) <= PAIR_TOL * scale
     identity_err = 0.0
     if poisson_identity and len(closed):

@@ -97,10 +97,9 @@ class Mesh:
 
     @cached_property
     def shape_gradients(self) -> np.ndarray:
-        # Kept as the strided view into the inverse: einsum picks its loop
-        # order from the strides.  On a contiguous copy the advection einsum of
-        # `local_form_parts` ran 2.4x slower in 3D and moved 2D drift entries
-        # in the last digits.
+        # Kept as the strided view into the inverse, without a copy: the
+        # diffusion einsum of `local_form_parts` gives the same bits on a
+        # contiguous copy but runs slower on it (~1.3x at 16^3).
         grads = barycentric_gradients(self.vertices[self.cells])
         grads.flags.writeable = False
         return grads
@@ -134,6 +133,7 @@ class InteriorEdges:
     nodes: np.ndarray  # (E, 2) node pairs m < n
     cells: np.ndarray  # (E, 2) the two owning cells, ascending
     opposite_angles: np.ndarray  # (E, 2) radians, at each cell's vertex opposite the edge
+    opposite_cotangents: np.ndarray  # (E, 2) cotangents of those angles
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -384,7 +384,9 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
 
 def interior_edges_2d(mesh: Mesh) -> InteriorEdges:
     """All triangle edges shared by two cells, with opposite angles: a view of
-    the mesh's facet table."""
+    the mesh's facet table.  The cotangents come straight from the apex
+    vectors, u.v / |u x v|, which stays accurate at angles where `arccos`
+    does not."""
     if mesh.dim != 2:
         raise DimensionMismatch("interior edges with opposite angles are 2D only")
     nodes = mesh.interior_facets
@@ -392,9 +394,12 @@ def interior_edges_2d(mesh: Mesh) -> InteriorEdges:
     apex = mesh.vertices[mesh.cells[cells, local]]  # (E, 2, 2)
     u = mesh.vertices[nodes[:, :1]] - apex
     v = mesh.vertices[nodes[:, 1:]] - apex
-    cos = _row_dots(u, v) / (np.sqrt(_row_dots(u, u)) * np.sqrt(_row_dots(v, v)))
+    dots = _row_dots(u, v)
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    cos = dots / (np.sqrt(_row_dots(u, u)) * np.sqrt(_row_dots(v, v)))
     return InteriorEdges(nodes=nodes, cells=cells,
-                         opposite_angles=np.arccos(np.clip(cos, -1.0, 1.0)))
+                         opposite_angles=np.arccos(np.clip(cos, -1.0, 1.0)),
+                         opposite_cotangents=dots / np.abs(cross))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,30 +465,33 @@ def load_mesh(path) -> Mesh:
         return mesh_from_dict(json.load(fp))
 
 
+ROW_BLOCK = 8192  # rows formatted per write: bounds the Python strings held at once
+
+
+def write_rows(fp, row_format: str, rows: np.ndarray) -> None:
+    """Write `row_format % row` for each row of a 2D array, one joined string
+    per block of rows; integer-valued floats print exactly under `%d`."""
+    for lo in range(0, len(rows), ROW_BLOCK):
+        fp.write("".join([row_format % tuple(r) for r in rows[lo:lo + ROW_BLOCK].tolist()]))
+
+
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
               title: str = "dmpfem mesh") -> None:
     """Legacy ASCII VTK writer (UNSTRUCTURED_GRID, cell types 5 / 10)."""
     cell_type = 5 if mesh.dim == 2 else 10
     npts = mesh.num_vertices
     ncell = mesh.num_cells
+    points = mesh.vertices if mesh.dim == 3 else np.column_stack([mesh.vertices, np.zeros(npts)])
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write("# vtk DataFile Version 3.0\n")
-        fp.write(f"{title}\n")
-        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fp.write(f"POINTS {npts} double\n")
-        for p in mesh.vertices:
-            x, y = p[0], p[1]
-            z = p[2] if mesh.dim == 3 else 0.0
-            fp.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        write_rows(fp, "%.17g %.17g %.17g\n", points)
         fp.write(f"CELLS {ncell} {ncell * (mesh.dim + 2)}\n")
-        for cell in mesh.cells:
-            fp.write(f"{mesh.dim + 1} " + " ".join(str(int(v)) for v in cell) + "\n")
+        write_rows(fp, f"{mesh.dim + 1}" + " %d" * (mesh.dim + 1) + "\n", mesh.cells)
         fp.write(f"CELL_TYPES {ncell}\n")
-        for _ in range(ncell):
-            fp.write(f"{cell_type}\n")
+        fp.write(f"{cell_type}\n" * ncell)
         if point_data:
             fp.write(f"POINT_DATA {npts}\n")
             for name, values in point_data.items():
                 fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in np.asarray(values, dtype=float):
-                    fp.write(f"{v:.17g}\n")
+                write_rows(fp, "%.17g\n", np.asarray(values, dtype=float).reshape(-1, 1))

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DegenerateCell, InvalidParameters
-from .mesh import Mesh, barycentric_gradients, macro_measures
+from .mesh import Mesh, barycentric_gradients, macro_measures, write_rows
 
 MAX_LP_EXPONENT = 64.0
 
@@ -186,8 +186,18 @@ def quadrature_rule(dim: int, degree: int) -> QuadratureRule:
 
 
 def physical_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature point coordinates for every cell: (n_cells, n_q, dim)."""
-    return np.einsum("qm,cmd->cqd", rule.points, mesh.vertices[mesh.cells])
+    """Quadrature point coordinates for every cell: (n_cells, n_q, dim),
+    C-contiguous.  Each point sums its barycentric terms in local-vertex
+    order, over one (n_cells, dim) gather per local vertex."""
+    bar = rule.points
+    corners = [mesh.vertices[mesh.cells[:, m]] for m in range(bar.shape[1])]
+    out = np.empty((mesh.num_cells, len(bar), mesh.dim))
+    for q, weights in enumerate(bar):
+        point = weights[0] * corners[0]
+        for weight, corner in zip(weights[1:], corners[1:]):
+            point += weight * corner
+        out[:, q] = point
+    return out
 
 
 def integrate(mesh: Mesh, integrand, rule: QuadratureRule) -> float:
@@ -282,11 +292,10 @@ def field_to_csv(field: P1Field, path) -> None:
     """Write `node_index,x,y[,z],value` rows, one per vertex."""
     mesh = field.mesh
     cols = ["node_index", "x", "y"] + (["z"] if mesh.dim == 3 else []) + ["value"]
+    rows = np.column_stack([np.arange(mesh.num_vertices), mesh.vertices, field.nodal_values])
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(",".join(cols) + "\n")
-        for j in range(mesh.num_vertices):
-            coords = ",".join(f"{c:.17g}" for c in mesh.vertices[j])
-            fp.write(f"{j},{coords},{field.nodal_values[j]:.17g}\n")
+        write_rows(fp, "%d," + ",".join(["%.17g"] * (mesh.dim + 1)) + "\n", rows)
 
 
 def field_from_csv(mesh: Mesh, path) -> P1Field:

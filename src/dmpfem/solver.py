@@ -261,23 +261,29 @@ def coefficient_samples(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
 
 
 def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-                     rule: QuadratureRule):
+                     rule: QuadratureRule, *, _values=None):
     """Per-cell local matrices of the three form terms, frozen at state w.
 
     Returns (diffusion, advection, reaction), each (C, M, M) with entry
     [cell, m, n] = integral over the cell of the term with trial shape
-    function n and test shape function m.
+    function n and test shape function m.  Each term is first summed over the
+    quadrature points and then multiplied once per cell: the shape gradients
+    are constant on a cell.  `_values` are the (a, b, c) of
+    `coefficient_samples` when the caller already holds them.
     """
-    _, a, b, c = coefficient_samples(mesh, w, coeffs, rule)
+    a, b, c = _values or coefficient_samples(mesh, w, coeffs, rule)[1:]
     grads = gradient_table(mesh)
     bar = rule.points
     wq = rule.weights
     meas = mesh.cell_measures
+    n_local = bar.shape[1]
 
     a_cell = np.einsum("cq,q->c", a, wq) * meas
     diffusion = np.einsum("c,cmd,cnd->cmn", a_cell, grads, grads)
-    advection = np.einsum("cqd,cnd,qm,q->cmn", b, grads, bar, wq) * meas[:, None, None]
-    reaction = np.einsum("cq,qm,qn,q->cmn", c, bar, bar, wq) * meas[:, None, None]
+    b_cell = np.einsum("cqd,qm,q->cmd", b, bar, wq)
+    advection = (b_cell @ grads.transpose(0, 2, 1)) * meas[:, None, None]
+    mass = (bar[:, :, None] * bar[:, None, :] * wq[:, None, None]).reshape(len(wq), -1)
+    reaction = (c @ mass).reshape(-1, n_local, n_local) * meas[:, None, None]
     return diffusion, advection, reaction
 
 
@@ -302,12 +308,16 @@ def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
         warnings.warn("quadrature degree < 4 with non-constant coefficients",
                       QuadratureDegreeTooLow)
 
-    matrix = assemble_matrix(mesh, local_form_parts(mesh, w, coeffs, rule))
-    n = mesh.num_vertices
-    xq = physical_points(mesh, rule)
+    # One set of quadrature points per pass, released before the contraction.
+    xq, *values = coefficient_samples(mesh, w, coeffs, rule)
     fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
     local_rhs = np.einsum("cq,qm,q->cm", fvals, rule.points, rule.weights)
     local_rhs = local_rhs * mesh.cell_measures[:, None]
+    del xq, fvals
+    parts = local_form_parts(mesh, w, coeffs, rule, _values=values)
+    del values
+    matrix = assemble_matrix(mesh, parts)
+    n = mesh.num_vertices
     rhs = np.zeros(n)
     np.add.at(rhs, mesh.cells.ravel(), local_rhs.ravel())
 
@@ -388,7 +398,9 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None =
     system, and applies a damped update; iteration stops once the relative
     nodal update falls below `picard_tol`.  `picard_iterations` counts the
     updates actually applied, so a state-independent problem converges after
-    exactly one.
+    exactly one.  With `constant_coefficients` the form does not depend on
+    the iterate, so the system is assembled and factored once and later
+    passes reuse its solution.
     """
     opts = opts or SolveOptions()
     assignment = interpolate_boundary(mesh, coeffs.g)
@@ -399,11 +411,13 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None =
         u = initial_guess.nodal_values.copy()
 
     applied = 0
+    sol = None
     while True:
-        system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs, rule),
-                                 assignment, mesh)
-        sol = linear_solve(system, opts)
-        lin_res = _relative_residual(system.matrix, system.rhs, sol)
+        if sol is None or not coeffs.constant_coefficients:
+            system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs, rule),
+                                     assignment, mesh)
+            sol = linear_solve(system, opts)
+            lin_res = _relative_residual(system.matrix, system.rhs, sol)
         diff = sol - u
         denom = max(float(np.linalg.norm(sol)), 1e-30)
         update = opts.damping * float(np.linalg.norm(diff)) / denom

@@ -198,20 +198,22 @@ def loop_boundary_nodes(cells: np.ndarray) -> frozenset:
 
 
 def loop_interior_edges_2d(mesh: Mesh) -> list:
-    """(m, n, (cell, cell), (angle, angle)) per interior edge, lexicographic,
-    with each opposite angle from the scalar arccos formula."""
+    """(m, n, (cell, cell), (angle, angle), (cot, cot)) per interior edge,
+    lexicographic, with each opposite angle from the scalar arccos formula and
+    its cotangent as dot over cross product of the apex vectors."""
     edges = []
     for (m, n), owners in sorted(loop_facet_owners(mesh.cells).items()):
         if len(owners) != 2:
             continue
-        angles = []
+        angles, cots = [], []
         for t in owners:
             apex = next(v for v in mesh.cells[t].tolist() if v not in (m, n))
             u = mesh.vertices[m] - mesh.vertices[apex]
             v = mesh.vertices[n] - mesh.vertices[apex]
             c = float(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
             angles.append(float(np.arccos(c)))
-        edges.append((m, n, tuple(owners), tuple(angles)))
+            cots.append(float(u @ v) / abs(float(u[0] * v[1] - u[1] * v[0])))
+        edges.append((m, n, tuple(owners), tuple(angles), tuple(cots)))
     return edges
 
 
@@ -224,7 +226,7 @@ def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
     local_index = {(t, int(v)): loc for t, cell in enumerate(mesh.cells)
                    for loc, v in enumerate(cell)}
     records, all_pass, max_sum, identity_err = [], True, -math.inf, 0.0
-    for m, n, owners, (alpha, beta) in loop_interior_edges_2d(mesh):
+    for m, n, owners, (alpha, beta), (cot_a, cot_b) in loop_interior_edges_2d(mesh):
         s_fwd = s_rev = 0.0
         scale = 1.0
         for t in owners:
@@ -232,7 +234,7 @@ def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
             s_fwd += total[t, ln, lm]
             s_rev += total[t, lm, ln]
             scale = max(scale, float(scale_part[t].max()))
-        closed = -math.sin(alpha + beta) / (2.0 * math.sin(alpha) * math.sin(beta))
+        closed = -(cot_a + cot_b) / 2.0
         verdict = max(s_fwd, s_rev) <= pair_tol * scale
         all_pass &= bool(verdict)
         max_sum = max(max_sum, float(s_fwd), float(s_rev))
@@ -372,3 +374,98 @@ def table_de_giorgi_verify(inp, rho=None, tau_max: int = 40, rel_tol: float = 1e
     return DeGiorgiReport(rho=float(rho), decay_ratio=ratio, hypothesis_ok=True,
                           decay_ok=decay_ok, first_decay_failure=first_failure,
                           tail_ok=tail_ok, tail_value=tail_value, tau_max=tau_max)
+
+
+# -- einsum oracles of the assembly kernels --------------------------------------
+
+def einsum_physical_points(mesh: Mesh, rule) -> np.ndarray:
+    """Quadrature point coordinates by one einsum over the cell vertices."""
+    return np.einsum("qm,cmd->cqd", rule.points, mesh.vertices[mesh.cells])
+
+
+def einsum_local_form_parts(mesh: Mesh, w, coeffs, rule):
+    """(diffusion, advection, reaction) of `local_form_parts`, each term
+    contracted over cells, quadrature points and shape functions in one einsum."""
+    from dmpfem.solver import coefficient_samples
+
+    _, a, b, c = coefficient_samples(mesh, w, coeffs, rule)
+    grads = mesh.shape_gradients
+    bar = rule.points
+    wq = rule.weights
+    meas = mesh.cell_measures
+    a_cell = np.einsum("cq,q->c", a, wq) * meas
+    diffusion = np.einsum("c,cmd,cnd->cmn", a_cell, grads, grads)
+    advection = np.einsum("cqd,cnd,qm,q->cmn", b, grads, bar, wq) * meas[:, None, None]
+    reaction = np.einsum("cq,qm,qn,q->cmn", c, bar, bar, wq) * meas[:, None, None]
+    return diffusion, advection, reaction
+
+
+def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
+    """`picard_solve` from a zero interior guess that assembles and factors
+    the system on every pass."""
+    from dmpfem.p1 import P1Field
+    from dmpfem.solver import (SolveOptions, SolveResult, _relative_residual,
+                               apply_dirichlet, assemble_q, interpolate_boundary,
+                               linear_solve)
+
+    opts = opts or SolveOptions()
+    assignment = interpolate_boundary(mesh, coeffs.g)
+    u = np.zeros(mesh.num_vertices)
+    u[list(assignment)] = list(assignment.values())
+    applied = 0
+    while True:
+        system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs),
+                                 assignment, mesh)
+        sol = linear_solve(system, opts)
+        lin_res = _relative_residual(system.matrix, system.rhs, sol)
+        diff = sol - u
+        update = opts.damping * float(np.linalg.norm(diff)) \
+            / max(float(np.linalg.norm(sol)), 1e-30)
+        if update <= opts.picard_tol:
+            return SolveResult(u_h=P1Field(mesh, u + opts.damping * diff),
+                               picard_iterations=applied, final_update_norm=update,
+                               final_linear_residual=lin_res, converged=True)
+        assert applied < opts.picard_max_iter
+        u = u + opts.damping * diff
+        applied += 1
+
+
+# -- per-row oracles of the output writers ---------------------------------------
+
+def row_write_vtk(path, mesh: Mesh, point_data=None, title: str = "dmpfem mesh") -> None:
+    """Legacy ASCII VTK file written one formatted row at a time."""
+    cell_type = 5 if mesh.dim == 2 else 10
+    npts = mesh.num_vertices
+    ncell = mesh.num_cells
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write("# vtk DataFile Version 3.0\n")
+        fp.write(f"{title}\n")
+        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fp.write(f"POINTS {npts} double\n")
+        for p in mesh.vertices:
+            x, y = p[0], p[1]
+            z = p[2] if mesh.dim == 3 else 0.0
+            fp.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fp.write(f"CELLS {ncell} {ncell * (mesh.dim + 2)}\n")
+        for cell in mesh.cells:
+            fp.write(f"{mesh.dim + 1} " + " ".join(str(int(v)) for v in cell) + "\n")
+        fp.write(f"CELL_TYPES {ncell}\n")
+        for _ in range(ncell):
+            fp.write(f"{cell_type}\n")
+        if point_data:
+            fp.write(f"POINT_DATA {npts}\n")
+            for name, values in point_data.items():
+                fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                for v in np.asarray(values, dtype=float):
+                    fp.write(f"{v:.17g}\n")
+
+
+def row_field_to_csv(field, path) -> None:
+    """`node_index,x,y[,z],value` file written one formatted row at a time."""
+    mesh = field.mesh
+    cols = ["node_index", "x", "y"] + (["z"] if mesh.dim == 3 else []) + ["value"]
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(",".join(cols) + "\n")
+        for j in range(mesh.num_vertices):
+            coords = ",".join(f"{c:.17g}" for c in mesh.vertices[j])
+            fp.write(f"{j},{coords},{field.nodal_values[j]:.17g}\n")

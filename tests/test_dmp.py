@@ -31,7 +31,12 @@ from dmpfem.errors import (
     NotConverged,
     UnsupportedCMode,
 )
-from dmpfem.mesh import build_mesh, generate_structured_2d, generate_structured_3d
+from dmpfem.mesh import (
+    build_mesh,
+    generate_structured_2d,
+    generate_structured_3d,
+    interior_edges_2d,
+)
 from dmpfem.p1 import P1Field, constant_field, cut_minus, cut_plus, quadrature_rule
 from dmpfem.solver import (
     SolveResult,
@@ -258,6 +263,21 @@ class TestEdgeCondition:
                 assert report.poisson_identity_checked
                 assert report.identity_max_error == identity_err
 
+
+    @pytest.mark.parametrize("seed", [4, 0])
+    def test_identity_holds_at_small_opposite_angles(self, seed):
+        # perturbed 48x48 mesh with opposite angles down to ~3e-3 rad, where
+        # a closed form from arccos angles is off by more than PAIR_TOL
+        m = generate_structured_2d(48, 48)
+        verts = m.vertices.copy()
+        inner = ~m.boundary_mask()
+        verts[inner] += np.random.default_rng(seed).uniform(
+            -0.3 / 48, 0.3 / 48, size=verts[inner].shape)
+        m = build_mesh(verts, m.cells)
+        report = edge_condition_check_2d(m, poisson())
+        assert report.poisson_identity_checked
+        assert report.identity_max_error <= PAIR_TOL
+        assert interior_edges_2d(m).opposite_angles.min() < 0.01
 
     def test_negative_zero_entries_sum_to_positive_zero(self):
         # as in the scalar sum 0.0 + x + y, which certificate bytes depend on

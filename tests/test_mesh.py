@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dmpfem.mesh
 from dmpfem.errors import (
     DegenerateCell,
     DimensionMismatch,
@@ -27,6 +29,7 @@ from dmpfem.mesh import (
     mesh_to_dict,
     outward_normals,
     save_mesh,
+    write_rows,
     write_vtk,
     InvalidStructuredSpec,
 )
@@ -41,6 +44,7 @@ from conftest import (
     loop_structured_3d,
     oracle_meshes,
     perturbed_mesh,
+    row_write_vtk,
     triangle_vertex_angles,
 )
 
@@ -280,6 +284,7 @@ def _assert_topology_matches_loops(m):
     assert edges.cells.tolist() == [list(e[2]) for e in oracle]
     # exact equality: the angles feed certificate bytes
     assert edges.opposite_angles.tolist() == [list(e[3]) for e in oracle]
+    assert edges.opposite_cotangents.tolist() == [list(e[4]) for e in oracle]
     cells, local = np.divmod(m.interior_owners, m.dim + 1)
     assert np.array_equal(cells, edges.cells)
     opposite = m.cells[cells, local]
@@ -384,6 +389,30 @@ class TestSerialization:
         assert f"POINT_DATA {m.num_vertices}" in lines
         cell_type_at = lines.index(f"CELL_TYPES {m.num_cells}")
         assert lines[cell_type_at + 1] == "5"
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_vtk_bytes_match_row_writer(self, tmp_path, dim, with_data):
+        rng = np.random.default_rng(dim)
+        base = generate_structured_2d(7, 5, pattern="crisscross", skew=0.3) if dim == 2 \
+            else generate_structured_3d(3, 2, 4)
+        m = perturbed_mesh(base, rng, 0.1)
+        point_data = None
+        if with_data:
+            u = rng.normal(size=m.num_vertices) * 10.0 ** rng.integers(-300, 300, m.num_vertices)
+            u[:3] = [-0.0, 0.0, 1e-320]
+            point_data = {"u": u, "index": np.arange(m.num_vertices)}
+        write_vtk(tmp_path / "new.vtk", m, point_data=point_data, title="t")
+        row_write_vtk(tmp_path / "old.vtk", m, point_data=point_data, title="t")
+        assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 9, 10, 11])
+    def test_row_blocks_do_not_change_bytes(self, monkeypatch, block):
+        rows = np.random.default_rng(0).normal(size=(10, 2))
+        monkeypatch.setattr(dmpfem.mesh, "ROW_BLOCK", block)
+        out = io.StringIO()
+        write_rows(out, "%.17g,%.17g\n", rows)
+        assert out.getvalue() == "".join(f"{x:.17g},{y:.17g}\n" for x, y in rows)
 
     def test_vtk_tet_cell_type(self, tmp_path):
         m = generate_structured_3d(1, 1, 1)

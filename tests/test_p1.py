@@ -24,7 +24,7 @@ from dmpfem.p1 import (
 )
 from dmpfem.mesh import barycentric_gradients, element_angles, macro_measures
 
-from conftest import random_nodal_field, triangle_vertex_angles
+from conftest import perturbed_mesh, random_nodal_field, row_field_to_csv, triangle_vertex_angles
 
 
 def reference_simplex_monomial(exponents) -> float:
@@ -270,6 +270,18 @@ class TestNorms:
         margin = 0.2 * (hi - lo)
         assert ratios[8][0] >= lo - margin
         assert ratios[8][1] <= hi + margin
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_csv_bytes_match_row_writer(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        base = generate_structured_2d(6, 7, skew=0.2) if dim == 2 \
+            else generate_structured_3d(2, 3, 4)
+        m = perturbed_mesh(base, rng, 0.1)
+        u = rng.normal(size=m.num_vertices) * 10.0 ** rng.integers(-300, 300, m.num_vertices)
+        u[:3] = [-0.0, 0.0, 1e-320]
+        field_to_csv(P1Field(m, u), tmp_path / "new.csv")
+        row_field_to_csv(P1Field(m, u), tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_interpolate_and_csv_roundtrip(self, tmp_path):
         m = generate_structured_3d(1, 1, 1)

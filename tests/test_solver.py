@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
+import dmpfem.solver
 from dmpfem.errors import (
     CoefficientBoundsViolation,
     LinearSolveDiverged,
@@ -13,8 +15,15 @@ from dmpfem.errors import (
     PicardDiverged,
     QuadratureDegreeTooLow,
 )
-from dmpfem.mesh import build_mesh, generate_structured_2d
-from dmpfem.p1 import P1Field, constant_field, cut_minus, cut_plus, quadrature_rule
+from dmpfem.mesh import build_mesh, generate_structured_2d, generate_structured_3d
+from dmpfem.p1 import (
+    P1Field,
+    constant_field,
+    cut_minus,
+    cut_plus,
+    physical_points,
+    quadrature_rule,
+)
 from dmpfem.solver import (
     CoefficientSet,
     SolveOptions,
@@ -34,7 +43,15 @@ from dmpfem.solver import (
     validate_coefficients,
 )
 
-from conftest import random_nodal_field, random_triangle, triangle_vertex_angles
+from conftest import (
+    assemble_every_pass_picard,
+    einsum_local_form_parts,
+    einsum_physical_points,
+    perturbed_mesh,
+    random_nodal_field,
+    random_triangle,
+    triangle_vertex_angles,
+)
 
 
 def reaction_set(c_value=1.0):
@@ -202,6 +219,149 @@ class TestAssembly:
         system = assemble_q(m, constant_field(m, 0.0), coeffs)
         pattern = (system.matrix != 0).astype(int)
         assert (pattern != pattern.T).nnz == 0
+
+
+def _drift_field(x, e, p):
+    # a contiguous, state-dependent drift
+    return np.stack([np.sin(3.0 * x[..., d] + e) for d in range(x.shape[-1])], axis=-1)
+
+
+KERNEL_B = {
+    "zero": lambda x, e, p: np.zeros(np.shape(x)),
+    "zero-broadcast": lambda x, e, p: np.broadcast_to(np.zeros(np.shape(x)[-1]), np.shape(x)),
+    "constant-broadcast": lambda x, e, p: np.broadcast_to(
+        np.linspace(-2.0, 3.0, np.shape(x)[-1]), np.shape(x)),
+    "field": _drift_field,
+}
+KERNEL_C = {
+    "zero": lambda x, e: np.zeros(np.shape(e)),
+    "zero-broadcast": lambda x, e: np.broadcast_to(0.0, np.shape(e)),
+    "constant-broadcast": lambda x, e: np.broadcast_to(0.7, np.shape(e)),
+    "field": lambda x, e: 1.0 + x[..., 0] * x[..., -1] + e ** 2,
+}
+
+
+class TestKernelOracles:
+    """The quadrature-first contractions against the one-einsum oracles."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 4),
+           pattern=st.sampled_from(["right-diagonal", "crisscross"]),
+           amount=st.floats(0.0, 0.15), degree=st.sampled_from([2, 4]),
+           b_kind=st.sampled_from(sorted(KERNEL_B)),
+           c_kind=st.sampled_from(sorted(KERNEL_C)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_einsum_oracles(self, dim, n, pattern, amount, degree,
+                                    b_kind, c_kind, seed):
+        rng = np.random.default_rng(seed)
+        base = generate_structured_2d(n + 1, n, pattern=pattern) if dim == 2 \
+            else generate_structured_3d(n, n, n + 1)
+        m = perturbed_mesh(base, rng, amount)
+        rule = quadrature_rule(dim, degree)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+            b=KERNEL_B[b_kind], c=KERNEL_C[c_kind],
+            f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=10.0)
+        w = random_nodal_field(m, rng)
+
+        points = physical_points(m, rule)
+        assert points.flags.c_contiguous
+        assert points.tobytes() == einsum_physical_points(m, rule).tobytes()
+        got = local_form_parts(m, w, coeffs, rule)
+        want = einsum_local_form_parts(m, w, coeffs, rule)
+        assert got[0].tobytes() == want[0].tobytes()
+        for kind, new, old in ((b_kind, got[1], want[1]), (c_kind, got[2], want[2])):
+            if kind.startswith("zero"):
+                assert np.array_equal(new, old)  # +0.0 == -0.0
+            else:
+                assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+    def test_no_einsum_beyond_three_operands(self, monkeypatch):
+        m = generate_structured_3d(2, 2, 2)
+        einsum = np.einsum
+        operands = []
+
+        def counted(subscripts, *arrays, **kwargs):
+            operands.append(len(arrays))
+            return einsum(subscripts, *arrays, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        local_form_parts(m, constant_field(m, 0.0),
+                         advection_diffusion([1.0, -2.0, 0.5], c0=0.5),
+                         quadrature_rule(3, 4))
+        assert operands and max(operands) <= 3
+
+
+class TestCallCounts:
+    def test_assembly_computes_points_once(self, monkeypatch):
+        m = generate_structured_2d(4, 4)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return physical_points(*args)
+
+        monkeypatch.setattr(dmpfem.solver, "physical_points", counted)
+        for coeffs in (poisson(f=lambda x: x[..., 0]), quasilinear_a()):
+            calls.clear()
+            assemble_q(m, constant_field(m, 0.0), coeffs)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_constant_coefficient_solve_assembles_once(self, monkeypatch, dim):
+        m = generate_structured_2d(6, 6) if dim == 2 else generate_structured_3d(3, 3, 3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return local_form_parts(*args, **kwargs)
+
+        monkeypatch.setattr(dmpfem.solver, "local_form_parts", counted)
+        result = picard_solve(m, poisson(f=1.0))
+        assert result.picard_iterations == 1
+        assert len(calls) == 1
+
+
+class TestFactorReuse:
+    """Constant-coefficient problems are factored once; the confirming pass
+    reuses the first solve and the result stays the same."""
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        splu = dmpfem.solver.spla.splu
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(dmpfem.solver.spla, "splu", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["poisson-2d", "drift-2d", "poisson-3d",
+                                      "drift-damped-2d"])
+    def test_one_factorization_same_result(self, monkeypatch, case):
+        m = generate_structured_3d(4, 4, 4) if case.endswith("3d") \
+            else generate_structured_2d(12, 12)
+        coeffs = poisson(f=1.0) if case.startswith("poisson") \
+            else advection_diffusion([3.0, -2.0], f=-1.0, g=0.5, c0=0.5)
+        opts = SolveOptions(damping=0.5) if "damped" in case else SolveOptions()
+        oracle = assemble_every_pass_picard(m, coeffs, opts)
+        calls = self._count_factorizations(monkeypatch)
+        result = picard_solve(m, coeffs, opts)
+        assert len(calls) == 1
+        assert result.u_h.nodal_values.tobytes() == oracle.u_h.nodal_values.tobytes()
+        assert result.to_dict() == oracle.to_dict()
+
+    def test_state_dependent_problem_factors_every_pass(self, monkeypatch):
+        m = generate_structured_2d(6, 6)
+        coeffs = quasilinear_a(f=-1.0)
+        oracle = assemble_every_pass_picard(m, coeffs)
+        calls = self._count_factorizations(monkeypatch)
+        result = picard_solve(m, coeffs)
+        assert len(calls) == result.picard_iterations + 1 > 2
+        assert result.u_h.nodal_values.tobytes() == oracle.u_h.nodal_values.tobytes()
+        assert result.to_dict() == oracle.to_dict()
 
 
 class TestDirichlet:
