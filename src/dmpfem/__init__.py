@@ -15,30 +15,24 @@ from .dmp import (
     edge_condition_check_2d,
     element_condition_check,
     fit_decay_constant,
-    level_set_measure,
     level_set_profile,
 )
 from .mesh import (
     AngleReport,
     InteriorEdges,
-    MacroElement,
     Mesh,
     acuteness_audit,
     build_mesh,
-    element_angles,
     generate_structured_2d,
     generate_structured_3d,
     interior_edges_2d,
     load_mesh,
-    macro_elements,
     save_mesh,
     write_vtk,
 )
 from .p1 import (
     P1Field,
     QuadratureRule,
-    ShapeData,
-    angle_from_gradients,
     cut_minus,
     cut_plus,
     discrete_lp,
@@ -48,7 +42,6 @@ from .p1 import (
     interpolate,
     lp_norm,
     quadrature_rule,
-    shape_data,
 )
 from .solver import (
     CoefficientSet,

@@ -11,19 +11,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import expressions
 from .dmp import DmpParams, dmp_certificate
-from .errors import DmpFemError, LinearSolveDiverged, PicardDiverged
+from .errors import DmpFemError, InvalidParameters, LinearSolveDiverged, PicardDiverged
 from .mesh import (
     Mesh,
     acuteness_audit,
     generate_structured_2d,
     generate_structured_3d,
     load_mesh,
+    read_json_object,
     save_mesh,
     write_vtk,
 )
@@ -66,7 +67,6 @@ class RunConfig:
     problem: dict = field(default_factory=dict)
     solver_options: dict = field(default_factory=dict)
     dmp_params: dict = field(default_factory=dict)
-    output_dir: str = "."
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -126,8 +126,7 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
-    with open(path, encoding="utf-8") as fp:
-        spec = json.load(fp)
+    spec = read_json_object(path, "coefficient file")
     required = ("a", "b", "c", "f", "g", "lambda", "Lambda", "nu", "c_mode")
     missing = [key for key in required if key not in spec]
     if missing:
@@ -227,10 +226,7 @@ def _run_solve(mesh: Mesh, args, config: RunConfig):
     coeffs, record = _build_coefficients(args, mesh.dim)
     config.problem = record
     opts = _solver_options(args)
-    config.solver_options = {
-        "picard_max_iter": opts.picard_max_iter, "picard_tol": opts.picard_tol,
-        "linear_tol": opts.linear_tol, "damping": opts.damping,
-    }
+    config.solver_options = asdict(opts)
     validate_coefficients(coeffs, mesh, seed=config.seed)
     result = picard_solve(mesh, coeffs, opts)
     return coeffs, result
@@ -249,16 +245,8 @@ def _write_solution(outdir: str, mesh: Mesh, result: SolveResult,
 
 def cmd_solve(args) -> int:
     mesh = load_mesh(args.mesh)
-    config = RunConfig(command="solve", mesh_source=args.mesh,
-                       output_dir=args.output_dir, seed=args.seed)
-    try:
-        coeffs, result = _run_solve(mesh, args, config)
-    except PicardDiverged as exc:
-        print(f"picard iteration diverged: {exc}", file=sys.stderr)
-        return EXIT_PICARD
-    except LinearSolveDiverged as exc:
-        print(f"linear solver diverged: {exc}", file=sys.stderr)
-        return EXIT_LINEAR
+    config = RunConfig(command="solve", mesh_source=args.mesh, seed=args.seed)
+    _, result = _run_solve(mesh, args, config)
     _write_solution(args.output_dir, mesh, result, config)
     print(f"converged in {result.picard_iterations} iterations "
           f"(update {result.final_update_norm:.3e}, "
@@ -279,14 +267,18 @@ def _gated_verdicts(verdicts: dict, checks: list) -> dict:
     return {name: gate[name] for name in checks}
 
 
+# JSON types accepted for the convergence record of `dmp-check --solve-result`.
+_SOLVE_INFO_TYPES = {"picard_iterations": (int,), "final_update_norm": (int, float),
+                     "final_linear_residual": (int, float), "converged": (bool,)}
+
+
 def cmd_dmp_check(args) -> int:
     mesh = load_mesh(args.mesh)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in ALL_CHECKS:
             raise DmpFemError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
-    config = RunConfig(command="dmp-check", mesh_source=args.mesh,
-                       output_dir=args.output_dir, seed=args.seed)
+    config = RunConfig(command="dmp-check", mesh_source=args.mesh, seed=args.seed)
     params = DmpParams(p=args.p, r=args.r, lambda_star=args.lambda_star,
                        alpha_exponent=args.alpha_exponent)
     config.dmp_params = params.to_dict()
@@ -294,15 +286,7 @@ def cmd_dmp_check(args) -> int:
     if bool(args.solution) == bool(args.solve):
         raise DmpFemError("give exactly one of --solution or --solve")
     if args.solve:
-        try:
-            coeffs, result = _run_solve(mesh, args, config)
-        except PicardDiverged as exc:
-            print(f"picard iteration diverged: {exc}", file=sys.stderr)
-            return EXIT_PICARD
-        except LinearSolveDiverged as exc:
-            print(f"linear solver diverged: {exc}", file=sys.stderr)
-            return EXIT_LINEAR
-        os.makedirs(args.output_dir, exist_ok=True)
+        coeffs, result = _run_solve(mesh, args, config)
         _write_solution(args.output_dir, mesh, result, config)
     else:
         coeffs, record = _build_coefficients(args, mesh.dim)
@@ -312,14 +296,19 @@ def cmd_dmp_check(args) -> int:
                       "picard_iterations": -1, "final_update_norm": float("nan"),
                       "final_linear_residual": float("nan")}
         if args.solve_result:
-            with open(args.solve_result, encoding="utf-8") as fp:
-                solve_info.update(json.load(fp))
+            solve_info.update(read_json_object(args.solve_result, "solve result"))
+            for key, types in _SOLVE_INFO_TYPES.items():
+                if type(solve_info[key]) not in types:
+                    raise InvalidParameters(
+                        f"solve result {args.solve_result}: {key} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"got {solve_info[key]!r}")
         result = SolveResult(
             u_h=u_h,
-            picard_iterations=int(solve_info["picard_iterations"]),
+            picard_iterations=solve_info["picard_iterations"],
             final_update_norm=float(solve_info["final_update_norm"]),
             final_linear_residual=float(solve_info["final_linear_residual"]),
-            converged=bool(solve_info["converged"]),
+            converged=solve_info["converged"],
         )
 
     cert = dmp_certificate(mesh, result, coeffs, params=params)
@@ -349,8 +338,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.certificates:
         try:
-            with open(path, encoding="utf-8") as fp:
-                cert = json.load(fp)
+            cert = read_json_object(path, "certificate")
             verdicts = {
                 "angles": "pass" if cert["mesh"]["classification"] != "obtuse"
                 else "fail",
@@ -370,7 +358,7 @@ def cmd_report(args) -> int:
                 "empirical_c": cert["theorem_3_2"]["empirical_c"],
                 "verdicts": verdicts,
             })
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, DmpFemError) as exc:
             print(f"cannot read certificate {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     rows.sort(key=lambda r: r["h"])
@@ -453,6 +441,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except PicardDiverged as exc:
+        print(f"picard iteration diverged: {exc}", file=sys.stderr)
+        return EXIT_PICARD
+    except LinearSolveDiverged as exc:
+        print(f"linear solver diverged: {exc}", file=sys.stderr)
+        return EXIT_LINEAR
     except DmpFemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ from .solver import (
     SolveResult,
     assemble_matrix,
     check_zeroth_order_condition,
+    default_rule,
     interpolate_boundary,
     local_form_parts,
 )
@@ -161,15 +162,11 @@ def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
     return grid
 
 
-def _default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
-    return quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
-
-
 def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
                 w: P1Field | None):
     """`local_form_parts` frozen at w, with zero and the default rule for None."""
     return local_form_parts(mesh, constant_field(mesh, 0.0) if w is None else w,
-                            coeffs, rule or _default_rule(mesh, coeffs))
+                            coeffs, rule or default_rule(mesh, coeffs))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray):
@@ -437,12 +434,6 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
 
 
 # -- level sets ----------------------------------------------------------------
-
-def level_set_measure(mesh: Mesh, u_h: P1Field, k: float) -> float:
-    """Total measure of cells where the nodal positive part of u_h - k lives."""
-    cell_max = u_h.nodal_values[mesh.cells].max(axis=1)
-    return float(mesh.cell_measures[cell_max > k].sum())
-
 
 def level_set_profile(mesh: Mesh, u_h: P1Field, k_values) -> np.ndarray:
     """Level-set measures over a grid of cut levels: suffix sums of the cell
@@ -901,7 +892,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     params = params or DmpParams()
     params.check_for_dim(mesh.dim)
     if rule is None:
-        rule = _default_rule(mesh, coeffs)
+        rule = default_rule(mesh, coeffs)
 
     u_h = solve_result.u_h
     assignment = interpolate_boundary(mesh, coeffs.g)

@@ -116,9 +116,6 @@ class Mesh:
     def total_measure(self) -> float:
         return float(self.cell_measures.sum())
 
-    def cell_vertices(self, cell: int) -> np.ndarray:
-        return self.vertices[self.cells[cell]]
-
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[list(self.boundary_nodes)] = True
@@ -140,15 +137,6 @@ class InteriorEdges:
 
 
 @dataclass(frozen=True)
-class MacroElement:
-    """The patch of cells sharing one vertex and its total measure."""
-
-    node: int
-    cells: tuple
-    measure: float
-
-
-@dataclass(frozen=True)
 class AngleReport:
     """Result of an acuteness audit over all cells.
 
@@ -157,7 +145,7 @@ class AngleReport:
     strictly below pi/2 (up to tolerance).
     """
 
-    cell_angles: np.ndarray  # (n_cells, n_pairs)
+    cell_angles: np.ndarray  # (n_cells, n_pairs), pairs (0,1), (0,2), ..., (d-1,d)
     max_angle: float
     min_angle: float
     classification: str  # 'acute' | 'non-obtuse' | 'obtuse'
@@ -311,34 +299,8 @@ def generate_structured_3d(nx: int, ny: int, nz: int) -> Mesh:
     return build_mesh(verts, (base[:, None, None] + paths).reshape(-1, 4))
 
 
-def outward_normals(mesh: Mesh, cell: int) -> np.ndarray:
-    """Unit outward normals of facets opposite each vertex of one cell."""
-    grads = barycentric_gradients(mesh.cell_vertices(cell))
-    norms = np.linalg.norm(grads, axis=-1)
-    if np.any(norms == 0.0):
-        raise DegenerateCell(f"cell {cell} yields zero shape gradients")
-    return -grads / norms[:, None]
-
-
-def element_angles(mesh: Mesh, cell: int) -> np.ndarray:
-    """Angles attached to vertex pairs of one cell, ordered (0,1), (0,2), ...
-
-    Each entry is pi minus the angle between the outward normals of the facets
-    opposite the two vertices: triangle vertex angles in 2D, interior dihedral
-    angles in 3D.
-    """
-    normals = outward_normals(mesh, cell)
-    n = normals.shape[0]
-    angles = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = float(np.clip(normals[i] @ normals[j], -1.0, 1.0))
-            angles.append(np.pi - np.arccos(c))
-    return np.array(angles)
-
-
-def _all_element_angles(mesh: Mesh) -> np.ndarray:
-    """Vectorized `element_angles` over every cell: (n_cells, n_pairs)."""
+def _all_cell_angles(mesh: Mesh) -> np.ndarray:
+    """The pair angles of every cell (module docstring): (n_cells, n_pairs)."""
     grads = mesh.shape_gradients
     norms = np.linalg.norm(grads, axis=-1)
     normals = -grads / norms[..., None]
@@ -359,7 +321,7 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
     """
     if alpha_exponent < 0:
         raise InvalidStructuredSpec("alpha_exponent must be >= 0")
-    angles = _all_element_angles(mesh)
+    angles = _all_cell_angles(mesh)
     max_angle = float(angles.max())
     min_angle = float(angles.min())
     if max_angle > np.pi / 2 + ANGLE_TOL:
@@ -412,24 +374,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def macro_elements(mesh: Mesh) -> list:
-    """Per-vertex incidence patches; their measures weight the discrete norms."""
-    incidence: list = [[] for _ in range(mesh.num_vertices)]
-    for t, cell in enumerate(mesh.cells):
-        for v in cell:
-            incidence[int(v)].append(t)
-    return [
-        MacroElement(node=j, cells=tuple(ts),
-                     measure=float(mesh.cell_measures[ts].sum()) if ts else 0.0)
-        for j, ts in enumerate(incidence)
-    ]
-
-
 def macro_measures(mesh: Mesh) -> np.ndarray:
     """Vector of macro-element measures, one per vertex."""
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells.ravel(), np.repeat(mesh.cell_measures, mesh.dim + 1))
-    return out
+    weights = np.repeat(mesh.cell_measures, mesh.dim + 1)
+    return np.bincount(mesh.cells.ravel(), weights=weights, minlength=mesh.num_vertices)
 
 
 # -- serialization ------------------------------------------------------------
@@ -444,6 +392,9 @@ def mesh_to_dict(mesh: Mesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> Mesh:
+    missing = [key for key in ("dim", "vertices", "cells") if key not in data]
+    if missing:
+        raise InvalidParameters(f"mesh data lacks keys {missing}")
     mesh = build_mesh(data["vertices"], data["cells"])
     if "boundary_nodes" in data and data["boundary_nodes"] is not None:
         stored = frozenset(int(i) for i in data["boundary_nodes"])
@@ -460,9 +411,21 @@ def save_mesh(mesh: Mesh, path) -> None:
         fp.write("\n")
 
 
-def load_mesh(path) -> Mesh:
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON file whose top level is an object; raises
+    `InvalidParameters` naming the file when it is not."""
     with open(path, encoding="utf-8") as fp:
-        return mesh_from_dict(json.load(fp))
+        try:
+            data = json.load(fp)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidParameters(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidParameters(f"{what} {path} does not hold a JSON object")
+    return data
+
+
+def load_mesh(path) -> Mesh:
+    return mesh_from_dict(read_json_object(path, "mesh file"))
 
 
 ROW_BLOCK = 8192  # rows formatted per write: bounds the Python strings held at once

@@ -9,45 +9,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import DegenerateCell, InvalidParameters
-from .mesh import Mesh, barycentric_gradients, macro_measures, write_rows
+from .errors import InvalidParameters
+from .mesh import Mesh, macro_measures, write_rows
 
 MAX_LP_EXPONENT = 64.0
-
-
-@dataclass(frozen=True)
-class ShapeData:
-    """Constant shape-function geometry of one cell.
-
-    gradients[i] is the gradient of the shape function that equals 1 at local
-    vertex i; it points against the outward normal of the opposite facet, so
-    gradients[i] == -gradient_norms[i] * normals[i].
-    """
-
-    cell: int
-    gradients: np.ndarray  # (d+1, d)
-    gradient_norms: np.ndarray  # (d+1,)
-    normals: np.ndarray  # (d+1, d) outward unit normals of opposite facets
-
-
-def shape_data(mesh: Mesh, cell: int) -> ShapeData:
-    """Shape gradients and outward facet normals of a single cell."""
-    grads = barycentric_gradients(mesh.cell_vertices(cell))
-    norms = np.linalg.norm(grads, axis=-1)
-    if np.any(norms == 0.0):
-        raise DegenerateCell(f"cell {cell} yields zero shape gradients")
-    return ShapeData(cell=cell, gradients=grads, gradient_norms=norms,
-                     normals=-grads / norms[:, None])
-
-
-def angle_from_gradients(data: ShapeData, i: int, j: int) -> float:
-    """Vertex/dihedral angle for pair (i, j): pi minus the gradient angle."""
-    if i == j:
-        raise InvalidParameters("angle needs two distinct local vertices")
-    gi, gj = data.gradients[i], data.gradients[j]
-    c = float(np.clip(gi @ gj / (data.gradient_norms[i] * data.gradient_norms[j]),
-                      -1.0, 1.0))
-    return np.pi - float(np.arccos(c))
 
 
 def gradient_table(mesh: Mesh) -> np.ndarray:
@@ -226,9 +191,6 @@ class P1Field:
             raise InvalidParameters(
                 f"need {self.mesh.num_vertices} nodal values, got {values.shape}")
         object.__setattr__(self, "nodal_values", values)
-
-    def value_at_vertex(self, j: int) -> float:
-        return float(self.nodal_values[j])
 
     def values_in_cells(self, rule: QuadratureRule) -> np.ndarray:
         """Field values at each cell's quadrature points: (n_cells, n_q)."""

@@ -241,19 +241,27 @@ def interpolate_boundary(mesh: Mesh, g) -> dict:
     return {int(j): float(v) for j, v in zip(nodes, vals)}
 
 
+def default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
+    """Degree 2 integrates constant-coefficient forms exactly; state- or
+    space-dependent coefficients get degree 4."""
+    return quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
+
+
+def _state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule):
+    """Quadrature points (C, Q, D) with the state w there (C, Q) and its
+    constant per-cell gradient broadcast over the points (C, Q, D)."""
+    xq = physical_points(mesh, rule)
+    return xq, w.values_in_cells(rule), np.broadcast_to(w.cell_gradients()[:, None, :], xq.shape)
+
+
 def coefficient_samples(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
                         rule: QuadratureRule):
     """Evaluate (a, b, c) at all quadrature points with state frozen at w.
 
-    The state is w interpolated at the quadrature points; its gradient is the
-    constant per-cell gradient.  Returns arrays of shapes (C, Q), (C, Q, D)
-    and (C, Q) plus the quadrature coordinates.
+    Returns the quadrature coordinates and arrays of shapes (C, Q), (C, Q, D)
+    and (C, Q).
     """
-    xq = physical_points(mesh, rule)
-    wc = w.nodal_values[mesh.cells]
-    eta = np.einsum("qm,cm->cq", rule.points, wc)
-    grad = np.einsum("cmd,cm->cd", gradient_table(mesh), wc)
-    p = np.broadcast_to(grad[:, None, :], xq.shape)
+    xq, eta, p = _state_samples(mesh, w, rule)
     a = np.broadcast_to(np.asarray(coeffs.a(xq, eta, p), float), eta.shape)
     b = np.broadcast_to(np.asarray(coeffs.b(xq, eta, p), float), xq.shape)
     c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
@@ -303,7 +311,7 @@ def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
                rule: QuadratureRule | None = None) -> SparseSystem:
     """Assemble matrix and load vector of the form with coefficients frozen at w."""
     if rule is None:
-        rule = quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
+        rule = default_rule(mesh, coeffs)
     if not coeffs.constant_coefficients and rule.degree < 4:
         warnings.warn("quadrature degree < 4 with non-constant coefficients",
                       QuadratureDegreeTooLow)
@@ -318,8 +326,7 @@ def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     del values
     matrix = assemble_matrix(mesh, parts)
     n = mesh.num_vertices
-    rhs = np.zeros(n)
-    np.add.at(rhs, mesh.cells.ravel(), local_rhs.ravel())
+    rhs = np.bincount(mesh.cells.ravel(), weights=local_rhs.ravel(), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs,
                         dirichlet_mask=np.zeros(n, dtype=bool),
@@ -475,14 +482,7 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
     step 1e-6 * h inside each cell.
     """
-    if rule is None:
-        rule = quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
-    xq = physical_points(mesh, rule)
-    wc = u_h.nodal_values[mesh.cells]
-    eta = np.einsum("qm,cm->cq", rule.points, wc)
-    grad = np.einsum("cmd,cm->cd", gradient_table(mesh), wc)
-    p = np.broadcast_to(grad[:, None, :], xq.shape)
-
+    xq, eta, p = _state_samples(mesh, u_h, rule or default_rule(mesh, coeffs))
     c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
     if coeffs.div_b is not None:
         div = np.broadcast_to(np.asarray(coeffs.div_b(xq, eta, p), float), eta.shape)
@@ -494,7 +494,7 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
         for axis in range(mesh.dim):
             shift = np.zeros(mesh.dim)
             shift[axis] = step
-            eta_shift = grad[:, None, axis] * step
+            eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
             b_plus = np.broadcast_to(
                 np.asarray(coeffs.b(xq + shift, eta + eta_shift, p), float), xq.shape)
             b_minus = np.broadcast_to(

@@ -64,19 +64,29 @@ def triangle_vertex_angles(verts: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def facet_normals(verts: np.ndarray) -> tuple:
+    """Measures and outward unit normals of the facets opposite each vertex of
+    a triangle (rotated edges) or tetrahedron (cross products), independent
+    of the shape-function route."""
+    centroid = verts.mean(axis=0)
+    measures, normals = [], []
+    for i in range(len(verts)):
+        a, *rest = verts[np.delete(np.arange(len(verts)), i)]
+        if len(rest) == 1:
+            n = np.array([rest[0][1] - a[1], a[0] - rest[0][0]])
+            measures.append(np.linalg.norm(n))
+        else:
+            n = np.cross(rest[0] - a, rest[1] - a)
+            measures.append(np.linalg.norm(n) / 2.0)
+        n = n / np.linalg.norm(n)
+        normals.append(n if n @ (a - centroid) > 0 else -n)
+    return np.array(measures), np.array(normals)
+
+
 def brute_force_dihedrals(verts: np.ndarray) -> np.ndarray:
     """Interior dihedral angles of a tetrahedron from cross-product facet
     normals, independent of the shape-function route."""
-    centroid = verts.mean(axis=0)
-    normals = []
-    for i in range(4):
-        facet = np.delete(np.arange(4), i)
-        a, b, c = verts[facet]
-        n = np.cross(b - a, c - a)
-        n = n / np.linalg.norm(n)
-        if n @ (a - centroid) < 0:
-            n = -n
-        normals.append(n)
+    normals = facet_normals(verts)[1]
     angles = []
     for i in range(4):
         for j in range(i + 1, 4):
@@ -248,6 +258,12 @@ def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
 
 
 # -- per-level and table oracles of the certificate ------------------------------
+
+def level_set_measure(mesh: Mesh, u_h, k: float) -> float:
+    """Total measure of the cells with a nodal value of u_h above k."""
+    cell_max = u_h.nodal_values[mesh.cells].max(axis=1)
+    return float(mesh.cell_measures[cell_max > k].sum())
+
 
 def loop_assumption_sweep(mesh: Mesh, u_h, parts, k_star: float):
     """(k_values, q_values) of `assumption_a_sweep` by one matrix-vector

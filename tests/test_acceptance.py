@@ -74,7 +74,7 @@ def test_01_cotangent_identity():
     worst = 0.0
     for t in range(count):
         # build_mesh may have reordered vertices; angles come from stored cells
-        angles = triangle_vertex_angles(mesh.cell_vertices(t))
+        angles = triangle_vertex_angles(mesh.vertices[mesh.cells[t]])
         for i in range(3):
             for j in range(3):
                 if i == j:

@@ -175,6 +175,10 @@ class TestSolveCommand:
         code = run(["solve", "--mesh", square_mesh, "--problem", "quasilinear-a",
                     "--picard-max-iter", "0", "-o", tmp_path / "bad"])
         assert code == 2
+        code = run(["dmp-check", "--mesh", square_mesh, "--solve", "--problem",
+                    "quasilinear-a", "--picard-max-iter", "0", "-o", tmp_path / "badc"])
+        assert code == 2
+        assert not (tmp_path / "badc").exists()
 
     def test_linear_divergence_exit_code(self, square_mesh, tmp_path, monkeypatch):
         def singular(*args, **kwargs):
@@ -289,8 +293,18 @@ class TestDmpCheckCommand:
         for out in (out1, out2):
             assert run(["dmp-check", "--mesh", square_mesh, "--solve",
                         "--problem", "poisson", "--seed", "42", "-o", out]) == 0
-        assert (out1 / "certificate.json").read_bytes() == \
-            (out2 / "certificate.json").read_bytes()
+        names = ["certificate.json", "level_sets.csv", "solve.json", "solution.csv",
+                 "solution.vtk"]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        out3, out4 = tmp_path / "d3", tmp_path / "d4"
+        for out in (out3, out4):
+            assert run(["dmp-check", "--mesh", square_mesh,
+                        "--solution", out1 / "solution.csv",
+                        "--solve-result", out1 / "solve.json",
+                        "--problem", "poisson", "--seed", "42", "-o", out]) == 0
+        for name in names[:2]:
+            assert (out3 / name).read_bytes() == (out4 / name).read_bytes(), name
 
     def test_degiorgi_check_embedded(self, square_mesh, tmp_path):
         outdir = tmp_path / "dg"
@@ -342,6 +356,47 @@ class TestSolutionFile:
         assert self._check(square_mesh, tmp_path, solution_lines
                            + [solution_lines[5]]) == 1
         assert "node 4 appears twice" in capsys.readouterr().err
+
+
+class TestMalformedJson:
+    """Each JSON input that does not decode, is not an object or lacks a field
+    exits 1 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("target, content, message", [
+        pytest.param("mesh", "{bad", "is not valid JSON", id="mesh-not-json"),
+        pytest.param("mesh", "[1,2]", "does not hold a JSON object", id="mesh-array"),
+        pytest.param("mesh", '{"vertices": [[0,0]]}',
+                     "mesh data lacks keys ['dim', 'cells']", id="mesh-missing-keys"),
+        pytest.param("coeffs", "{bad", "is not valid JSON", id="coeffs-not-json"),
+        pytest.param("solve-result", "{bad", "is not valid JSON",
+                     id="solve-result-not-json"),
+        pytest.param("solve-result", "[1,2]", "does not hold a JSON object",
+                     id="solve-result-array"),
+        pytest.param("solve-result", '{"picard_iterations": "x"}',
+                     "picard_iterations must be int, got 'x'", id="solve-result-bad-type"),
+        pytest.param("report", "[1,2]", "does not hold a JSON object", id="report-array"),
+    ])
+    def test_exits_one_with_message(self, square_mesh, tmp_path, capsys,
+                                    target, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", solved]) == 0
+        out = tmp_path / "out"
+        argv = {
+            "mesh": ["solve", "--mesh", bad, "-o", out],
+            "coeffs": ["solve", "--mesh", square_mesh, "--coeffs", bad, "-o", out],
+            "solve-result": ["dmp-check", "--mesh", square_mesh,
+                             "--solution", solved / "solution.csv",
+                             "--solve-result", bad, "-o", out],
+            "report": ["report", bad],
+        }[target]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        if "lacks" not in message:
+            assert str(bad) in err
 
 
 class TestReportCommand:

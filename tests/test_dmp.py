@@ -21,7 +21,6 @@ from dmpfem.dmp import (
     edge_condition_check_2d,
     element_condition_check,
     fit_decay_constant,
-    level_set_measure,
     level_set_profile,
 )
 from dmpfem.errors import (
@@ -42,6 +41,7 @@ from dmpfem.solver import (
     SolveResult,
     advection_diffusion,
     assemble_q,
+    default_rule,
     interpolate_boundary,
     local_form_parts,
     picard_solve,
@@ -52,6 +52,7 @@ from dmpfem.solver import (
 from conftest import (
     adjacent_pair,
     equilateral_mesh,
+    level_set_measure,
     loop_assumption_sweep,
     loop_edge_records,
     oracle_meshes,
@@ -247,7 +248,7 @@ class TestEdgeCondition:
         w = random_nodal_field(mesh, np.random.default_rng(4))
         for unit, coeffs in ((True, poisson()), (False, quasilinear_a()),
                              (False, advection_diffusion([1.0, -2.0], c0=0.5))):
-            rule = quadrature_rule(2, 2 if coeffs.constant_coefficients else 4)
+            rule = default_rule(mesh, coeffs)
             parts = local_form_parts(mesh, w, coeffs, rule)
             records, all_pass, max_sum, identity_err = loop_edge_records(
                 mesh, parts, PAIR_TOL)
@@ -294,16 +295,16 @@ class TestLevelSets:
     def test_extreme_levels(self):
         m = generate_structured_2d(3, 3)
         v = random_nodal_field(m, np.random.default_rng(2))
-        assert level_set_measure(m, v, v.min_value() - 1.0) == pytest.approx(
-            m.total_measure, rel=1e-14)
-        assert level_set_measure(m, v, v.max_value()) == 0.0
+        below, top = level_set_profile(m, v, [v.min_value() - 1.0, v.max_value()])
+        assert below == pytest.approx(m.total_measure, rel=1e-14)
+        assert top == 0.0
 
     def test_linear_field_hand_count(self):
         # u = x on the 2x2 split-square mesh: only the right column of cells
         # has a vertex with x > 0.5, giving measure 4 * (1/8)
         m = generate_structured_2d(2, 2)
         u = P1Field(m, m.vertices[:, 0])
-        assert level_set_measure(m, u, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert level_set_profile(m, u, [0.5])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_profiles(self):
         m = generate_structured_2d(4, 4)

@@ -16,18 +16,14 @@ from dmpfem.errors import (
 )
 from dmpfem.mesh import (
     acuteness_audit,
-    barycentric_gradients,
     build_mesh,
-    element_angles,
     generate_structured_2d,
     generate_structured_3d,
     interior_edges_2d,
     load_mesh,
-    macro_elements,
     macro_measures,
     mesh_from_dict,
     mesh_to_dict,
-    outward_normals,
     save_mesh,
     write_rows,
     write_vtk,
@@ -37,6 +33,7 @@ from dmpfem.mesh import (
 from conftest import (
     brute_force_dihedrals,
     equilateral_mesh,
+    facet_normals,
     loop_boundary_nodes,
     loop_facet_owners,
     loop_interior_edges_2d,
@@ -102,10 +99,9 @@ class TestGenerators:
     def test_single_square_split(self):
         m = generate_structured_2d(1, 1)
         assert m.num_cells == 2
-        for t in range(2):
-            angles = np.sort(element_angles(m, t))
-            assert angles == pytest.approx([math.pi / 4, math.pi / 4, math.pi / 2],
-                                           abs=1e-12)
+        for angles in acuteness_audit(m).cell_angles:
+            assert np.sort(angles) == pytest.approx(
+                [math.pi / 4, math.pi / 4, math.pi / 2], abs=1e-12)
 
     def test_structured_counts(self):
         m = generate_structured_2d(4, 4)
@@ -121,8 +117,10 @@ class TestGenerators:
 
     def test_skew_creates_obtuse(self):
         m = generate_structured_2d(2, 2, skew=0.6)
-        angles = np.concatenate([element_angles(m, t) for t in range(m.num_cells)])
-        assert angles.max() > math.pi / 2
+        oracle = np.array([triangle_vertex_angles(m.vertices[cell]) for cell in m.cells])
+        assert oracle.max() > math.pi / 2
+        # pair (i, j) holds the angle at the third vertex 3 - i - j
+        assert acuteness_audit(m).cell_angles == pytest.approx(oracle[:, ::-1], abs=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidStructuredSpec):
@@ -164,21 +162,22 @@ class TestGenerators:
 
     def test_kuhn_dihedral_angles_non_obtuse(self):
         m = generate_structured_3d(1, 1, 1)
-        for t in range(m.num_cells):
-            brute = np.sort(brute_force_dihedrals(m.cell_vertices(t)))
+        angles = acuteness_audit(m).cell_angles
+        for cell, computed in zip(m.cells, angles):
+            brute = brute_force_dihedrals(m.vertices[cell])
             assert brute.max() <= math.pi / 2 + 1e-12
-            assert np.sort(element_angles(m, t)) == pytest.approx(brute, abs=1e-12)
+            assert computed == pytest.approx(brute, abs=1e-12)
 
 
 class TestAngles:
     def test_equilateral(self):
         s = math.sqrt(3.0) / 2.0
         m = build_mesh([[0, 0], [1, 0], [0.5, s]], [[0, 1, 2]])
-        assert element_angles(m, 0) == pytest.approx(np.full(3, math.pi / 3),
-                                                     abs=1e-12)
+        assert acuteness_audit(m).cell_angles[0] == pytest.approx(
+            np.full(3, math.pi / 3), abs=1e-12)
 
     def test_right_reference(self, reference_triangle):
-        angles = np.sort(element_angles(reference_triangle, 0))
+        angles = np.sort(acuteness_audit(reference_triangle).cell_angles[0])
         assert angles == pytest.approx([math.pi / 4, math.pi / 4, math.pi / 2],
                                        abs=1e-12)
 
@@ -187,7 +186,8 @@ class TestAngles:
                          dtype=float)
         m = build_mesh(verts, [[0, 1, 2, 3]])
         expected = math.acos(1.0 / 3.0)
-        assert element_angles(m, 0) == pytest.approx(np.full(6, expected), abs=1e-12)
+        assert acuteness_audit(m).cell_angles[0] == pytest.approx(
+            np.full(6, expected), abs=1e-12)
         assert brute_force_dihedrals(verts) == pytest.approx(np.full(6, expected),
                                                              abs=1e-12)
 
@@ -198,19 +198,21 @@ class TestAngles:
             if abs(np.linalg.det(verts[1:] - verts[0])) < 1e-2:
                 continue
             m = build_mesh(verts, [[0, 1, 2]])
-            assert element_angles(m, 0).sum() == pytest.approx(math.pi, abs=1e-12)
+            assert acuteness_audit(m).cell_angles[0].sum() == pytest.approx(
+                math.pi, abs=1e-12)
 
     def test_minkowski_identity(self):
         rng = np.random.default_rng(3)
         m2 = generate_structured_2d(3, 3, skew=0.4)
         m3 = generate_structured_3d(2, 2, 2)
         for m in (m2, m3):
-            d = m.dim
             for t in rng.integers(0, m.num_cells, size=10):
-                grads = barycentric_gradients(m.cell_vertices(int(t)))
-                norms = np.linalg.norm(grads, axis=-1)
-                facet_measures = d * m.cell_measures[int(t)] * norms
-                total = (facet_measures[:, None] * outward_normals(m, int(t))).sum(axis=0)
+                # |F_i| = d |T| |grad phi_i|, checked against the geometric facets
+                norms = np.linalg.norm(m.shape_gradients[t], axis=-1)
+                facet_measures = m.dim * m.cell_measures[t] * norms
+                oracle_measures, normals = facet_normals(m.vertices[m.cells[t]])
+                assert facet_measures == pytest.approx(oracle_measures, rel=1e-12)
+                total = (facet_measures[:, None] * normals).sum(axis=0)
                 assert np.abs(total).max() < 1e-12
 
 
@@ -265,7 +267,7 @@ class TestInteriorEdges:
         for (node_m, node_n), cells, angles in zip(
                 edges.nodes.tolist(), edges.cells.tolist(), edges.opposite_angles):
             for cell, stored in zip(cells, angles):
-                verts = m.cell_vertices(cell)
+                verts = m.vertices[m.cells[cell]]
                 nodes = m.cells[cell].tolist()
                 at = next(k for k, v in enumerate(nodes) if v not in (node_m, node_n))
                 oracle = triangle_vertex_angles(verts)[at]
@@ -329,26 +331,27 @@ class TestFacetTable:
 
 class TestMacroElements:
     def test_single_cell(self, reference_triangle):
-        macros = macro_elements(reference_triangle)
-        assert len(macros) == 3
-        for macro in macros:
-            assert macro.measure == pytest.approx(0.5, abs=1e-15)
+        assert macro_measures(reference_triangle) == pytest.approx(
+            np.full(3, 0.5), abs=1e-15)
 
     def test_interior_node_incidence(self):
         m = generate_structured_2d(2, 2)
         center = next(j for j in range(m.num_vertices)
                       if np.allclose(m.vertices[j], [0.5, 0.5]))
-        macro = macro_elements(m)[center]
-        assert len(macro.cells) == 6
-        assert macro.measure == pytest.approx(
-            m.cell_measures[list(macro.cells)].sum(), abs=1e-15)
+        incident = [t for t, cell in enumerate(m.cells.tolist()) if center in cell]
+        assert len(incident) == 6
+        assert macro_measures(m)[center] == pytest.approx(
+            m.cell_measures[incident].sum(), abs=1e-15)
 
     def test_counting_identity(self):
-        for m in (generate_structured_2d(3, 2), generate_structured_3d(2, 1, 1)):
-            total = sum(mac.measure for mac in macro_elements(m))
-            assert total == pytest.approx((m.dim + 1) * m.total_measure, rel=1e-13)
-            assert macro_measures(m).sum() == pytest.approx(
-                (m.dim + 1) * m.total_measure, rel=1e-13)
+        for m in (generate_structured_2d(3, 2, skew=0.3), generate_structured_3d(2, 1, 1)):
+            oracle = np.zeros(m.num_vertices)
+            for cell, measure in zip(m.cells.tolist(), m.cell_measures):
+                for j in cell:
+                    oracle[j] += measure
+            measures = macro_measures(m)
+            assert measures == pytest.approx(oracle, rel=1e-15)
+            assert measures.sum() == pytest.approx((m.dim + 1) * m.total_measure, rel=1e-13)
 
 
 class TestSerialization:

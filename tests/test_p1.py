@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from dmpfem.errors import InvalidParameters
-from dmpfem.mesh import build_mesh, generate_structured_2d, generate_structured_3d
+from dmpfem.mesh import (
+    acuteness_audit,
+    barycentric_gradients,
+    build_mesh,
+    generate_structured_2d,
+    generate_structured_3d,
+    macro_measures,
+)
 from dmpfem.p1 import (
     P1Field,
-    angle_from_gradients,
     constant_field,
     cut_minus,
     cut_plus,
@@ -20,11 +26,16 @@ from dmpfem.p1 import (
     interpolate,
     lp_norm,
     quadrature_rule,
-    shape_data,
 )
-from dmpfem.mesh import barycentric_gradients, element_angles, macro_measures
 
-from conftest import perturbed_mesh, random_nodal_field, row_field_to_csv, triangle_vertex_angles
+from conftest import (
+    brute_force_dihedrals,
+    facet_normals,
+    perturbed_mesh,
+    random_nodal_field,
+    row_field_to_csv,
+    triangle_vertex_angles,
+)
 
 
 def reference_simplex_monomial(exponents) -> float:
@@ -39,8 +50,7 @@ def reference_simplex_monomial(exponents) -> float:
 
 class TestShapeData:
     def test_reference_gradients(self, reference_triangle):
-        sd = shape_data(reference_triangle, 0)
-        assert sd.gradients == pytest.approx(
+        assert reference_triangle.shape_gradients[0] == pytest.approx(
             np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), abs=1e-14)
 
     def test_gradient_table_cached_per_mesh(self):
@@ -56,61 +66,47 @@ class TestShapeData:
     def test_equilateral_gradient_norms(self):
         s = math.sqrt(3.0) / 2.0
         m = build_mesh([[0, 0], [1, 0], [0.5, s]], [[0, 1, 2]])
-        sd = shape_data(m, 0)
-        assert sd.gradient_norms == pytest.approx(np.full(3, 2.0 / math.sqrt(3.0)),
-                                                  abs=1e-13)
+        assert np.linalg.norm(m.shape_gradients[0], axis=-1) == pytest.approx(
+            np.full(3, 2.0 / math.sqrt(3.0)), abs=1e-13)
 
     def test_gradients_sum_to_zero(self):
         m = generate_structured_3d(2, 1, 1)
-        for t in range(m.num_cells):
-            sd = shape_data(m, t)
-            assert np.abs(sd.gradients.sum(axis=0)).max() < 1e-12
+        assert np.abs(m.shape_gradients.sum(axis=1)).max() < 1e-12
 
     def test_gradient_normal_relation(self):
-        m = generate_structured_2d(3, 3, skew=0.3)
-        for t in range(m.num_cells):
-            sd = shape_data(m, t)
-            expected = -sd.gradient_norms[:, None] * sd.normals
-            assert sd.gradients == pytest.approx(expected, abs=1e-12)
+        # grad phi_i = -n_i / height_i, n_i the outward normal of the facet
+        # opposite vertex i and height_i = d |T| / |F_i|
+        for m in (generate_structured_2d(3, 3, skew=0.3),
+                  perturbed_mesh(generate_structured_3d(2, 2, 2),
+                                 np.random.default_rng(8), 0.1)):
+            for cell, grads, measure in zip(m.cells, m.shape_gradients, m.cell_measures):
+                facets, normals = facet_normals(m.vertices[cell])
+                expected = -(facets / (m.dim * measure))[:, None] * normals
+                assert grads == pytest.approx(expected, abs=1e-12)
 
     def test_kronecker_property(self):
         m = generate_structured_2d(2, 2, skew=0.15)
-        for t in range(m.num_cells):
-            sd = shape_data(m, t)
-            verts = m.cell_vertices(t)
+        for cell, grads in zip(m.cells, m.shape_gradients):
+            verts = m.vertices[cell]
             for i in range(3):
                 # affine shape function: 1 at own vertex plus gradient drift
-                values = 1.0 + (verts - verts[i]) @ sd.gradients[i]
+                values = 1.0 + (verts - verts[i]) @ grads[i]
                 assert values == pytest.approx(np.eye(3)[i], abs=1e-12)
 
-    def test_angle_from_gradients_matches_mesh_angles(self):
-        m = generate_structured_2d(3, 2, skew=0.4)
-        for t in range(m.num_cells):
-            sd = shape_data(m, t)
-            angles = element_angles(m, t)
-            k = 0
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    assert angle_from_gradients(sd, i, j) == pytest.approx(
-                        angles[k], abs=1e-12)
-                    k += 1
-
-    def test_angle_from_gradients_law_of_cosines(self):
+    def test_cell_angles_match_oracles(self):
+        # pair (i, j) holds the angle at the third vertex in 2D (the law of
+        # cosines) and the dihedral angle at edge (i, j) in 3D
         rng = np.random.default_rng(11)
         verts = rng.uniform(0, 1, (3, 2))
         verts[2] += [0, 1]  # keep it non-degenerate
-        m = build_mesh(verts, [[0, 1, 2]])
-        sd = shape_data(m, 0)
-        oracle = triangle_vertex_angles(m.cell_vertices(0))
-        # the pair angle (i, j) equals the classical angle at the third vertex
-        assert angle_from_gradients(sd, 1, 2) == pytest.approx(oracle[0], abs=1e-12)
-        assert angle_from_gradients(sd, 0, 2) == pytest.approx(oracle[1], abs=1e-12)
-        assert angle_from_gradients(sd, 0, 1) == pytest.approx(oracle[2], abs=1e-12)
-
-    def test_same_index_rejected(self, reference_triangle):
-        sd = shape_data(reference_triangle, 0)
-        with pytest.raises(InvalidParameters):
-            angle_from_gradients(sd, 1, 1)
+        for m in (build_mesh(verts, [[0, 1, 2]]),
+                  generate_structured_2d(3, 2, skew=0.4),
+                  perturbed_mesh(generate_structured_3d(2, 2, 2), rng, 0.1)):
+            for cell, angles in zip(m.cells, acuteness_audit(m).cell_angles):
+                corners = m.vertices[cell]
+                oracle = (triangle_vertex_angles(corners)[::-1] if m.dim == 2
+                          else brute_force_dihedrals(corners))
+                assert angles == pytest.approx(oracle, abs=1e-12)
 
 
 class TestQuadrature:
@@ -142,12 +138,12 @@ class TestQuadrature:
         m = generate_structured_2d(2, 2, skew=0.2)
         rng = np.random.default_rng(5)
         for t in rng.integers(0, m.num_cells, size=3):
-            sd = shape_data(m, int(t))
-            verts = m.cell_vertices(int(t))
+            grads = m.shape_gradients[t]
+            verts = m.vertices[m.cells[t]]
             bary = rng.dirichlet(np.ones(3), size=100)
             points = bary @ verts
             values = np.stack([
-                1.0 + (points - verts[i]) @ sd.gradients[i] for i in range(3)],
+                1.0 + (points - verts[i]) @ grads[i] for i in range(3)],
                 axis=1)
             assert np.abs(values.sum(axis=1) - 1.0).max() < 1e-12
             assert values.min() > -1e-12
@@ -214,15 +210,15 @@ class TestIntegration:
     def test_shape_products_against_exact_formula(self, reference_triangle):
         # high-order quadrature oracle vs the closed-form simplex integrals
         m = reference_triangle
-        sd = shape_data(m, 0)
-        verts = m.cell_vertices(0)
+        grads = m.shape_gradients[0]
+        verts = m.vertices[m.cells[0]]
         rule = quadrature_rule(2, 6)
         area = m.cell_measures[0]
         for i in range(3):
             for j in range(3):
                 def product_ij(x, i=i, j=j):
-                    li = 1.0 + (x - verts[i]) @ sd.gradients[i]
-                    lj = 1.0 + (x - verts[j]) @ sd.gradients[j]
+                    li = 1.0 + (x - verts[i]) @ grads[i]
+                    lj = 1.0 + (x - verts[j]) @ grads[j]
                     return li * lj
                 value = integrate(m, product_ij, rule)
                 expected = area / 6.0 if i == j else area / 12.0

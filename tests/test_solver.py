@@ -184,7 +184,7 @@ class TestAssembly:
             m = build_mesh(verts, [[0, 1, 2]])
             w = constant_field(m, 0.0)
             diffusion, _, _ = local_form_parts(m, w, poisson(), rule)
-            angles = triangle_vertex_angles(m.cell_vertices(0))
+            angles = triangle_vertex_angles(m.vertices[m.cells[0]])
             for i in range(3):
                 for j in range(3):
                     if i == j:
