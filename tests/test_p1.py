@@ -93,20 +93,30 @@ class TestShapeData:
                 values = 1.0 + (verts - verts[i]) @ grads[i]
                 assert values == pytest.approx(np.eye(3)[i], abs=1e-12)
 
-    def test_cell_angles_match_oracles(self):
-        # pair (i, j) holds the angle at the third vertex in 2D (the law of
-        # cosines) and the dihedral angle at edge (i, j) in 3D
-        rng = np.random.default_rng(11)
-        verts = rng.uniform(0, 1, (3, 2))
-        verts[2] += [0, 1]  # keep it non-degenerate
-        for m in (build_mesh(verts, [[0, 1, 2]]),
-                  generate_structured_2d(3, 2, skew=0.4),
-                  perturbed_mesh(generate_structured_3d(2, 2, 2), rng, 0.1)):
+    def test_angle_from_gradients_matches_mesh_angles(self):
+        # acuteness_audit derives the pair angles from the shape gradients;
+        # pair (i, j) holds the angle at the third vertex in 2D and the
+        # dihedral angle at edge (i, j) in 3D
+        for m in (generate_structured_2d(3, 2, skew=0.4),
+                  perturbed_mesh(generate_structured_3d(2, 2, 2),
+                                 np.random.default_rng(11), 0.1)):
             for cell, angles in zip(m.cells, acuteness_audit(m).cell_angles):
                 corners = m.vertices[cell]
                 oracle = (triangle_vertex_angles(corners)[::-1] if m.dim == 2
                           else brute_force_dihedrals(corners))
                 assert angles == pytest.approx(oracle, abs=1e-12)
+
+    def test_angle_from_gradients_law_of_cosines(self):
+        rng = np.random.default_rng(11)
+        verts = rng.uniform(0, 1, (3, 2))
+        verts[2] += [0, 1]  # keep it non-degenerate
+        m = build_mesh(verts, [[0, 1, 2]])
+        angles = acuteness_audit(m).cell_angles[0]  # pairs (0,1), (0,2), (1,2)
+        oracle = triangle_vertex_angles(m.vertices[m.cells[0]])
+        # the pair angle (i, j) equals the classical angle at the third vertex
+        assert angles[2] == pytest.approx(oracle[0], abs=1e-12)
+        assert angles[1] == pytest.approx(oracle[1], abs=1e-12)
+        assert angles[0] == pytest.approx(oracle[2], abs=1e-12)
 
 
 class TestQuadrature:
