@@ -23,6 +23,7 @@ from .mesh import (
     acuteness_audit,
     generate_structured_2d,
     generate_structured_3d,
+    json_value,
     load_mesh,
     read_json_object,
     save_mesh,
@@ -125,14 +126,21 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                        help="constant reaction for advection-diffusion")
 
 
+def _json_strings(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return [str(s) for s in value]
+
+
 def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
     spec = read_json_object(path, "coefficient file")
     required = ("a", "b", "c", "f", "g", "lambda", "Lambda", "nu", "c_mode")
     missing = [key for key in required if key not in spec]
     if missing:
         raise DmpFemError(f"coefficient file {path} lacks keys {missing}")
+    source = f"coefficient file {path}"
     a_src, c_src = str(spec["a"]), str(spec["c"])
-    b_src = [str(s) for s in spec["b"]]
+    b_src = json_value(spec, "b", _json_strings, source)
     constant = not any(
         expressions.uses_state(s) or expressions.uses_coordinates(s)
         for s in [a_src, c_src] + b_src)
@@ -145,7 +153,8 @@ def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
         c=expressions.state_function(c_src, dim, with_gradient=False),
         f=expressions.point_function(str(spec["f"]), dim),
         g=expressions.point_function(str(spec["g"]), dim),
-        lam=float(spec["lambda"]), Lam=float(spec["Lambda"]), nu=float(spec["nu"]),
+        lam=json_value(spec, "lambda", float, source),
+        Lam=json_value(spec, "Lambda", float, source), nu=json_value(spec, "nu", float, source),
         c_mode=str(spec["c_mode"]), div_b=div_b,
         constant_coefficients=bool(spec.get("constant_coefficients", constant)),
     )

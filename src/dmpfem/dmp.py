@@ -32,10 +32,10 @@ from .solver import (
     local_form_parts,
 )
 
-SIGN_TOL = 1e-10  # relative slack for ">= 0" verdicts on assembled sums
+SIGN_TOL = 1e-10  # slack below 0 of the sweep's scale-free ratio q / T
 PAIR_TOL = 1e-12  # relative slack for per-pair / per-edge integral verdicts
-BOUND_TOL = 1e-9  # absolute slack for nodal solution bounds
-_BLOCK_TERMS = 1 << 18  # (entry, level) or (row, column) terms evaluated at once
+BOUND_TOL = 1e-9  # slack for nodal solution bounds, relative to max(|k*|, max |u_h|)
+_BLOCK_TERMS = 1 << 18  # (row, column) table entries evaluated at once
 # Rounding can hide a row maximum from the bisection of `_row_maxima` by a few
 # ulps per depth; rows within this slack (relative to the magnitude of the
 # summed logarithms) of the deciding value are rescanned exactly.
@@ -128,17 +128,24 @@ def compute_k_star(mesh: Mesh, assignment: dict, c_mode: str) -> float:
 
 @dataclass(frozen=True)
 class AssumptionSweep:
-    """Sampled values of the form applied to the cut pair, over cut levels.
+    """Values of the form applied to the cut pair, over cut levels >= k*.
 
-    The grid holds the threshold, every distinct nodal value above it and the
-    midpoints of consecutive such values; the sign pattern of the cut pair
-    changes only at nodal values, so this grid decides the verdict for every
-    real cut level.
+    Between consecutive grid levels the same matrix entries straddle every
+    cut level k, so there the form is one quadratic
+    q(k) = C0 - k C1 + k^2 C2.  The grid holds the threshold, every distinct
+    nodal value above it and the vertex of each convex piece (C2 > 0) that
+    lies strictly inside its interval; any other piece is smallest at an end,
+    so `min_value` is the minimum of q over every real k >= k*.  `min_ratio`
+    is the minimum over the grid of q(k) / T(k), with
+    T(k) = sum |a_ij| (u_i - k)(k - u_j) >= |q(k)| over the same entries
+    (0 where T vanishes); the verdict rests on it, so scaling u_h leaves it
+    unchanged.
     """
 
     k_values: np.ndarray
     q_values: np.ndarray
     min_value: float
+    min_ratio: float
     satisfied: bool
     scale: float
 
@@ -146,6 +153,7 @@ class AssumptionSweep:
         return {
             "verdict": "pass" if self.satisfied else "fail",
             "min_value": self.min_value,
+            "min_ratio": self.min_ratio,
             "scale": self.scale,
             "k_values": self.k_values.tolist(),
             "q_values": self.q_values.tolist(),
@@ -153,13 +161,9 @@ class AssumptionSweep:
 
 
 def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
-    values = np.unique(u_h.nodal_values)
-    values = values[values >= k_star]
-    grid = np.unique(np.concatenate([[k_star], values]))
-    if len(grid) > 1:
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        grid = np.unique(np.concatenate([grid, mids]))
-    return grid
+    """The threshold and every distinct nodal value above it, increasing."""
+    values = u_h.nodal_values
+    return np.unique(np.concatenate([[k_star], values[values > k_star]]))
 
 
 def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
@@ -169,23 +173,9 @@ def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
                             coeffs, rule or default_rule(mesh, coeffs))
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray):
-    """Concatenated index ranges [lo[s], hi[s]) and the range s of each index."""
-    lens = hi - lo
-    seg = np.repeat(np.arange(len(lens)), lens)
-    return seg, np.arange(len(seg)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-
-
-def _range_blocks(lens: np.ndarray):
-    """Runs (s0, s1) of consecutive ranges holding about _BLOCK_TERMS indices
-    each; a longer range forms a run of its own."""
-    ends = np.cumsum(lens)
-    s0 = 0
-    while s0 < len(lens):
-        stop = ends[s0] - lens[s0] + _BLOCK_TERMS
-        s1 = max(s0 + 1, int(np.searchsorted(ends, stop, side="right")))
-        yield s0, s1
-        s0 = s1
+def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """coef[0] + x coef[1] + x^2 coef[2], elementwise, for x >= 0."""
+    return coef[0] + x * (coef[1] + x * coef[2])
 
 
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
@@ -194,32 +184,88 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
     A nonzero matrix entry a_ij with u_i > u_j couples the cut pair exactly
-    on the levels u_j < k < u_i, where it adds (u_i - k) * a_ij * (u_j - k);
-    each level sums the terms of the entries straddling it, each term with
-    its exact sign.  `parts` are the `local_form_parts` frozen at u_h,
-    computed when not given.
+    on the levels u_j < k < u_i, where it adds (u_i - k) * a_ij * (u_j - k).
+    On each grid interval the entries straddling it give the three
+    coefficients of q, each one prefix sum over the entries' interval ranges,
+    so the pass costs O(nnz + levels) after the sort.  A level whose value
+    lies within the rounding bound of those sums is recomputed from its
+    terms, each with its exact sign, so every reported sign is that of the
+    summed terms.  `parts` are the `local_form_parts` frozen at u_h, computed
+    when not given.
     """
     if parts is None:
         parts = _form_parts(mesh, coeffs, rule, u_h)
     matrix = assemble_matrix(mesh, parts).tocoo()
     grid = _cut_level_grid(u_h, k_star)
+    n = len(grid)
     u = u_h.nodal_values
     u_i, u_j = u[matrix.row], u[matrix.col]
     keep = (u_i > u_j) & (matrix.data != 0.0)
     u_i, u_j, a_ij = u_i[keep], u_j[keep], matrix.data[keep]
-    first = np.searchsorted(grid, u_j, side="right")
-    stop = np.searchsorted(grid, u_i, side="left")
-    q_values = np.zeros(len(grid))
-    for s0, s1 in _range_blocks(stop - first):
-        entry, level = _ranges(first[s0:s1], stop[s0:s1])
-        entry += s0
-        k = grid[level]
-        terms = (u_i[entry] - k) * (a_ij[entry] * (u_j[entry] - k))
-        q_values += np.bincount(level, weights=terms, minlength=len(grid))
-    scale = max(1.0, float(np.abs(q_values).max())) if len(q_values) else 1.0
-    min_value = float(q_values.min()) if len(q_values) else 0.0
-    return AssumptionSweep(k_values=grid, q_values=q_values, min_value=min_value,
-                           satisfied=min_value >= -SIGN_TOL * scale, scale=scale)
+    # an entry straddles every level of the intervals [grid[p], grid[p+1]]
+    # with lo <= p < hi; "interval" n - 1, above the top level, stays empty
+    lo = np.searchsorted(grid, u_j, side="left")
+    hi = np.searchsorted(grid, u_i, side="right") - 1
+    live = lo < hi
+    u_i, u_j, a_ij, lo, hi = u_i[live], u_j[live], a_ij[live], lo[live], hi[live]
+
+    # Coefficients in t = k - c about the centre c of the grid: on interval p
+    # q = C0 - t C1 + t^2 C2 and T = -(E0 - t E1 + t^2 E2), the E with |a_ij|.
+    # Rows 0-5 of `enter` and `leave` hold the leaves of C and E, rows 6, 7
+    # and 5 the magnitudes of the leaves of C.
+    c = 0.5 * (grid[0] + grid[-1])
+    v_i, v_j, a_abs = u_i - c, u_j - c, np.abs(a_ij)
+    leaves = (a_ij * (v_i * v_j), a_ij * (v_i + v_j), a_ij,
+              a_abs * (v_i * v_j), a_abs * (v_i + v_j), a_abs,
+              np.abs(a_ij * (v_i * v_j)), a_abs * (np.abs(v_i) + np.abs(v_j)))
+    enter = np.array([np.bincount(lo, w, n) for w in leaves])
+    leave = np.array([np.bincount(hi, w, n) for w in leaves])
+    # Each interval takes its sums as prefix sums from below or as suffix
+    # sums from above, whichever carries the smaller rounding bound.  The
+    # bound is first order, doubled: each leaf term (within 4u), each
+    # bincount addition (count u times the leaves' sum) and each cumsum
+    # addition (u times the partial sum) on the way to the interval.
+    step = enter[:6] - leave[:6]
+    below = np.cumsum(step, axis=1)
+    above = np.zeros_like(below)
+    above[:, :-1] = -np.cumsum(step[:, :0:-1], axis=1)[:, ::-1]
+    churn = (np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n) + 4.0) \
+        * (enter[[6, 7, 5]] + leave[[6, 7, 5]])
+    err_below = np.cumsum(np.abs(below[:3]) + churn, axis=1)
+    churn[:, :-1], churn[:, -1] = churn[:, 1:], 0.0
+    err_above = np.cumsum((np.abs(above[:3]) + churn)[:, ::-1], axis=1)[:, ::-1]
+    dist = np.abs(grid - c)
+    pick = _poly_abs(err_above, dist) < _poly_abs(err_below, dist)
+    c0, c1, c2, e0, e1, e2 = np.where(pick, above, below)
+    err = np.where(pick, err_above, err_below)
+
+    # the vertex of each convex piece strictly inside its interval
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_vertex = c + c1[:-1] / (2.0 * c2[:-1])
+    convex = (c2[:-1] > 0.0) & (grid[:-1] < k_vertex) & (k_vertex < grid[1:])
+    k_values = np.concatenate([grid, k_vertex[convex]])
+    piece = np.concatenate([np.arange(n), np.flatnonzero(convex)])
+    order = np.argsort(k_values, kind="stable")
+    k_values, piece = k_values[order], piece[order]
+
+    t = k_values - c
+    q_values = c0[piece] - t * (c1[piece] - t * c2[piece])
+    t_values = -(e0[piece] - t * (e1[piece] - t * e2[piece]))
+    bound = 4.0 * np.finfo(float).eps * _poly_abs(err[:, piece], np.abs(t))
+    for r in np.flatnonzero((np.abs(q_values) <= bound) & (bound > 0.0)):
+        on = (lo <= piece[r]) & (piece[r] < hi)
+        k = k_values[r]
+        q_values[r] = math.fsum((u_i[on] - k) * (a_ij[on] * (u_j[on] - k)))
+        t_values[r] = math.fsum((u_i[on] - k) * (a_abs[on] * (k - u_j[on])))
+
+    # T >= |q| holds exactly; the max keeps rounding from breaking it
+    den = np.maximum(t_values, np.abs(q_values))
+    ratio = np.divide(q_values, den, out=np.zeros_like(q_values), where=den > 0.0)
+    min_ratio = float(ratio.min())
+    return AssumptionSweep(k_values=k_values, q_values=q_values,
+                           min_value=float(q_values.min()), min_ratio=min_ratio,
+                           satisfied=min_ratio >= -SIGN_TOL,
+                           scale=max(1.0, float(np.abs(q_values).max())))
 
 
 @dataclass(frozen=True)
@@ -446,6 +492,25 @@ def level_set_profile(mesh: Mesh, u_h: P1Field, k_values) -> np.ndarray:
 
 
 # -- iteration lemma -----------------------------------------------------------
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Concatenated index ranges [lo[s], hi[s]) and the range s of each index."""
+    lens = hi - lo
+    seg = np.repeat(np.arange(len(lens)), lens)
+    return seg, np.arange(len(seg)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+
+
+def _range_blocks(lens: np.ndarray):
+    """Runs (s0, s1) of consecutive ranges holding about _BLOCK_TERMS indices
+    each; a longer range forms a run of its own."""
+    ends = np.cumsum(lens)
+    s0 = 0
+    while s0 < len(lens):
+        stop = ends[s0] - lens[s0] + _BLOCK_TERMS
+        s1 = max(s0 + 1, int(np.searchsorted(ends, stop, side="right")))
+        yield s0, s1
+        s0 = s1
+
 
 # Both De Giorgi tables have entries log(L_b - l_a) + g(a) + h(b) with
 # increasing l and L, whose differences increase in (a, b); so the column of
@@ -755,6 +820,7 @@ class DmpCertificate:
 
     k_star: float
     sup_uh: float
+    bound_tol: float  # absolute slack of sup u_h <= k*
     theorem_3_3_applicable: dict
     theorem_3_3_holds: bool | None
     h_nu: float
@@ -784,7 +850,7 @@ class DmpCertificate:
             return "not-applicable"
         if self.f_norm > 1e-300:
             return "pass"  # the generic constant is reported, not asserted
-        return "pass" if self.sup_uh <= self.k_star + BOUND_TOL else "fail"
+        return "pass" if self.sup_uh <= self.k_star + self.bound_tol else "fail"
 
     @property
     def level_sets_verdict(self) -> str:
@@ -837,7 +903,7 @@ class DmpCertificate:
                 "applicable": self.theorem_3_3_applicable,
                 "h_nu": self.h_nu,
                 "holds": self.theorem_3_3_holds,
-                "bound_tol": BOUND_TOL,
+                "bound_tol": self.bound_tol,
             },
             "assumption_a": self.assumption.to_dict(),
             "element_condition": self.element_condition.to_dict(),
@@ -898,6 +964,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     assignment = interpolate_boundary(mesh, coeffs.g)
     k_star = compute_k_star(mesh, assignment, coeffs.c_mode)
     sup_uh = u_h.max_value()
+    bound_tol = BOUND_TOL * max(abs(k_star), float(np.abs(u_h.nodal_values).max()))
 
     # The (C, M, M) parts are shared by the sweep and the element and edge
     # checks, and dropped before the quadrature-point passes that follow.
@@ -916,14 +983,13 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
 
     xq = physical_points(mesh, rule)
     fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
-    f_scale = max(1.0, float(np.abs(fvals).max()))
-    f_nonpositive = bool(fvals.max() <= 1e-12 * f_scale)
+    f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))
     h_nu = float(mesh.h * coeffs.nu)
     applicable = {"f_nonpositive": f_nonpositive, "h_nu_below_one": h_nu < 1.0}
     flags_true = f_nonpositive and h_nu < 1.0
     holds = None
     if flags_true and sweep.satisfied:
-        holds = bool(sup_uh <= k_star + BOUND_TOL)
+        holds = bool(sup_uh <= k_star + bound_tol)
 
     f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent)
     overshoot = max(sup_uh - k_star, 0.0)
@@ -956,7 +1022,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     }
 
     return DmpCertificate(
-        k_star=k_star, sup_uh=sup_uh,
+        k_star=k_star, sup_uh=sup_uh, bound_tol=bound_tol,
         theorem_3_3_applicable=applicable, theorem_3_3_holds=holds, h_nu=h_nu,
         f_norm=f_norm, f_norm_exponent=params.f_norm_exponent,
         empirical_c=empirical_c,

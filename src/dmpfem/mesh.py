@@ -391,16 +391,22 @@ def mesh_to_dict(mesh: Mesh) -> dict:
     }
 
 
-def mesh_from_dict(data: dict) -> Mesh:
+def mesh_from_dict(data: dict, path=None) -> Mesh:
+    """Build a `Mesh` from its JSON form; `path` names the file it came from
+    in the `InvalidParameters` raised for missing or wrongly typed keys."""
+    where = "" if path is None else f" ({path})"
     missing = [key for key in ("dim", "vertices", "cells") if key not in data]
     if missing:
-        raise InvalidParameters(f"mesh data lacks keys {missing}")
-    mesh = build_mesh(data["vertices"], data["cells"])
+        raise InvalidParameters(f"mesh data lacks keys {missing}{where}")
+    source = "mesh data" + where
+    mesh = build_mesh(json_value(data, "vertices", lambda v: np.asarray(v, dtype=float), source),
+                      json_value(data, "cells", lambda c: np.asarray(c, dtype=np.int64), source))
     if "boundary_nodes" in data and data["boundary_nodes"] is not None:
-        stored = frozenset(int(i) for i in data["boundary_nodes"])
+        stored = json_value(data, "boundary_nodes", lambda b: frozenset(int(i) for i in b),
+                            source)
         if stored != mesh.boundary_nodes:
             raise NonManifold("stored boundary_nodes disagree with facet incidence")
-    if mesh.dim != int(data["dim"]):
+    if mesh.dim != json_value(data, "dim", int, source):
         raise DimensionMismatch("stored dim disagrees with vertex coordinates")
     return mesh
 
@@ -424,8 +430,17 @@ def read_json_object(path, what: str) -> dict:
     return data
 
 
+def json_value(data: dict, key: str, convert, source: str):
+    """convert(data[key]); raises `InvalidParameters` naming the source and
+    the key when the value has the wrong type."""
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameters(f"{source}: key {key!r} has the wrong type: {exc}") from exc
+
+
 def load_mesh(path) -> Mesh:
-    return mesh_from_dict(read_json_object(path, "mesh file"))
+    return mesh_from_dict(read_json_object(path, "mesh file"), path)
 
 
 ROW_BLOCK = 8192  # rows formatted per write: bounds the Python strings held at once

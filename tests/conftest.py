@@ -265,21 +265,28 @@ def level_set_measure(mesh: Mesh, u_h, k: float) -> float:
     return float(mesh.cell_measures[cell_max > k].sum())
 
 
-def loop_assumption_sweep(mesh: Mesh, u_h, parts, k_star: float):
-    """(k_values, q_values) of `assumption_a_sweep` by one matrix-vector
-    product per cut level of the decisive grid."""
-    from dmpfem.dmp import _cut_level_grid
+def loop_assumption_sweep(mesh: Mesh, u_h, parts, k_star: float, levels=None):
+    """(k_values, q_values, t_values) of the cut-pair form, one matrix pass
+    per cut level: q(k) = sum a_ij (u_i - k)^+ (u_j - k)^- and
+    T(k) = sum |a_ij| (u_i - k)^+ |(u_j - k)^-|, each the exactly rounded sum
+    of its terms.  The levels are k_star, every distinct nodal value at or
+    above it and the midpoints of consecutive ones, unless given."""
     from dmpfem.p1 import cut_minus, cut_plus
     from dmpfem.solver import assemble_matrix
 
-    matrix = assemble_matrix(mesh, parts)
-    grid = _cut_level_grid(u_h, k_star)
-    q_values = np.empty(len(grid))
-    for i, k in enumerate(grid):
-        plus = cut_plus(u_h, k).nodal_values
-        minus = cut_minus(u_h, k).nodal_values
-        q_values[i] = plus @ (matrix @ minus)
-    return grid, q_values
+    matrix = assemble_matrix(mesh, parts).tocoo()
+    if levels is None:
+        values = u_h.nodal_values
+        levels = np.unique(np.concatenate([[k_star], values[values >= k_star]]))
+        levels = np.unique(np.concatenate([levels, 0.5 * (levels[:-1] + levels[1:])]))
+    levels = np.asarray(levels, dtype=float)
+    q_values, t_values = np.empty(len(levels)), np.empty(len(levels))
+    for i, k in enumerate(levels):
+        plus = cut_plus(u_h, k).nodal_values[matrix.row]
+        minus = cut_minus(u_h, k).nodal_values[matrix.col]
+        q_values[i] = math.fsum(plus * (matrix.data * minus))
+        t_values[i] = math.fsum(plus * (np.abs(matrix.data) * -minus))
+    return levels, q_values, t_values
 
 
 def _table_row_blocks(n: int):

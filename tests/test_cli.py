@@ -358,9 +358,14 @@ class TestSolutionFile:
         assert "node 4 appears twice" in capsys.readouterr().err
 
 
+_COEFFS_2D = {"a": "1", "b": ["0", "0"], "c": "0", "f": "1", "g": "0", "lambda": 1.0,
+              "Lambda": 1.0, "nu": 0.0, "c_mode": "identically-zero"}
+
+
 class TestMalformedJson:
-    """Each JSON input that does not decode, is not an object or lacks a field
-    exits 1 with a message, not a traceback."""
+    """Each JSON input that does not decode, is not an object, lacks a field
+    or holds a value of the wrong type exits 1 with a message, not a
+    traceback."""
 
     @pytest.mark.parametrize("target, content, message", [
         pytest.param("mesh", "{bad", "is not valid JSON", id="mesh-not-json"),
@@ -375,6 +380,15 @@ class TestMalformedJson:
         pytest.param("solve-result", '{"picard_iterations": "x"}',
                      "picard_iterations must be int, got 'x'", id="solve-result-bad-type"),
         pytest.param("report", "[1,2]", "does not hold a JSON object", id="report-array"),
+        pytest.param("mesh", '{"dim": 2, "vertices": "abc", "cells": []}',
+                     "key 'vertices' has the wrong type", id="mesh-vertices-string"),
+        pytest.param("mesh", '{"dim": 2, "vertices": [[0,0],[1,0],[0,1]], '
+                     '"cells": [[0,1,2]], "boundary_nodes": ["a"]}',
+                     "key 'boundary_nodes' has the wrong type", id="mesh-boundary-string"),
+        pytest.param("coeffs", json.dumps(dict(_COEFFS_2D, b=5)),
+                     "key 'b' has the wrong type", id="coeffs-b-number"),
+        pytest.param("coeffs", json.dumps({**_COEFFS_2D, "lambda": "x"}),
+                     "key 'lambda' has the wrong type", id="coeffs-lambda-string"),
     ])
     def test_exits_one_with_message(self, square_mesh, tmp_path, capsys,
                                     target, content, message):

@@ -9,8 +9,9 @@ import dmpfem.dmp
 import dmpfem.p1
 import dmpfem.solver
 from dmpfem.dmp import (
+    BOUND_TOL,
     PAIR_TOL,
-    AssumptionSweep,
+    SIGN_TOL,
     DeGiorgiInput,
     DmpParams,
     assumption_a_sweep,
@@ -61,6 +62,33 @@ from conftest import (
     table_de_giorgi_verify,
     table_fit_decay_constant,
 )
+
+
+def _assert_sweep_matches_loop(sweep, m, v, parts, k_star):
+    """The sweep against the loop oracle: on the oracle's own grid (k*, the
+    nodal values and their midpoints) and at every level the sweep reports,
+    q within 1e-12 * scale and with the same sign; no sampled oracle level
+    below the reported minimum; the same minimum ratio q / T."""
+    k_loop, q_loop, _ = loop_assumption_sweep(m, v, parts, k_star)
+    scale = max(1.0, float(np.abs(q_loop).max()))
+    values = v.nodal_values
+    assert np.all(np.isin(np.unique(np.append(values[values >= k_star], k_star)),
+                          sweep.k_values))
+    _, mine, theirs = np.intersect1d(sweep.k_values, k_loop, return_indices=True)
+    assert np.abs(sweep.q_values[mine] - q_loop[theirs]).max() <= 1e-12 * scale
+    assert np.array_equal(np.sign(sweep.q_values[mine]), np.sign(q_loop[theirs]))
+    assert sweep.min_value <= q_loop.min() + 1e-12 * scale
+    if q_loop.min() < 0.0:
+        assert sweep.min_value < 0.0
+
+    _, q_at, t_at = loop_assumption_sweep(m, v, parts, k_star, levels=sweep.k_values)
+    assert np.abs(sweep.q_values - q_at).max() <= 1e-12 * scale
+    assert np.array_equal(np.sign(sweep.q_values), np.sign(q_at))
+    assert sweep.min_value == sweep.q_values.min()
+    den = np.maximum(t_at, np.abs(q_at))
+    ratio = np.divide(q_at, den, out=np.zeros_like(q_at), where=den > 0.0)
+    assert abs(sweep.min_ratio - ratio.min()) <= 1e-9
+    assert sweep.satisfied == (ratio.min() >= -SIGN_TOL)
 
 
 def _verify_outcome(verify, inp):
@@ -143,6 +171,66 @@ class TestAssumptionSweep:
                                    k_star=0.0)
         assert not sweep.satisfied
         assert sweep.min_value < 0
+
+    @pytest.mark.parametrize("seed", [25, 29, 45, 53])
+    def test_convex_piece_minimum(self, seed):
+        # strong drift makes some pieces q(k) convex; their vertices join the
+        # levels, and no level between them lies below the reported minimum
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(n) for n in rng.integers(1, 5, 2))
+        m = generate_structured_2d(nx, ny, skew=rng.uniform(0, 0.8))
+        coeffs = advection_diffusion(list(rng.uniform(-60, 60, 2)), f=1.0)
+        v = P1Field(m, rng.uniform(-1, 1, m.num_vertices))
+        parts = local_form_parts(m, v, coeffs, default_rule(m, coeffs))
+        sweep = assumption_a_sweep(m, v, coeffs, k_star=-2.0, parts=parts)
+        assert len(sweep.k_values) > len(np.unique(v.nodal_values)) + 1
+        _assert_sweep_matches_loop(sweep, m, v, parts, -2.0)
+        levels = np.linspace(-2.0, v.max_value(), 4001)
+        _, q_values, _ = loop_assumption_sweep(m, v, parts, -2.0, levels=levels)
+        assert sweep.min_value <= q_values.min() + 1e-12 * sweep.scale
+        assert not sweep.satisfied
+
+    @pytest.mark.parametrize("problem, skew, f", [
+        ("poisson", 0.6, 1.0), ("poisson", 0.6, 1e-3), ("poisson", 0.6, 1e-6),
+        ("drift", 0.0, 1e-6)])
+    def test_verdict_does_not_depend_on_scale(self, problem, skew, f):
+        # the obtuse skewed mesh and the strong drift break the inequality at
+        # every scale of f; an absolute slack let the small scales pass
+        m = generate_structured_2d(8, 8, skew=skew)
+        coeffs = {"poisson": poisson(f=f), "drift": advection_diffusion([40.0, -30.0], f=f)}[problem]
+        sweep = assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs)
+        assert not sweep.satisfied
+        assert sweep.min_value < 0.0 and sweep.min_ratio < -0.5
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), skew=st.floats(0.0, 0.7),
+           problem=st.sampled_from(["poisson", "drift"]), j=st.integers(-40, 40))
+    def test_power_of_two_scaling(self, n, skew, problem, j):
+        # f -> 2^j f scales the linear solution, so k and q exactly: the
+        # ratio q / T is bit for bit the same
+        m = generate_structured_2d(n, n, skew=skew)
+        make = {"poisson": lambda f: poisson(f=f),
+                "drift": lambda f: advection_diffusion([40.0, -30.0], f=f)}[problem]
+        sweeps = []
+        for f in (1.0, 2.0 ** j):
+            coeffs = make(f)
+            sweeps.append(assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs))
+        base, scaled = sweeps
+        assert np.array_equal(scaled.k_values, 2.0 ** j * base.k_values)
+        assert scaled.min_ratio == base.min_ratio
+        assert scaled.satisfied == base.satisfied
+
+    def test_expands_no_entry_level_pairs(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the sweep expands (entry, level) pairs")
+
+        monkeypatch.setattr(dmpfem.dmp, "_ranges", refused)
+        for skew in (0.0, 0.6):
+            m = generate_structured_2d(16, 16, skew=skew)
+            coeffs = poisson(f=1.0)
+            sweep = assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs)
+            assert len(sweep.k_values) > 50
+            assert sweep.satisfied == (skew == 0.0)
 
     def test_one_level_against_direct_triple_sum(self):
         # independent oracle: expand the form value over cells and vertex pairs
@@ -401,7 +489,7 @@ class TestDeGiorgi:
     @given(nx=st.integers(1, 7), ny=st.integers(1, 7),
            pattern=st.sampled_from(["right-diagonal", "crisscross"]),
            skew=st.floats(0.0, 0.7), amount=st.floats(0.0, 0.2),
-           problem=st.sampled_from(["poisson", "drift", "quasilinear"]),
+           problem=st.sampled_from(["poisson", "drift", "strong-drift", "quasilinear"]),
            field=st.sampled_from(["random", "ties", "constant", "solved"]),
            level=st.sampled_from(["zero", "below", "top"]),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -412,6 +500,7 @@ class TestDeGiorgi:
                            rng, amount)
         coeffs = {"poisson": poisson(f=1.0),
                   "drift": advection_diffusion([3.0, -2.0], f=1.0, c0=0.5),
+                  "strong-drift": advection_diffusion([40.0, -30.0], f=1.0),
                   "quasilinear": quasilinear_a(f=1.0)}[problem]
         v = {"random": lambda: random_nodal_field(m, rng),
              "ties": lambda: P1Field(m, np.round(rng.uniform(-1, 1, m.num_vertices), 1)),
@@ -422,12 +511,7 @@ class TestDeGiorgi:
 
         parts = local_form_parts(m, v, coeffs, quadrature_rule(2, 4))
         sweep = assumption_a_sweep(m, v, coeffs, k_star=k_star, parts=parts)
-        k_values, q_values = loop_assumption_sweep(m, v, parts, k_star)
-        assert np.array_equal(sweep.k_values, k_values)
-        scale = max(1.0, float(np.abs(q_values).max()))
-        assert np.abs(sweep.q_values - q_values).max() <= 1e-12 * scale
-        if q_values.min() >= 0.0:
-            assert sweep.min_value >= 0.0
+        _assert_sweep_matches_loop(sweep, m, v, parts, k_star)
 
         grid = np.unique(np.concatenate([[k_star], v.nodal_values]))
         profile = np.column_stack([grid, level_set_profile(m, v, grid)])
@@ -450,9 +534,8 @@ class TestDeGiorgi:
         monkeypatch.setattr(dmpfem.dmp, "_BLOCK_TERMS", 7)
         monkeypatch.setattr(dmpfem.dmp, "_ROW_SLACK", np.inf)  # rescan every row
         sweep = assumption_a_sweep(m, v, coeffs)
-        _, q_values = loop_assumption_sweep(m, v, local_form_parts(
+        _assert_sweep_matches_loop(sweep, m, v, local_form_parts(
             m, v, coeffs, quadrature_rule(2, 2)), 0.0)
-        assert sweep.q_values == pytest.approx(q_values, rel=1e-12, abs=1e-12)
         fitted = fit_decay_constant(profile, 4.0, 1.5, 0.0)
         assert fitted == table_fit_decay_constant(profile, 4.0, 1.5, 0.0)
         outcomes = []
@@ -528,6 +611,38 @@ class TestCertificate:
         assert not cert.theorem_3_3_applicable["f_nonpositive"]
         assert cert.empirical_c is not None and cert.empirical_c > 0
         assert cert.de_giorgi is not None and cert.de_giorgi.all_pass
+
+    @pytest.mark.parametrize("j", [-30, -12, 12, 30])
+    def test_bound_verdicts_do_not_depend_on_scale(self, j):
+        # f and g scaled by 2^j scale u_h and k* exactly; the slack of
+        # sup u_h <= k* scales with them
+        m = generate_structured_2d(8, 8)
+        verdicts = []
+        for s in (1.0, 2.0 ** j):
+            for coeffs in (advection_diffusion([1.0, 0.0], f=-s, g=lambda x, s=s: s * x[..., 0]),
+                           poisson(f=0.0, g=lambda x, s=s: s * (1.0 + x[..., 0] * x[..., 1]))):
+                cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs)
+                assert cert.bound_tol == BOUND_TOL * max(abs(cert.k_star),
+                                                         float(np.abs(cert.sup_uh)))
+                verdicts.append((cert.theorem_3_2_verdict, cert.theorem_3_3_verdict))
+        assert verdicts[:2] == verdicts[2:] == [("pass", "pass")] * 2
+
+    def test_small_overshoot_at_small_scale_fails(self):
+        # sup u_h = k* + 1e-12 on a field of size 1e-6 is an overshoot of
+        # 1e-6 of the field's size, not rounding
+        m = generate_structured_2d(8, 8)
+        values = -1e-6 * np.ones(m.num_vertices)
+        values[sorted(m.boundary_nodes)] = 0.0
+        interior = sorted(set(range(m.num_vertices)) - m.boundary_nodes)
+        values[interior[0]] = 1e-12
+        fake = SolveResult(u_h=P1Field(m, values), picard_iterations=1,
+                           final_update_norm=0.0, final_linear_residual=0.0,
+                           converged=True)
+        cert = dmp_certificate(m, fake, poisson(f=0.0, g=0.0))
+        assert cert.assumption.satisfied and cert.bound_tol == 1e-15
+        assert cert.theorem_3_2_verdict == "fail"
+        assert cert.theorem_3_3_verdict == "fail"
+        assert cert.to_dict()["theorem_3_3"]["bound_tol"] == 1e-15
 
     def test_unconverged_rejected(self):
         m = generate_structured_2d(4, 4)

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import (
@@ -186,6 +187,19 @@ class TestCutFunctions:
         for k in (-1.0, 0.37, 2.9):
             total = cut_plus(v, k).nodal_values + cut_minus(v, k).nodal_values + k
             assert total == pytest.approx(v.nodal_values, rel=1e-15, abs=1e-15)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300), min_size=9, max_size=9),
+           k=st.one_of(st.just(0.0), st.floats(-1e300, 1e300)))
+    def test_decomposition_identity_property(self, values, k):
+        v = P1Field(generate_structured_2d(2, 2), np.array(values))
+        plus, minus = cut_plus(v, k).nodal_values, cut_minus(v, k).nodal_values
+        assert np.all(plus >= 0.0) and np.all(minus <= 0.0)
+        total = plus + minus + k
+        if k == 0.0:
+            assert np.array_equal(total, v.nodal_values)
+        ulp = np.spacing(np.maximum(np.abs(v.nodal_values), abs(k)))
+        assert np.all(np.abs(total - v.nodal_values) <= ulp)
 
     def test_signs_and_extremes(self):
         m = generate_structured_2d(3, 3)
