@@ -328,9 +328,8 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
     # the gradient on the first index, so transpose to [cell, i, j].
     total = np.swapaxes(diffusion + advection + reaction, 1, 2)
     d_pair = -total
-    scale = np.maximum(
-        1.0, (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2)))
-    tol = PAIR_TOL * scale
+    # relative to each cell's own entries, so a scaled form keeps its verdicts
+    tol = PAIR_TOL * (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
 
     grads = gradient_table(mesh)
     gnorm = np.linalg.norm(grads, axis=-1)
@@ -451,7 +450,7 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
     rev = total[cells, lm, ln]
     s_fwd = 0.0 + fwd[:, 0] + fwd[:, 1]
     s_rev = 0.0 + rev[:, 0] + rev[:, 1]
-    scale = np.maximum(1.0, cell_scale[cells].max(axis=1))
+    scale = cell_scale[cells].max(axis=1)
     alpha, beta = edges.opposite_angles.T
     cot = edges.opposite_cotangents
     closed = -(cot[:, 0] + cot[:, 1]) / 2.0
@@ -921,23 +920,26 @@ class DmpCertificate:
         }
 
 
-def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float) -> float:
-    if math.isinf(exponent):
-        rule = quadrature_rule(mesh.dim, 4)
-        xq = physical_points(mesh, rule)
+def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
+                 rule: QuadratureRule, fvals: np.ndarray) -> float:
+    """L^exponent norm of f by quadrature (the maximum over the degree-4
+    points for an infinite exponent).  `fvals` are f at the points of `rule`,
+    reused when the norm's rule is that one."""
+    degree = 4 if math.isinf(exponent) else max(4, int(math.ceil(exponent)) + 1)
+    norm_rule = quadrature_rule(mesh.dim, degree)
+    if norm_rule is not rule:
+        xq = physical_points(mesh, norm_rule)
         fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
-        return float(np.abs(fvals).max())
-    degree = max(4, int(math.ceil(exponent)) + 1)
-    rule = quadrature_rule(mesh.dim, degree)
-    xq = physical_points(mesh, rule)
-    fvals = np.abs(np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2]))
-    total = np.einsum("cq,q,c->", fvals ** exponent, rule.weights, mesh.cell_measures)
+    fvals = np.abs(fvals)
+    if math.isinf(exponent):
+        return float(fvals.max())
+    total = np.einsum("cq,q,c->", fvals ** exponent, norm_rule.weights, mesh.cell_measures)
     return float(total ** (1.0 / exponent))
 
 
 def _select_element_case(parts, coeffs: CoefficientSet) -> str:
     diffusion, advection, reaction = parts
-    scale = max(1.0, float(np.abs(diffusion).max()))
+    scale = float(np.abs(diffusion).max())
     b_zero = float(np.abs(advection).max()) <= PAIR_TOL * scale
     c_zero = float(np.abs(reaction).max()) <= PAIR_TOL * scale
     if b_zero and c_zero:
@@ -979,10 +981,12 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
         edge = edge_condition_check_2d(mesh, coeffs, rule, w=u_h, parts=parts)
     del parts
 
-    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule)
-
-    xq = physical_points(mesh, rule)
-    fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
+    # One set of quadrature points for the zeroth-order check, the sign of f
+    # and, when its rule matches, the norm of f.
+    points = physical_points(mesh, rule)
+    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _points=points)
+    fvals = np.broadcast_to(np.asarray(coeffs.f(points), float), points.shape[:2])
+    del points
     f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))
     h_nu = float(mesh.h * coeffs.nu)
     applicable = {"f_nonpositive": f_nonpositive, "h_nu_below_one": h_nu < 1.0}
@@ -991,7 +995,8 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     if flags_true and sweep.satisfied:
         holds = bool(sup_uh <= k_star + bound_tol)
 
-    f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent)
+    f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent, rule, fvals)
+    del fvals
     overshoot = max(sup_uh - k_star, 0.0)
     empirical_c = overshoot / f_norm if f_norm > 1e-300 else None
 

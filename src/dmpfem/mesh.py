@@ -58,9 +58,13 @@ def _signed_measures(verts: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_diameters(verts: np.ndarray) -> np.ndarray:
-    """Max pairwise vertex distance per simplex; verts (..., d+1, d)."""
-    diff = verts[..., :, None, :] - verts[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(-1, -2))
+    """Max pairwise vertex distance per simplex; verts (..., d+1, d).  Takes
+    the d(d+1)/2 distinct pairs and one square root of the largest squared
+    length (the square root is monotone, so the bits equal the all-pairs
+    maximum)."""
+    i, j = np.triu_indices(verts.shape[-2], 1)
+    diff = verts[..., i, :] - verts[..., j, :]
+    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -412,8 +416,9 @@ def mesh_from_dict(data: dict, path=None) -> Mesh:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
+    # json.dumps runs the C encoder; json.dump always takes the pure-Python one.
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(mesh_to_dict(mesh), fp)
+        fp.write(json.dumps(mesh_to_dict(mesh)))
         fp.write("\n")
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import InvalidParameters
 from .mesh import Mesh, macro_measures, write_rows
@@ -90,8 +89,12 @@ def _collapsed_rule(dim: int, degree: int):
     """Conical-product Gauss rule on the reference simplex, any degree.
 
     Positive weights; built from Gauss-Legendre/Gauss-Jacobi factors through
-    the collapsed-coordinate map, exact for total degree <= degree.
+    the collapsed-coordinate map, exact for total degree <= degree.  Only
+    degrees beyond the tabulated rules get here, so `scipy.special` is
+    imported here and not with the package.
     """
+    from scipy.special import roots_jacobi, roots_legendre
+
     n = degree // 2 + 1
     xg, wg = roots_legendre(n)
     tg, vg = 0.5 * (xg + 1.0), 0.5 * wg  # weight 1 on [0,1]

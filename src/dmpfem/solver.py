@@ -247,21 +247,22 @@ def default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
     return quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
 
 
-def _state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule):
+def _state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule, points=None):
     """Quadrature points (C, Q, D) with the state w there (C, Q) and its
-    constant per-cell gradient broadcast over the points (C, Q, D)."""
-    xq = physical_points(mesh, rule)
+    constant per-cell gradient broadcast over the points (C, Q, D).  `points`
+    are the `physical_points` of the rule when the caller already holds them."""
+    xq = physical_points(mesh, rule) if points is None else points
     return xq, w.values_in_cells(rule), np.broadcast_to(w.cell_gradients()[:, None, :], xq.shape)
 
 
 def coefficient_samples(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-                        rule: QuadratureRule):
+                        rule: QuadratureRule, *, _points=None):
     """Evaluate (a, b, c) at all quadrature points with state frozen at w.
 
     Returns the quadrature coordinates and arrays of shapes (C, Q), (C, Q, D)
     and (C, Q).
     """
-    xq, eta, p = _state_samples(mesh, w, rule)
+    xq, eta, p = _state_samples(mesh, w, rule, _points)
     a = np.broadcast_to(np.asarray(coeffs.a(xq, eta, p), float), eta.shape)
     b = np.broadcast_to(np.asarray(coeffs.b(xq, eta, p), float), xq.shape)
     c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
@@ -288,49 +289,97 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
 
     a_cell = np.einsum("cq,q->c", a, wq) * meas
     diffusion = np.einsum("c,cmd,cnd->cmn", a_cell, grads, grads)
-    b_cell = np.einsum("cqd,qm,q->cmd", b, bar, wq)
+    b_cell = np.matmul(b.transpose(0, 2, 1), bar * wq[:, None]).transpose(0, 2, 1)
     advection = (b_cell @ grads.transpose(0, 2, 1)) * meas[:, None, None]
     mass = (bar[:, :, None] * bar[:, None, :] * wq[:, None, None]).reshape(len(wq), -1)
     reaction = (c @ mass).reshape(-1, n_local, n_local) * meas[:, None, None]
     return diffusion, advection, reaction
 
 
-def assemble_matrix(mesh: Mesh, parts) -> sparse.csr_matrix:
-    """Global matrix of the form from its `local_form_parts`."""
-    diffusion, advection, reaction = parts
-    local = diffusion + advection + reaction
-    m = mesh.dim + 1
+@dataclass(frozen=True)
+class AssemblyMap:
+    """Canonical CSR pattern of a mesh's global matrix, and the slot in it of
+    every local entry [cell, test, trial] (row-major over the cells).
+
+    Assembling is then one `np.bincount` of the local entries into the
+    pattern: no sort and no duplicate summation per assembly.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    def matrix(self, local: np.ndarray) -> sparse.csr_matrix:
+        """Global matrix of (C, M, M) local matrices; the contributions to each
+        entry are summed in cell order."""
+        data = np.bincount(self.slots, weights=local.ravel(), minlength=self.indices.shape[0])
+        n = self.indptr.shape[0] - 1
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def assembly_map(mesh: Mesh) -> AssemblyMap:
+    """Group the (row, col) pairs of all local entries, packed as int64 keys
+    row * n + col, by one sort: ascending keys are the CSR order.  The stable
+    sort is the faster one on these partly ordered keys."""
     n = mesh.num_vertices
-    rows = np.repeat(mesh.cells[:, :, None], m, axis=2)
-    cols = np.repeat(mesh.cells[:, None, :], m, axis=1)
-    return sparse.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    cells = mesh.cells
+    keys = (cells[:, :, None] * n + cells[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(ordered.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    slots = np.empty_like(order)
+    slots[order] = np.cumsum(first) - 1
+    pattern = ordered[first]
+    rows = pattern // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return AssemblyMap(indptr=indptr, indices=pattern - rows * n, slots=slots)
+
+
+def assemble_matrix(mesh: Mesh, parts, layout: AssemblyMap | None = None) -> sparse.csr_matrix:
+    """Global matrix of the form from its `local_form_parts`, scattered through
+    `layout` (the mesh's `assembly_map`, built when not given)."""
+    diffusion, advection, reaction = parts
+    return (layout or assembly_map(mesh)).matrix(diffusion + advection + reaction)
+
+
+class _FrozenFormAssembly:
+    """The state-independent data of the frozen-coefficient form on one mesh:
+    quadrature points, load vector and assembly map, computed once.  Each
+    `system(w)` then samples the coefficients at w, forms the local parts and
+    scatters them."""
+
+    def __init__(self, mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None):
+        if rule is None:
+            rule = default_rule(mesh, coeffs)
+        if not coeffs.constant_coefficients and rule.degree < 4:
+            warnings.warn("quadrature degree < 4 with non-constant coefficients",
+                          QuadratureDegreeTooLow)
+        self.mesh, self.coeffs, self.rule = mesh, coeffs, rule
+        self.points = physical_points(mesh, rule)
+        fvals = np.broadcast_to(np.asarray(coeffs.f(self.points), float), self.points.shape[:2])
+        local_rhs = (fvals @ (rule.points * rule.weights[:, None])) * mesh.cell_measures[:, None]
+        self.rhs = np.bincount(mesh.cells.ravel(), weights=local_rhs.ravel(),
+                               minlength=mesh.num_vertices)
+        self.layout = assembly_map(mesh)
+
+    def system(self, w: P1Field) -> SparseSystem:
+        mesh, rule = self.mesh, self.rule
+        values = coefficient_samples(mesh, w, self.coeffs, rule, _points=self.points)[1:]
+        parts = local_form_parts(mesh, w, self.coeffs, rule, _values=values)
+        del values
+        n = mesh.num_vertices
+        return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs,
+                            dirichlet_mask=np.zeros(n, dtype=bool),
+                            dirichlet_values=np.zeros(n))
 
 
 def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
                rule: QuadratureRule | None = None) -> SparseSystem:
     """Assemble matrix and load vector of the form with coefficients frozen at w."""
-    if rule is None:
-        rule = default_rule(mesh, coeffs)
-    if not coeffs.constant_coefficients and rule.degree < 4:
-        warnings.warn("quadrature degree < 4 with non-constant coefficients",
-                      QuadratureDegreeTooLow)
-
-    # One set of quadrature points per pass, released before the contraction.
-    xq, *values = coefficient_samples(mesh, w, coeffs, rule)
-    fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
-    local_rhs = np.einsum("cq,qm,q->cm", fvals, rule.points, rule.weights)
-    local_rhs = local_rhs * mesh.cell_measures[:, None]
-    del xq, fvals
-    parts = local_form_parts(mesh, w, coeffs, rule, _values=values)
-    del values
-    matrix = assemble_matrix(mesh, parts)
-    n = mesh.num_vertices
-    rhs = np.bincount(mesh.cells.ravel(), weights=local_rhs.ravel(), minlength=n)
-
-    return SparseSystem(matrix=matrix, rhs=rhs,
-                        dirichlet_mask=np.zeros(n, dtype=bool),
-                        dirichlet_values=np.zeros(n))
+    return _FrozenFormAssembly(mesh, coeffs, rule).system(w)
 
 
 def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
@@ -342,7 +391,13 @@ def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
 
 def apply_dirichlet(system: SparseSystem, assignment: dict, mesh: Mesh) -> SparseSystem:
     """Constrain nodes to prescribed values by row replacement and symmetric
-    column elimination; the assignment must cover every boundary node."""
+    column elimination; the assignment must cover every boundary node.
+
+    The result keeps the matrix's CSR pattern minus the pinned rows and
+    columns and the exact zeros, with each pinned diagonal set to one; the
+    matrix must store the diagonal of every pinned node, as an assembled one
+    does for every vertex of a cell.
+    """
     missing = mesh.boundary_nodes - set(assignment)
     if missing:
         raise MissingBoundaryValue(
@@ -355,17 +410,21 @@ def apply_dirichlet(system: SparseSystem, assignment: dict, mesh: Mesh) -> Spars
     values[pinned] = np.fromiter(assignment.values(), dtype=float, count=len(assignment))
 
     a = system.matrix.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
     rhs = system.rhs - a @ values
     rhs[mask] = values[mask]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    pinned_row = mask[rows]
+    diagonal = pinned_row & (a.indices == rows)
     # Exact zeros go too: right-angled and Kuhn meshes have many, and as stored
     # entries they raise the LU fill ~1.7x.
-    entries = a.tocoo()
-    keep = (entries.data != 0.0) & ~(mask[entries.row] | mask[entries.col])
+    keep = diagonal | ((a.data != 0.0) & ~pinned_row & ~mask[a.indices])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
     constrained = sparse.csr_matrix(
-        (np.concatenate([entries.data[keep], np.ones(pinned.size)]),
-         (np.concatenate([entries.row[keep], pinned]),
-          np.concatenate([entries.col[keep], pinned]))),
-        shape=(n, n))
+        (np.where(diagonal, 1.0, a.data)[keep], a.indices[keep], indptr), shape=(n, n))
     return SparseSystem(matrix=constrained, rhs=rhs,
                         dirichlet_mask=mask, dirichlet_values=values)
 
@@ -380,11 +439,16 @@ def _relative_residual(matrix, rhs, x) -> float:
 def linear_solve(system: SparseSystem, opts: SolveOptions | None = None) -> np.ndarray:
     """Solve the constrained system (symmetric or not, pinned rows are identity
     rows) by one SuperLU factorization; minimum degree on A^T + A halves the
-    COLAMD fill on the 2D and 3D ladders.  A singular or non-finite matrix, or a
-    relative residual above `10 * linear_tol`, raises `LinearSolveDiverged`."""
+    COLAMD fill on the 2D and 3D ladders.  The pattern of every such system is
+    symmetric, so SuperLU's symmetric mode builds the elimination tree of
+    A^T + A; pivoting stays partial (threshold 1).  A singular or non-finite
+    matrix, or a relative residual above `10 * linear_tol`, raises
+    `LinearSolveDiverged`."""
     opts = opts or SolveOptions()
     try:
-        x = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
+        lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
+        x = lu.solve(system.rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise LinearSolveDiverged(f"sparse LU factorization failed: {exc}",
                                   residual=float("nan")) from exc
@@ -405,12 +469,16 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None =
     system, and applies a damped update; iteration stops once the relative
     nodal update falls below `picard_tol`.  `picard_iterations` counts the
     updates actually applied, so a state-independent problem converges after
-    exactly one.  With `constant_coefficients` the form does not depend on
-    the iterate, so the system is assembled and factored once and later
-    passes reuse its solution.
+    exactly one.  The quadrature points, the load vector and the assembly map
+    do not depend on the iterate and are computed once; a pass samples the
+    coefficients, forms the local parts, scatters them and factors.  With
+    `constant_coefficients` the form does not depend on the iterate either,
+    so the system is assembled and factored once and later passes reuse its
+    solution.
     """
     opts = opts or SolveOptions()
     assignment = interpolate_boundary(mesh, coeffs.g)
+    form = _FrozenFormAssembly(mesh, coeffs, rule)
     if initial_guess is None:
         u = np.zeros(mesh.num_vertices)
         u[list(assignment)] = list(assignment.values())
@@ -421,8 +489,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None =
     sol = None
     while True:
         if sol is None or not coeffs.constant_coefficients:
-            system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs, rule),
-                                     assignment, mesh)
+            system = apply_dirichlet(form.system(P1Field(mesh, u)), assignment, mesh)
             sol = linear_solve(system, opts)
             lin_res = _relative_residual(system.matrix, system.rhs, sol)
         diff = sol - u
@@ -475,14 +542,16 @@ class ZerothOrderReport:
 
 
 def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                                 rule: QuadratureRule | None = None) -> ZerothOrderReport:
+                                 rule: QuadratureRule | None = None, *,
+                                 _points=None) -> ZerothOrderReport:
     """Probe c(x,u) - div b(x,u,grad u)/2 >= 0 at all quadrature points.
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
-    step 1e-6 * h inside each cell.
+    step 1e-6 * h inside each cell.  `_points` are the `physical_points` of
+    the rule when the caller already holds them.
     """
-    xq, eta, p = _state_samples(mesh, u_h, rule or default_rule(mesh, coeffs))
+    xq, eta, p = _state_samples(mesh, u_h, rule or default_rule(mesh, coeffs), _points)
     c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
     if coeffs.div_b is not None:
         div = np.broadcast_to(np.asarray(coeffs.div_b(xq, eta, p), float), eta.shape)

@@ -125,6 +125,13 @@ def perturbed_mesh(mesh: Mesh, rng: np.random.Generator, amount: float) -> Mesh:
     return build_mesh(verts, mesh.cells)
 
 
+def all_pairs_diameters(verts: np.ndarray) -> np.ndarray:
+    """Max vertex distance per simplex over all ordered vertex pairs, one
+    square root per pair; verts (..., d+1, d)."""
+    diff = verts[..., :, None, :] - verts[..., None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(-1, -2))
+
+
 def oracle_meshes() -> dict:
     """Small 2D meshes of every kind the loop oracles are compared on."""
     return {
@@ -238,7 +245,7 @@ def loop_edge_records(mesh: Mesh, parts, pair_tol: float) -> tuple:
     records, all_pass, max_sum, identity_err = [], True, -math.inf, 0.0
     for m, n, owners, (alpha, beta), (cot_a, cot_b) in loop_interior_edges_2d(mesh):
         s_fwd = s_rev = 0.0
-        scale = 1.0
+        scale = 0.0
         for t in owners:
             lm, ln = local_index[(t, m)], local_index[(t, n)]
             s_fwd += total[t, ln, lm]
@@ -421,6 +428,20 @@ def einsum_local_form_parts(mesh: Mesh, w, coeffs, rule):
     advection = np.einsum("cqd,cnd,qm,q->cmn", b, grads, bar, wq) * meas[:, None, None]
     reaction = np.einsum("cq,qm,qn,q->cmn", c, bar, bar, wq) * meas[:, None, None]
     return diffusion, advection, reaction
+
+
+def coo_assemble_matrix(mesh: Mesh, parts):
+    """Global matrix of `local_form_parts` through scipy's COO -> CSR
+    conversion, which sorts the entries and sums the duplicates itself."""
+    import scipy.sparse as sparse
+
+    local = parts[0] + parts[1] + parts[2]
+    m = mesh.dim + 1
+    rows = np.repeat(mesh.cells[:, :, None], m, axis=2)
+    cols = np.repeat(mesh.cells[:, None, :], m, axis=1)
+    n = mesh.num_vertices
+    return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(n, n)).tocsr()
 
 
 def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):

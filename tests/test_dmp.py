@@ -39,6 +39,7 @@ from dmpfem.mesh import (
 )
 from dmpfem.p1 import P1Field, constant_field, cut_minus, cut_plus, quadrature_rule
 from dmpfem.solver import (
+    CoefficientSet,
     SolveResult,
     advection_diffusion,
     assemble_q,
@@ -290,6 +291,46 @@ class TestElementCondition:
                                          lambda_star=0.2)
         # equilateral: D = cos(pi/3) * prod = 0.5 * prod >= 0.2 * prod
         assert report.all_pass
+
+
+def _scaled_laplacian(s: float) -> CoefficientSet:
+    """a = lam = Lam = s, f = -s: the unit Laplacian times s."""
+    return CoefficientSet(
+        a=lambda x, e, p: np.full(np.shape(e), s), b=lambda x, e, p: np.zeros(np.shape(x)),
+        c=lambda x, e: np.zeros(np.shape(e)), f=-s, g=0.0, lam=s, Lam=s, nu=0.0,
+        c_mode="identically-zero", constant_coefficients=True)
+
+
+class TestSlackScale:
+    """The element and edge slacks are relative to the entries' own size, so
+    scaling the form cannot turn a failing mesh into a passing one."""
+
+    @pytest.mark.parametrize("pattern,skew", [("right-diagonal", 0.6),
+                                              ("crisscross", 0.0),
+                                              ("right-diagonal", 0.0)])
+    def test_verdicts_do_not_depend_on_scale(self, pattern, skew):
+        m = generate_structured_2d(8, 8, pattern=pattern, skew=skew)
+        verdicts = set()
+        for j in (-60, -40, -20, 0, 20, 40):
+            coeffs = _scaled_laplacian(2.0 ** j)
+            case = dmpfem.dmp._select_element_case(
+                local_form_parts(m, constant_field(m, 0.0), coeffs,
+                                 default_rule(m, coeffs)), coeffs)
+            element = element_condition_check(m, coeffs, case=case)
+            edge = edge_condition_check_2d(m, coeffs, poisson_identity=False)
+            verdicts.add((case, element.all_pass, edge.all_pass))
+        assert len(verdicts) == 1
+        assert verdicts.pop()[1:] == ((False, False) if skew else (True, True))
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
+    def test_small_obtuse_operator_fails(self, s):
+        m = generate_structured_2d(8, 8, skew=0.6)
+        coeffs = _scaled_laplacian(s)
+        element = element_condition_check(m, coeffs)
+        edge = edge_condition_check_2d(m, coeffs, poisson_identity=False)
+        assert not element.all_pass and not edge.all_pass
+        assert element.min_margin == pytest.approx(-0.3 * s, rel=1e-9)
+        assert edge.max_sum == pytest.approx(0.6 * s, rel=1e-9)
 
 
 class TestEdgeCondition:
@@ -712,6 +753,26 @@ class TestCertificate:
         monkeypatch.setattr(dmpfem.solver, "local_form_parts", counted)
         dmp_certificate(m, result, coeffs)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("coeffs,expected", [(quasilinear_a(f=1.0), 2),
+                                                  (poisson(f=1.0), 3)])
+    def test_quadrature_points_computed_once_per_rule(self, monkeypatch, coeffs, expected):
+        # once for the form parts and once for the zeroth-order check, the f
+        # scan and the norm of f; a degree-2 rule leaves the degree-4 norm
+        # its own points
+        m = generate_structured_2d(6, 6)
+        result = picard_solve(m, coeffs)
+        calls = []
+        points = dmpfem.p1.physical_points
+
+        def counted(*args):
+            calls.append(args[1].degree)
+            return points(*args)
+
+        monkeypatch.setattr(dmpfem.dmp, "physical_points", counted)
+        monkeypatch.setattr(dmpfem.solver, "physical_points", counted)
+        dmp_certificate(m, result, coeffs)
+        assert len(calls) == expected
 
     def test_no_per_level_cut_fields(self, monkeypatch):
         m = generate_structured_2d(6, 6)

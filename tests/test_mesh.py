@@ -31,6 +31,7 @@ from dmpfem.mesh import (
 )
 
 from conftest import (
+    all_pairs_diameters,
     brute_force_dihedrals,
     equilateral_mesh,
     facet_normals,
@@ -86,6 +87,20 @@ class TestBuildMesh:
         cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
         with pytest.raises(NonManifold):
             build_mesh(verts, cells)
+
+    @pytest.mark.parametrize("name", ["kuhn", "skewed", "crisscross", "perturbed-2d",
+                                      "perturbed-3d"])
+    def test_diameters_match_all_pairs_oracle(self, name):
+        rng = np.random.default_rng(8)
+        m = {"kuhn": lambda: generate_structured_3d(6, 5, 4),
+             "skewed": lambda: generate_structured_2d(16, 16, skew=0.6),
+             "crisscross": lambda: generate_structured_2d(10, 12, pattern="crisscross"),
+             "perturbed-2d": lambda: perturbed_mesh(generate_structured_2d(12, 9), rng, 0.2),
+             "perturbed-3d": lambda: perturbed_mesh(generate_structured_3d(4, 4, 4), rng, 0.1),
+             }[name]()
+        want = all_pairs_diameters(m.vertices[m.cells])
+        assert m.cell_diameters.tobytes() == want.tobytes()
+        assert m.h == float(want.max())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vertex_rejected(self, bad):
@@ -366,6 +381,18 @@ class TestSerialization:
         assert back.boundary_nodes == m.boundary_nodes
         assert np.array_equal(back.cell_measures, m.cell_measures)
         assert back.h == m.h
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_json_bytes_match_json_dump(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        base = generate_structured_2d(6, 5, skew=0.3) if dim == 2 \
+            else generate_structured_3d(3, 2, 3)
+        m = perturbed_mesh(base, rng, 0.1)
+        save_mesh(m, tmp_path / "mesh.json")
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fp:
+            json.dump(mesh_to_dict(m), fp)
+            fp.write("\n")
+        assert (tmp_path / "mesh.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
 
     def test_boundary_recomputed_when_absent(self):
         m = generate_structured_2d(2, 2)

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dmpfem
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import (
     acuteness_audit,
@@ -138,6 +142,21 @@ class TestQuadrature:
             approx = volume * float(
                 rule.weights @ np.prod(pts ** np.array(exponents), axis=1))
             assert abs(approx - exact) <= 1e-13 * abs(exact)
+
+    def test_tabulated_rules_leave_scipy_special_unimported(self):
+        # only the collapsed rules beyond the tables need scipy.special
+        script = (
+            "import sys\n"
+            "from dmpfem import generate_structured_2d, picard_solve, quasilinear_a\n"
+            "picard_solve(generate_structured_2d(4, 4), quasilinear_a())\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "from dmpfem.p1 import quadrature_rule\n"
+            "quadrature_rule(3, 9)\n"
+            "assert 'scipy.special' in sys.modules\n")
+        src = str(Path(dmpfem.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_points_inside_simplex(self):
         for dim, degree in [(2, 6), (3, 4)]:

@@ -30,7 +30,9 @@ from dmpfem.solver import (
     SparseSystem,
     advection_diffusion,
     apply_dirichlet,
+    assemble_matrix,
     assemble_q,
+    assembly_map,
     check_zeroth_order_condition,
     galerkin_residual,
     interpolate_boundary,
@@ -45,6 +47,7 @@ from dmpfem.solver import (
 
 from conftest import (
     assemble_every_pass_picard,
+    coo_assemble_matrix,
     einsum_local_form_parts,
     einsum_physical_points,
     perturbed_mesh,
@@ -321,6 +324,109 @@ class TestCallCounts:
         assert result.picard_iterations == 1
         assert len(calls) == 1
 
+    def test_state_dependent_solve_hoists_points_and_load(self, monkeypatch):
+        m = generate_structured_2d(6, 6)
+        f_calls, point_calls = [], []
+
+        def f(x):
+            f_calls.append(x.shape)
+            return -1.0 - x[..., 0] * x[..., 1]
+
+        def counted(*args):
+            point_calls.append(args)
+            return physical_points(*args)
+
+        monkeypatch.setattr(dmpfem.solver, "physical_points", counted)
+        result = picard_solve(m, quasilinear_a(f=f))
+        assert result.picard_iterations > 2
+        assert len(point_calls) == 1
+        assert len(f_calls) == 1
+
+    def test_no_coo_conversion_in_the_loop(self, monkeypatch):
+        m = generate_structured_2d(6, 6)
+        made = []
+        init = sparse.coo_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.coo_matrix, "__init__", counted)
+        for coeffs in (quasilinear_a(f=-1.0), advection_diffusion([3.0, -2.0], c0=0.5)):
+            picard_solve(m, coeffs)
+        assert made == []
+
+    def test_low_degree_warning_once_per_solve(self):
+        m = generate_structured_2d(4, 4)
+        with pytest.warns(QuadratureDegreeTooLow) as record:
+            result = picard_solve(m, quasilinear_a(f=-1.0), rule=quadrature_rule(2, 2))
+        assert result.picard_iterations > 1
+        assert sum(w.category is QuadratureDegreeTooLow for w in record) == 1
+
+
+def _map_oracle_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "right-diagonal": generate_structured_2d(7, 5),
+        "crisscross-perturbed": perturbed_mesh(
+            generate_structured_2d(6, 6, pattern="crisscross"), rng, 0.15),
+        "skewed": generate_structured_2d(5, 6, skew=0.4),
+        "kuhn": generate_structured_3d(3, 4, 2),
+        "kuhn-perturbed": perturbed_mesh(generate_structured_3d(3, 3, 3), rng, 0.1),
+    }
+
+
+class TestAssemblyMap:
+    """The one-`bincount` scatter against scipy's COO -> CSR assembly."""
+
+    @pytest.mark.parametrize("name", sorted(_map_oracle_cases()))
+    def test_matches_coo_assembly(self, name):
+        m = _map_oracle_cases()[name]
+        rng = np.random.default_rng(5)
+        w = random_nodal_field(m, rng)
+        drift = [0.7, -1.3, 0.4][:m.dim]
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+            b=lambda x, e, p: _drift_field(x, e, p) + np.asarray(drift),
+            c=lambda x, e: 1.0 + e ** 2,
+            f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=10.0)
+        layout = assembly_map(m)
+        for values in (coeffs, quasilinear_a()):
+            parts = local_form_parts(m, w, values, quadrature_rule(m.dim, 4))
+            got = assemble_matrix(m, parts, layout)
+            want = coo_assemble_matrix(m, parts)
+            assert got.has_canonical_format
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+            assert np.array_equal(assemble_matrix(m, parts).data, got.data)
+
+
+class TestPicardStructureReuse:
+    """Picard with hoisted points, load vector and assembly map against the
+    oracle that assembles everything on every pass."""
+
+    @pytest.mark.parametrize("case", ["quasilinear-crisscross", "drift-damped",
+                                      "quasilinear-kuhn"])
+    def test_matches_assemble_every_pass(self, case):
+        opts = SolveOptions()
+        if case == "quasilinear-crisscross":
+            m = generate_structured_2d(10, 10, pattern="crisscross")
+            coeffs = quasilinear_a(f=-1.0, g=lambda x: x[..., 0] * x[..., 1])
+        elif case == "drift-damped":
+            m = generate_structured_2d(10, 8, skew=0.2)
+            coeffs = advection_diffusion([3.0, -2.0], f=-1.0, g=0.5, c0=0.5)
+            opts = SolveOptions(damping=0.5)
+        else:
+            m = generate_structured_3d(4, 4, 4)
+            coeffs = quasilinear_a(f=1.0)
+        oracle = assemble_every_pass_picard(m, coeffs, opts)
+        result = picard_solve(m, coeffs, opts)
+        assert result.picard_iterations == oracle.picard_iterations > 1
+        assert result.converged and oracle.converged
+        want = oracle.u_h.nodal_values
+        assert np.abs(result.u_h.nodal_values - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestFactorReuse:
     """Constant-coefficient problems are factored once; the confirming pass
@@ -447,7 +553,8 @@ class TestLinearSolve:
         assert linear_solve(system) == pytest.approx(rhs, abs=1e-14)
 
     @pytest.mark.parametrize("case", [
-        "poisson-2d-484-nodes", "poisson-2d-529-nodes", "drift-2d", "poisson-3d-kuhn"])
+        "poisson-2d-484-nodes", "poisson-2d-529-nodes", "drift-2d", "strong-drift-2d",
+        "poisson-3d-kuhn"])
     def test_matches_dense_oracle(self, case):
         # 484 and 529 nodes straddle the size at which an earlier solver
         # switched from dense LU to an iterative method.
@@ -460,6 +567,10 @@ class TestLinearSolve:
             m = generate_structured_2d(16, 16)
             coeffs = advection_diffusion([3.0, -2.0], f=-1.0, c0=0.5,
                                          g=lambda x: x[..., 0] - x[..., 1])
+        elif case == "strong-drift-2d":
+            # nonsymmetric, with positive off-diagonals: pivoting matters
+            m = generate_structured_2d(32, 32)
+            coeffs = advection_diffusion([40.0, -30.0], f=-1.0, g=lambda x: x[..., 1])
         else:
             m, coeffs = generate_structured_3d(7, 7, 7), poisson(f=1.0, g=0.0)
         system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
