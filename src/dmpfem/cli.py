@@ -70,16 +70,6 @@ class RunConfig:
     dmp_params: dict = field(default_factory=dict)
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "mesh_source": self.mesh_source,
-            "problem": self.problem,
-            "solver_options": self.solver_options,
-            "dmp_params": self.dmp_params,
-            "seed": self.seed,
-        }
-
 
 def _json_default(obj):
     if isinstance(obj, np.integer):
@@ -172,7 +162,10 @@ def _build_coefficients(args, dim: int) -> tuple:
     if preset == "poisson":
         return poisson(f=f, g=g), record
     if preset == "advection-diffusion":
-        b = [float(s) for s in args.b_const.split(",")]
+        try:
+            b = [float(s) for s in args.b_const.split(",")]
+        except ValueError as exc:
+            raise InvalidParameters(f"--b needs numbers, got {args.b_const!r}") from exc
         if len(b) != dim:
             raise DmpFemError(f"--b needs {dim} components, got {len(b)}")
         record.update({"b": b, "c0": args.c0})
@@ -191,20 +184,20 @@ def _solver_options(args) -> SolveOptions:
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("solver")
-    group.add_argument("--picard-max-iter", type=int, default=100)
-    group.add_argument("--picard-tol", type=float, default=1e-10)
-    group.add_argument("--linear-tol", type=float, default=1e-12,
+    group.add_argument("--picard-max-iter", type=int, default=SolveOptions.picard_max_iter)
+    group.add_argument("--picard-tol", type=float, default=SolveOptions.picard_tol)
+    group.add_argument("--linear-tol", type=float, default=SolveOptions.linear_tol,
                        help="each sparse LU solve must reach a relative residual "
-                            "of at most 10x this (default 1e-12)")
-    group.add_argument("--damping", type=float, default=1.0)
+                            "of at most 10x this (default %(default)s)")
+    group.add_argument("--damping", type=float, default=SolveOptions.damping)
 
 
 def _add_dmp_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("certificate")
-    group.add_argument("--p", type=float, default=4.0)
-    group.add_argument("--r", type=float, default=2.0)
-    group.add_argument("--lambda-star", type=float, default=None)
-    group.add_argument("--alpha-exponent", type=float, default=0.0)
+    group.add_argument("--p", type=float, default=DmpParams.p)
+    group.add_argument("--r", type=float, default=DmpParams.r)
+    group.add_argument("--lambda-star", type=float, default=DmpParams.lambda_star)
+    group.add_argument("--alpha-exponent", type=float, default=DmpParams.alpha_exponent)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -218,10 +211,10 @@ def cmd_mesh_gen(args) -> int:
     else:
         nx, ny, nz = _parse_grid(args.cube, 3)
         mesh = generate_structured_3d(nx, ny, nz)
+    audit = acuteness_audit(mesh, args.alpha_exponent)
     save_mesh(mesh, args.output)
     if args.vtk:
         write_vtk(args.vtk, mesh)
-    audit = acuteness_audit(mesh, args.alpha_exponent)
     print(f"mesh: dim={mesh.dim} vertices={mesh.num_vertices} "
           f"cells={mesh.num_cells} h={mesh.h:.6g}")
     print(f"angle audit: classification={audit.classification} "
@@ -248,7 +241,7 @@ def _write_solution(outdir: str, mesh: Mesh, result: SolveResult,
     write_vtk(os.path.join(outdir, "solution.vtk"), mesh,
               point_data={"u": result.u_h.nodal_values}, title="dmpfem solution")
     payload = result.to_dict()
-    payload["run"] = config.to_dict()
+    payload["run"] = asdict(config)
     _write_json(os.path.join(outdir, "solve.json"), payload)
 
 
@@ -322,7 +315,7 @@ def cmd_dmp_check(args) -> int:
 
     cert = dmp_certificate(mesh, result, coeffs, params=params)
     payload = cert.to_dict()
-    payload["run"] = config.to_dict()
+    payload["run"] = asdict(config)
     payload["checks_requested"] = checks
     os.makedirs(args.output_dir, exist_ok=True)
     _write_json(os.path.join(args.output_dir, "certificate.json"), payload)
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pattern", choices=["right-diagonal", "crisscross"],
                      default="right-diagonal")
     gen.add_argument("--skew", type=float, default=0.0)
-    gen.add_argument("--alpha-exponent", type=float, default=0.0)
+    gen.add_argument("--alpha-exponent", type=float, default=DmpParams.alpha_exponent)
     gen.add_argument("-o", "--output", required=True)
     gen.add_argument("--vtk", default=None)
     gen.set_defaults(func=cmd_mesh_gen)

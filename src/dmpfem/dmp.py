@@ -42,6 +42,8 @@ _BLOCK_TERMS = 1 << 18  # (row, column) table entries evaluated at once
 _ROW_SLACK = 1e-9
 
 ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
+MAX_FAILURE_RECORDS = 50  # failing element pairs listed in a report
+MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,14 @@ class DmpParams:
     alpha_exponent: float = 0.0
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise InvalidParameters("need p > 2")
+        if not 2 < self.p < math.inf:
+            raise InvalidParameters("need finite p > 2")
         if not 1 <= self.r < self.p - 1:
             raise InvalidParameters("need 1 <= r < p - 1")
-        if self.lambda_star is not None and self.lambda_star <= 0:
-            raise InvalidParameters("lambda_star must be positive")
-        if self.alpha_exponent < 0:
-            raise InvalidParameters("alpha_exponent must be >= 0")
+        if self.lambda_star is not None and not 0 < self.lambda_star < math.inf:
+            raise InvalidParameters("lambda_star must be positive and finite")
+        if not 0 <= self.alpha_exponent < math.inf:
+            raise InvalidParameters("alpha_exponent must be finite and >= 0")
 
     def check_for_dim(self, dim: int) -> None:
         if dim == 3 and not self.p < 6.0:
@@ -166,11 +168,10 @@ def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
     return np.unique(np.concatenate([[k_star], values[values > k_star]]))
 
 
-def _form_parts(mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None,
-                w: P1Field | None):
-    """`local_form_parts` frozen at w, with zero and the default rule for None."""
+def _form_parts(mesh: Mesh, coeffs: CoefficientSet, w: P1Field | None = None):
+    """`local_form_parts` with the default rule, frozen at w (zero for None)."""
     return local_form_parts(mesh, constant_field(mesh, 0.0) if w is None else w,
-                            coeffs, rule or default_rule(mesh, coeffs))
+                            coeffs, default_rule(mesh, coeffs))
 
 
 def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,7 +180,6 @@ def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                       rule: QuadratureRule | None = None,
                        k_star: float = 0.0, parts=None) -> AssumptionSweep:
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
@@ -190,11 +190,11 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
     so the pass costs O(nnz + levels) after the sort.  A level whose value
     lies within the rounding bound of those sums is recomputed from its
     terms, each with its exact sign, so every reported sign is that of the
-    summed terms.  `parts` are the `local_form_parts` frozen at u_h, computed
-    when not given.
+    summed terms.  `parts` are the `local_form_parts` of the form; when not
+    given, those frozen at u_h with the `default_rule`.
     """
     if parts is None:
-        parts = _form_parts(mesh, coeffs, rule, u_h)
+        parts = _form_parts(mesh, coeffs, u_h)
     matrix = assemble_matrix(mesh, parts).tocoo()
     grid = _cut_level_grid(u_h, k_star)
     n = len(grid)
@@ -283,9 +283,9 @@ class ElementConditionReport:
     min_margin: float
     num_pairs: int
     num_failing_pairs: int
-    failures: list  # capped listing of the failing pairs
+    failures: list  # the first MAX_FAILURE_RECORDS failing pairs
 
-    def to_dict(self, max_failures: int = 50) -> dict:
+    def to_dict(self) -> dict:
         return {
             "verdict": "pass" if self.all_pass else "fail",
             "case": self.case,
@@ -293,15 +293,13 @@ class ElementConditionReport:
             "min_margin": self.min_margin,
             "num_pairs": self.num_pairs,
             "num_failures": self.num_failing_pairs,
-            "failures": self.failures[:max_failures],
+            "failures": self.failures,
         }
 
 
 def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
-                            rule: QuadratureRule | None = None,
                             case: str = "poisson-like",
                             lambda_star: float | None = None,
-                            w: P1Field | None = None,
                             parts=None) -> ElementConditionReport:
     """Check the per-pair element integrals that force the cut-pair inequality.
 
@@ -314,7 +312,7 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
     in the strict cases, and `lam * |grad_i||grad_j| cos(angle_ij) |T|`
     together with nonnegativity in the diffusion-only case (where the drift
     and reaction integrals must vanish).  `parts` are the `local_form_parts`
-    frozen at w (zero when None), computed when not given.
+    of the form; when not given, those frozen at zero with the `default_rule`.
     """
     if case not in ELEMENT_CASES:
         raise InvalidParameters(f"case must be one of {ELEMENT_CASES}")
@@ -322,7 +320,7 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
         lambda_star = 0.1 * coeffs.lam
 
     if parts is None:
-        parts = _form_parts(mesh, coeffs, rule, w)
+        parts = _form_parts(mesh, coeffs)
     diffusion, advection, reaction = parts
     # local_form_parts stores [cell, test, trial]; the pair quantity carries
     # the gradient on the first index, so transpose to [cell, i, j].
@@ -358,7 +356,7 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
 
     failures = []
     bad = np.argwhere(~ok & off[None, :, :])
-    for cell, i, j in bad[:200]:
+    for cell, i, j in bad[:MAX_FAILURE_RECORDS]:
         failures.append({
             "cell": int(cell), "i": int(i), "j": int(j),
             "d_value": float(d_pair[cell, i, j]),
@@ -388,14 +386,14 @@ class EdgeConditionReport:
     poisson_identity_checked: bool
     identity_max_error: float
 
-    def to_dict(self, max_edges: int = 200) -> dict:
+    def to_dict(self) -> dict:
         return {
             "verdict": "pass" if self.all_pass else "fail",
             "max_sum": self.max_sum,
             "num_edges": self.num_edges,
             "poisson_identity_checked": self.poisson_identity_checked,
             "identity_max_error": self.identity_max_error,
-            "edges": self.edges[:max_edges],
+            "edges": self.edges[:MAX_EDGE_RECORDS],
         }
 
 
@@ -414,8 +412,6 @@ def _looks_like_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
 
 
 def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
-                            rule: QuadratureRule | None = None,
-                            w: P1Field | None = None,
                             poisson_identity: bool | None = None,
                             parts=None) -> EdgeConditionReport:
     """Check nonpositivity of the two-cell integral sum over each interior edge.
@@ -426,7 +422,8 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
     it is evaluated from the apex-vector cotangents.  When the coefficients are
     detected (or declared) to be of that form the identity is verified to
     rounding as a cross-check of the assembled integrals.  `parts` are the
-    `local_form_parts` frozen at w (zero when None), computed when not given.
+    `local_form_parts` of the form; when not given, those frozen at zero with
+    the `default_rule`.
     """
     if mesh.dim != 2:
         raise DimensionMismatch("edge-based verification is 2D only")
@@ -434,7 +431,7 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
         poisson_identity = _looks_like_unit_poisson(mesh, coeffs)
 
     if parts is None:
-        parts = _form_parts(mesh, coeffs, rule, w)
+        parts = _form_parts(mesh, coeffs)
     diffusion, advection, reaction = parts
     total = diffusion + advection + reaction  # [cell, test, trial]
     cell_scale = (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
@@ -824,7 +821,6 @@ class DmpCertificate:
     theorem_3_3_holds: bool | None
     h_nu: float
     f_norm: float
-    f_norm_exponent: float
     empirical_c: float | None
     assumption: AssumptionSweep
     element_condition: ElementConditionReport
@@ -885,14 +881,14 @@ class DmpCertificate:
         if self.de_giorgi is not None:
             de_giorgi = self.de_giorgi.to_dict()
         overshoot = max(self.sup_uh - self.k_star, 0.0)
+        params = self.params.to_dict()
         return {
             "k_star": self.k_star,
             "sup_uh": self.sup_uh,
             "theorem_3_2": {
                 "verdict": self.theorem_3_2_verdict,
                 "f_norm": self.f_norm,
-                "f_norm_exponent": (None if math.isinf(self.f_norm_exponent)
-                                    else self.f_norm_exponent),
+                "f_norm_exponent": params["f_norm_exponent"],
                 "empirical_c": self.empirical_c,
                 "overshoot": overshoot,
                 "zeroth_order": self.zeroth_order.to_dict(),
@@ -914,7 +910,7 @@ class DmpCertificate:
                 "profile": self.levelset_profile.tolist(),
             },
             "de_giorgi": de_giorgi,
-            "params": self.params.to_dict(),
+            "params": params,
             "mesh": self.mesh_info,
             "solve": self.solve_info,
         }
@@ -951,8 +947,7 @@ def _select_element_case(parts, coeffs: CoefficientSet) -> str:
 
 def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSet,
                     rule: QuadratureRule | None = None,
-                    params: DmpParams | None = None,
-                    element_case: str | None = None) -> DmpCertificate:
+                    params: DmpParams | None = None) -> DmpCertificate:
     """Run every verification pass on a converged solution and bundle the
     evidence.  Raises `NotConverged` for unconverged inputs."""
     if not solve_result.converged:
@@ -971,14 +966,13 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # The (C, M, M) parts are shared by the sweep and the element and edge
     # checks, and dropped before the quadrature-point passes that follow.
     parts = local_form_parts(mesh, u_h, coeffs, rule)
-    sweep = assumption_a_sweep(mesh, u_h, coeffs, rule, k_star, parts=parts)
-    case = element_case or _select_element_case(parts, coeffs)
-    element = element_condition_check(mesh, coeffs, rule, case=case,
-                                      lambda_star=params.lambda_star, w=u_h,
-                                      parts=parts)
+    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, parts=parts)
+    case = _select_element_case(parts, coeffs)
+    element = element_condition_check(mesh, coeffs, case=case,
+                                      lambda_star=params.lambda_star, parts=parts)
     edge = None
     if mesh.dim == 2:
-        edge = edge_condition_check_2d(mesh, coeffs, rule, w=u_h, parts=parts)
+        edge = edge_condition_check_2d(mesh, coeffs, parts=parts)
     del parts
 
     # One set of quadrature points for the zeroth-order check, the sign of f
@@ -1029,7 +1023,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     return DmpCertificate(
         k_star=k_star, sup_uh=sup_uh, bound_tol=bound_tol,
         theorem_3_3_applicable=applicable, theorem_3_3_holds=holds, h_nu=h_nu,
-        f_norm=f_norm, f_norm_exponent=params.f_norm_exponent,
+        f_norm=f_norm,
         empirical_c=empirical_c,
         assumption=sweep, element_condition=element, edge_condition=edge,
         levelset_profile=profile,

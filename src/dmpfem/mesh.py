@@ -46,10 +46,6 @@ def barycentric_gradients(verts: np.ndarray) -> np.ndarray:
     return np.swapaxes(minv[..., 1:, :], -1, -2)
 
 
-class InvalidStructuredSpec(ValueError):
-    """Bad parameters for a structured mesh generator."""
-
-
 def _signed_measures(verts: np.ndarray) -> np.ndarray:
     d = verts.shape[-1]
     edges = verts[..., 1:, :] - verts[..., :1, :]
@@ -144,7 +140,7 @@ class InteriorEdges:
 class AngleReport:
     """Result of an acuteness audit over all cells.
 
-    `gamma_fit` is the smallest value of (pi/2 - angle) / h**acute_exponent over
+    `gamma_fit` is the smallest value of (pi/2 - angle) / h**alpha_exponent over
     every cell and vertex pair; it is positive exactly when every angle is
     strictly below pi/2 (up to tolerance).
     """
@@ -154,19 +150,6 @@ class AngleReport:
     min_angle: float
     classification: str  # 'acute' | 'non-obtuse' | 'obtuse'
     gamma_fit: float
-    acute_exponent: float
-    shape_ratio: float  # max over cells of h_T^dim / |T|; reported, not enforced
-    angle_tol: float = ANGLE_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "max_angle": self.max_angle,
-            "min_angle": self.min_angle,
-            "classification": self.classification,
-            "gamma_fit": self.gamma_fit,
-            "acute_exponent": self.acute_exponent,
-            "shape_ratio": self.shape_ratio,
-        }
 
 
 def _facet_table(cells: np.ndarray, nv: int):
@@ -263,11 +246,11 @@ def generate_structured_2d(nx: int, ny: int, pattern: str = "right-diagonal",
     produces obtuse angles once large enough.
     """
     if nx < 1 or ny < 1:
-        raise InvalidStructuredSpec(f"grid counts must be >= 1, got {nx}x{ny}")
+        raise InvalidParameters(f"grid counts must be >= 1, got {nx}x{ny}")
     if not 0.0 <= skew < 1.0:
-        raise InvalidStructuredSpec(f"skew must be in [0, 1), got {skew}")
+        raise InvalidParameters(f"skew must be in [0, 1), got {skew}")
     if pattern not in ("right-diagonal", "crisscross"):
-        raise InvalidStructuredSpec(f"unknown pattern {pattern!r}")
+        raise InvalidParameters(f"unknown pattern {pattern!r}")
 
     x, y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
     verts = np.column_stack([(x + skew * y).ravel(), y.ravel()])  # vertex j*(nx+1) + i
@@ -289,7 +272,7 @@ def generate_structured_3d(nx: int, ny: int, nz: int) -> Mesh:
     """Tetrahedralize the unit cube: each lattice cube splits into 6 path
     tetrahedra sharing the main diagonal (all dihedral angles <= pi/2)."""
     if nx < 1 or ny < 1 or nz < 1:
-        raise InvalidStructuredSpec(f"grid counts must be >= 1, got {nx}x{ny}x{nz}")
+        raise InvalidParameters(f"grid counts must be >= 1, got {nx}x{ny}x{nz}")
 
     z, y, x = np.meshgrid(*(np.linspace(0.0, 1.0, n + 1) for n in (nz, ny, nx)),
                           indexing="ij")
@@ -323,8 +306,8 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
     are below pi/2 - tol, else 'non-obtuse'.  gamma_fit is the binding constant
     of the margin (pi/2 - angle) measured against h**alpha_exponent.
     """
-    if alpha_exponent < 0:
-        raise InvalidStructuredSpec("alpha_exponent must be >= 0")
+    if not 0 <= alpha_exponent < np.inf:
+        raise InvalidParameters("alpha_exponent must be finite and >= 0")
     angles = _all_cell_angles(mesh)
     max_angle = float(angles.max())
     min_angle = float(angles.min())
@@ -336,15 +319,12 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
         classification = "non-obtuse"
     scale = mesh.h ** alpha_exponent
     gamma_fit = float(((np.pi / 2 - angles) / scale).min())
-    shape_ratio = float((mesh.cell_diameters ** mesh.dim / mesh.cell_measures).max())
     return AngleReport(
         cell_angles=angles,
         max_angle=max_angle,
         min_angle=min_angle,
         classification=classification,
         gamma_fit=gamma_fit,
-        acute_exponent=alpha_exponent,
-        shape_ratio=shape_ratio,
     )
 
 

@@ -20,7 +20,7 @@ shape (...) and state gradients of shape (..., dim); `c(x, eta)`, `f(x)` and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -40,6 +40,8 @@ from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadra
 from .rng import SplitMix64
 
 C_MODES = ("nonnegative", "identically-zero", "general")
+SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
+SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 
 
 def as_point_callable(value):
@@ -75,6 +77,8 @@ class CoefficientSet:
     constant_coefficients: bool = False
 
     def __post_init__(self):
+        if not np.isfinite([self.lam, self.Lam, self.nu]).all():
+            raise InvalidParameters("bounds lam, Lam and nu must be finite")
         if self.lam <= 0:
             raise InvalidParameters("ellipticity bound lam must be positive")
         if self.Lam < self.lam:
@@ -85,14 +89,6 @@ class CoefficientSet:
             raise InvalidParameters(f"c_mode must be one of {C_MODES}")
         object.__setattr__(self, "f", as_point_callable(self.f))
         object.__setattr__(self, "g", as_point_callable(self.g))
-
-    def with_data(self, f=None, g=None) -> "CoefficientSet":
-        updates = {}
-        if f is not None:
-            updates["f"] = f
-        if g is not None:
-            updates["g"] = g
-        return replace(self, **updates)
 
 
 def poisson(f=-1.0, g=0.0) -> CoefficientSet:
@@ -138,8 +134,7 @@ def quasilinear_a(f=-1.0, g=0.0) -> CoefficientSet:
     )
 
 
-def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1000,
-                          seed: int = 0, state_range: float = 10.0) -> dict:
+def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> dict:
     """Spot-check the declared bounds at random (x, eta, p) samples.
 
     Raises `NonFiniteValue` if a sample of a, b or c is NaN or infinite, and
@@ -147,11 +142,11 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1
     observed extrema otherwise.
     """
     rng = SplitMix64(seed)
-    cells = rng.integers(0, mesh.num_cells, size=n_samples)
-    bary = rng.simplex_barycentric(mesh.dim + 1, n_samples)
+    cells = rng.integers(0, mesh.num_cells, size=SPOT_SAMPLES)
+    bary = rng.simplex_barycentric(mesh.dim + 1, SPOT_SAMPLES)
     x = np.einsum("nm,nmd->nd", bary, mesh.vertices[mesh.cells[cells]])
-    eta = rng.uniform(-state_range, state_range, size=n_samples)
-    p = rng.uniform(-state_range, state_range, size=(n_samples, mesh.dim))
+    eta = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=SPOT_SAMPLES)
+    p = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=(SPOT_SAMPLES, mesh.dim))
 
     a = np.broadcast_to(np.asarray(coeffs.a(x, eta, p), float), eta.shape)
     b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
@@ -159,7 +154,7 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1
     for name, values in (("a", a), ("b", b), ("c", c)):
         finite = np.isfinite(values)
         if not finite.all():
-            k = int(np.argmin(finite.reshape(n_samples, -1).all(axis=1)))
+            k = int(np.argmin(finite.reshape(SPOT_SAMPLES, -1).all(axis=1)))
             raise NonFiniteValue(
                 f"coefficient {name} is {values[k].tolist()} at x={x[k].tolist()}, "
                 f"eta={float(eta[k])!r}")
@@ -183,18 +178,16 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, n_samples: int = 1
     return {
         "a_min": float(a.min()), "a_max": float(a.max()),
         "lower_order_max": float(lower_order.max()),
-        "c_min": float(c.min()), "samples": n_samples,
+        "c_min": float(c.min()), "samples": SPOT_SAMPLES,
     }
 
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled linear system with optional Dirichlet constraint record."""
+    """Assembled linear system: matrix and right-hand side."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
-    dirichlet_mask: np.ndarray
-    dirichlet_values: np.ndarray
 
     @property
     def size(self) -> int:
@@ -209,8 +202,8 @@ class SolveOptions:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.linear_tol <= 0:
-            raise InvalidParameters("tolerances must be positive")
+        if not (0 < self.picard_tol < np.inf and 0 < self.linear_tol < np.inf):
+            raise InvalidParameters("tolerances must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParameters("damping must lie in (0, 1]")
 
@@ -370,10 +363,7 @@ class _FrozenFormAssembly:
         values = coefficient_samples(mesh, w, self.coeffs, rule, _points=self.points)[1:]
         parts = local_form_parts(mesh, w, self.coeffs, rule, _values=values)
         del values
-        n = mesh.num_vertices
-        return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs,
-                            dirichlet_mask=np.zeros(n, dtype=bool),
-                            dirichlet_values=np.zeros(n))
+        return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs)
 
 
 def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
@@ -425,8 +415,7 @@ def apply_dirichlet(system: SparseSystem, assignment: dict, mesh: Mesh) -> Spars
     np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
     constrained = sparse.csr_matrix(
         (np.where(diagonal, 1.0, a.data)[keep], a.indices[keep], indptr), shape=(n, n))
-    return SparseSystem(matrix=constrained, rhs=rhs,
-                        dirichlet_mask=mask, dirichlet_values=values)
+    return SparseSystem(matrix=constrained, rhs=rhs)
 
 
 def _relative_residual(matrix, rhs, x) -> float:

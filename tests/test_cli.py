@@ -136,6 +136,15 @@ class TestMeshGen:
         assert run(["mesh-gen", "--square", "2x2", "--cube", "1x1x1",
                     "-o", tmp_path / "m.json"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--skew", "1.5"), ("--alpha-exponent", "-1")])
+    def test_bad_structured_parameter_writes_nothing(self, tmp_path, capsys, flag, value):
+        mesh_path, vtk_path = tmp_path / "m.json", tmp_path / "m.vtk"
+        assert run(["mesh-gen", "--square", "4x4", flag, value, "-o", mesh_path,
+                    "--vtk", vtk_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not mesh_path.exists() and not vtk_path.exists()
+
 
 class TestSolveCommand:
     def test_poisson_solve_outputs(self, square_mesh, tmp_path, capsys):
@@ -155,6 +164,33 @@ class TestSolveCommand:
         assert run(["solve", "--mesh", square_mesh, f"--f={formula}",
                     "-o", tmp_path / "run"]) == 1
         assert "cannot evaluate" in capsys.readouterr().err
+
+    def test_non_numeric_drift_exits_one(self, square_mesh, tmp_path, capsys):
+        assert run(["solve", "--mesh", square_mesh, "--problem", "advection-diffusion",
+                    "--b", "1,x", "-o", tmp_path / "run"]) == 1
+        assert capsys.readouterr().err.startswith("error: --b needs numbers")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--linear-tol", "nan"],
+        ["solve", "--picard-tol", "nan"],
+        ["solve", "--picard-tol", "inf"],
+        ["solve", "--coeffs", "nan-bounds.json"],
+        ["dmp-check", "--solve", "--lambda-star", "nan"],
+        ["dmp-check", "--solve", "--alpha-exponent", "nan"],
+        ["dmp-check", "--solve", "--p", "inf"],
+        ["mesh-gen", "--square", "4x4", "--alpha-exponent", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_parameter_exits_one(self, square_mesh, tmp_path, capsys, argv):
+        spec = {"a": "1", "b": ["0", "0"], "c": "0", "f": "-1", "g": "0", "lambda": math.nan,
+                "Lambda": math.nan, "nu": math.nan, "c_mode": "identically-zero"}
+        (tmp_path / "nan-bounds.json").write_text(json.dumps(spec))
+        argv = [tmp_path / a if a.endswith(".json") else a for a in argv]
+        if argv[0] != "mesh-gen":
+            argv += ["--mesh", square_mesh]
+        assert run(argv + ["-o", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_vertex_exits_one(self, square_mesh, tmp_path, capsys):
         data = json.loads(square_mesh.read_text())

@@ -10,6 +10,8 @@ import dmpfem.p1
 import dmpfem.solver
 from dmpfem.dmp import (
     BOUND_TOL,
+    ELEMENT_CASES,
+    MAX_FAILURE_RECORDS,
     PAIR_TOL,
     SIGN_TOL,
     DeGiorgiInput,
@@ -62,6 +64,7 @@ from conftest import (
     random_nodal_field,
     table_de_giorgi_verify,
     table_fit_decay_constant,
+    triangle_vertex_angles,
 )
 
 
@@ -292,6 +295,61 @@ class TestElementCondition:
         # equilateral: D = cos(pi/3) * prod = 0.5 * prod >= 0.2 * prod
         assert report.all_pass
 
+    def test_failures_count_every_pair_and_list_the_written_ones(self):
+        # unit Laplacian: pair (i, j) fails exactly when the angle at the
+        # third vertex 3 - i - j is obtuse
+        m = generate_structured_2d(8, 8, skew=0.6)
+        angles = np.array([triangle_vertex_angles(m.vertices[cell]) for cell in m.cells])
+        expected = [(t, i, j) for t in range(m.num_cells) for i in range(3)
+                    for j in range(3) if i != j and angles[t, 3 - i - j] > math.pi / 2]
+        report = element_condition_check(m, poisson())
+        written = report.to_dict()
+        assert report.num_failing_pairs == written["num_failures"] == len(expected) == 256
+        assert report.failures == written["failures"]
+        assert len(report.failures) == MAX_FAILURE_RECORDS
+        assert [(f["cell"], f["i"], f["j"]) for f in report.failures] == \
+            expected[:MAX_FAILURE_RECORDS]
+
+
+class TestDefaultFormParts:
+    """Without `parts`, the element and edge checks freeze the form at zero
+    and the sweep at u_h, each with the default rule."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("problem", ["poisson", "quasilinear", "drift"])
+    def test_reports_equal_explicit_parts(self, dim, problem):
+        if dim == 2:
+            m = generate_structured_2d(6, 5, skew=0.4)
+        else:
+            m = perturbed_mesh(generate_structured_3d(3, 3, 3), np.random.default_rng(2), 0.1)
+        coeffs = {"poisson": poisson(f=1.0),
+                  "quasilinear": quasilinear_a(f=lambda x: -1.0 - 3.0 * x[..., 0]),
+                  "drift": advection_diffusion([1.0, -2.0, 0.5][:dim], c0=0.5)}[problem]
+        rule = default_rule(m, coeffs)
+        u_h = picard_solve(m, coeffs).u_h
+        at_zero = local_form_parts(m, constant_field(m, 0.0), coeffs, rule)
+        at_uh = local_form_parts(m, u_h, coeffs, rule)
+
+        def dumps(report):
+            return json.dumps(report.to_dict())
+
+        sweep = assumption_a_sweep(m, u_h, coeffs, k_star=-0.5)
+        assert dumps(sweep) == dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
+                                                        parts=at_uh))
+        for case in ELEMENT_CASES:
+            element = element_condition_check(m, coeffs, case=case)
+            assert dumps(element) == dumps(element_condition_check(m, coeffs, case=case,
+                                                                   parts=at_zero))
+        if dim == 2:
+            assert dumps(edge_condition_check_2d(m, coeffs)) == \
+                dumps(edge_condition_check_2d(m, coeffs, parts=at_zero))
+        if problem == "quasilinear":
+            # a depends on the state here, so the frozen states are told apart
+            assert dumps(sweep) != dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
+                                                            parts=at_zero))
+            assert dumps(element) != dumps(element_condition_check(m, coeffs, case=case,
+                                                                   parts=at_uh))
+
 
 def _scaled_laplacian(s: float) -> CoefficientSet:
     """a = lam = Lam = s, f = -s: the unit Laplacian times s."""
@@ -379,17 +437,19 @@ class TestEdgeCondition:
                              (False, advection_diffusion([1.0, -2.0], c0=0.5))):
             rule = default_rule(mesh, coeffs)
             parts = local_form_parts(mesh, w, coeffs, rule)
-            records, all_pass, max_sum, identity_err = loop_edge_records(
-                mesh, parts, PAIR_TOL)
-            for given in (None, parts):
-                report = edge_condition_check_2d(mesh, coeffs, rule, w=w,
-                                                 poisson_identity=False, parts=given)
+            # without parts the check freezes the form at zero
+            zero = local_form_parts(mesh, constant_field(mesh, 0.0), coeffs, rule)
+            for given, form in ((None, zero), (parts, parts)):
+                records, all_pass, max_sum, identity_err = loop_edge_records(
+                    mesh, form, PAIR_TOL)
+                report = edge_condition_check_2d(mesh, coeffs, poisson_identity=False,
+                                                 parts=given)
                 # json.dumps tells every bit, the sign of zero included
                 assert json.dumps(report.edges) == json.dumps(records)
                 assert (report.all_pass, report.max_sum, report.num_edges) == \
                     (all_pass, max_sum, len(records))
             if unit:
-                report = edge_condition_check_2d(mesh, coeffs, rule, w=w)
+                report = edge_condition_check_2d(mesh, coeffs, parts=parts)
                 assert report.poisson_identity_checked
                 assert report.identity_max_error == identity_err
 
@@ -621,6 +681,10 @@ class TestDmpParams:
         with pytest.raises(InvalidParameters):
             DmpParams(p=6.5, r=2.0).check_for_dim(3)
         DmpParams(p=6.5, r=2.0).check_for_dim(2)
+        for bad in ({"p": math.inf}, {"lambda_star": math.nan}, {"lambda_star": math.inf},
+                    {"alpha_exponent": math.nan}, {"alpha_exponent": math.inf}):
+            with pytest.raises(InvalidParameters):
+                DmpParams(**bad)
 
 
 class TestCertificate:

@@ -11,6 +11,7 @@ from dmpfem.errors import (
     DegenerateCell,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidParameters,
     NonFiniteValue,
     NonManifold,
 )
@@ -27,7 +28,6 @@ from dmpfem.mesh import (
     save_mesh,
     write_rows,
     write_vtk,
-    InvalidStructuredSpec,
 )
 
 from conftest import (
@@ -138,14 +138,17 @@ class TestGenerators:
         assert acuteness_audit(m).cell_angles == pytest.approx(oracle[:, ::-1], abs=1e-12)
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidStructuredSpec):
+        with pytest.raises(InvalidParameters):
             generate_structured_2d(0, 1)
-        with pytest.raises(InvalidStructuredSpec):
+        with pytest.raises(InvalidParameters):
             generate_structured_2d(1, 1, skew=1.0)
-        with pytest.raises(InvalidStructuredSpec):
+        with pytest.raises(InvalidParameters):
             generate_structured_2d(1, 1, pattern="diagonal")
-        with pytest.raises(InvalidStructuredSpec):
+        with pytest.raises(InvalidParameters):
             generate_structured_3d(1, 0, 1)
+        for exponent in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameters):
+                acuteness_audit(generate_structured_2d(1, 1), exponent)
 
     @pytest.mark.parametrize("args", [(1, 1, "right-diagonal", 0.0),
                                       (5, 3, "right-diagonal", 0.35),
