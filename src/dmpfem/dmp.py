@@ -7,6 +7,7 @@ and the iteration-lemma utilities that tie them together.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,17 +20,19 @@ from .errors import (
     NotConverged,
     UnsupportedCMode,
 )
-from .mesh import Mesh, acuteness_audit, interior_edges_2d
+from .mesh import Mesh, acuteness_audit, interior_edges_2d, row_norms
 from .p1 import P1Field, QuadratureRule, constant_field, gradient_table, \
     physical_points, quadrature_rule
 from .solver import (
     CoefficientSet,
     SolveResult,
     assemble_matrix,
+    cell_blocks,
     check_zeroth_order_condition,
     default_rule,
     interpolate_boundary,
     local_form_parts,
+    state_samples,
 )
 
 SIGN_TOL = 1e-10  # slack below 0 of the sweep's scale-free ratio q / T
@@ -44,6 +47,7 @@ _ROW_SLACK = 1e-9
 ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 MAX_FAILURE_RECORDS = 50  # failing element pairs listed in a report
 MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
+MAX_NORM_DEGREE = 12  # quadrature degree cap of the f norm: 343 points per tetrahedron
 
 
 @dataclass(frozen=True)
@@ -268,6 +272,16 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
                            scale=max(1.0, float(np.abs(q_values).max())))
 
 
+def _cell_scales(parts) -> np.ndarray:
+    """Largest entry of |diffusion| + |advection| + |reaction| in each cell."""
+    diffusion, advection, reaction = parts
+    total = np.abs(diffusion)
+    total += np.abs(advection)
+    total += np.abs(reaction)
+    total = total.reshape(len(total), -1)
+    return functools.reduce(np.maximum, (total[:, k] for k in range(total.shape[1])))
+
+
 @dataclass(frozen=True)
 class ElementConditionReport:
     """Per-cell, per-ordered-pair verdicts of the sign conditions.
@@ -321,53 +335,51 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
 
     if parts is None:
         parts = _form_parts(mesh, coeffs)
-    diffusion, advection, reaction = parts
-    # local_form_parts stores [cell, test, trial]; the pair quantity carries
-    # the gradient on the first index, so transpose to [cell, i, j].
-    total = np.swapaxes(diffusion + advection + reaction, 1, 2)
-    d_pair = -total
+    m = mesh.dim + 1
+    # The d(d+1) ordered pairs i != j in row-major order.  local_form_parts
+    # stores [cell, test, trial] and the pair quantity carries the gradient on
+    # i, so pair (i, j) reads entry [cell, j, i].
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    diffusion, advection, reaction = (
+        part.reshape(len(part), -1)[:, j * m + i] for part in parts)
+    d_pair = -(diffusion + advection + reaction)
     # relative to each cell's own entries, so a scaled form keeps its verdicts
-    tol = PAIR_TOL * (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
+    tol = PAIR_TOL * _cell_scales(parts)[:, None]
 
     grads = gradient_table(mesh)
-    gnorm = np.linalg.norm(grads, axis=-1)
-    prod = gnorm[:, :, None] * gnorm[:, None, :] * mesh.cell_measures[:, None, None]
-
-    m = mesh.dim + 1
-    off = ~np.eye(m, dtype=bool)
+    gnorm = row_norms(grads)
+    norm_prod = gnorm[:, i] * gnorm[:, j]
+    prod = norm_prod * mesh.cell_measures[:, None]
 
     if case == "poisson-like":
         # grad_i . grad_j = -|g_i||g_j| cos(angle_ij)
-        gdots = np.einsum("cid,cjd->cij", grads, grads)
-        norm_prod = gnorm[:, :, None] * gnorm[:, None, :]
+        gdots = np.stack([np.einsum("cd,cd->c", grads[:, a], grads[:, b])
+                          for a, b in zip(i, j)], axis=1)
         cos_angle = -gdots / norm_prod
         reference = coeffs.lam * prod * cos_angle
-        drift_ok = np.abs(np.swapaxes(advection, 1, 2)) <= tol[:, None, None]
-        react_ok = np.abs(np.swapaxes(reaction, 1, 2)) <= tol[:, None, None]
         margin = np.minimum(d_pair - reference, d_pair)
-        ok = (d_pair >= reference - tol[:, None, None]) \
-            & (d_pair >= -tol[:, None, None]) & drift_ok & react_ok
+        ok = (d_pair >= reference - tol) & (d_pair >= -tol) \
+            & (np.abs(advection) <= tol) & (np.abs(reaction) <= tol)
     else:
         reference = lambda_star * prod
         margin = d_pair - reference
-        ok = d_pair >= reference - tol[:, None, None]
+        ok = d_pair >= reference - tol
         if case == "b-zero-c-nonneg":
-            ok &= np.abs(np.swapaxes(advection, 1, 2)) <= tol[:, None, None]
+            ok &= np.abs(advection) <= tol
 
-    failures = []
-    bad = np.argwhere(~ok & off[None, :, :])
-    for cell, i, j in bad[:MAX_FAILURE_RECORDS]:
-        failures.append({
-            "cell": int(cell), "i": int(i), "j": int(j),
-            "d_value": float(d_pair[cell, i, j]),
-            "reference": float(reference[cell, i, j]),
-        })
-    masked = np.where(off[None, :, :], margin, np.inf)
+    bad = np.argwhere(~ok)
+    failures = [{"cell": int(cell), "i": int(i[p]), "j": int(j[p]),
+                 "d_value": float(d_pair[cell, p]), "reference": float(reference[cell, p])}
+                for cell, p in bad[:MAX_FAILURE_RECORDS]]
+    # The minimum runs over the [cell, i, j] table with +inf on the diagonal,
+    # the layout that decides which zero a tie of +0.0 and -0.0 returns.
+    table = np.full((mesh.num_cells, m * m), np.inf)
+    table[:, i * m + j] = margin
     return ElementConditionReport(
         case=case,
         lambda_star=lambda_star if case != "poisson-like" else None,
-        all_pass=bool(np.all(ok[:, off])),
-        min_margin=float(masked.min()),
+        all_pass=bool(ok.all()),
+        min_margin=float(table.min()),
         num_pairs=int(mesh.num_cells * m * (m - 1)),
         num_failing_pairs=int(len(bad)),
         failures=failures,
@@ -434,7 +446,7 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
         parts = _form_parts(mesh, coeffs)
     diffusion, advection, reaction = parts
     total = diffusion + advection + reaction  # [cell, test, trial]
-    cell_scale = (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
+    cell_scale = _cell_scales(parts)
 
     edges = interior_edges_2d(mesh)
     nodes, cells = edges.nodes, edges.cells
@@ -481,7 +493,9 @@ def level_set_profile(mesh: Mesh, u_h: P1Field, k_values) -> np.ndarray:
     """Level-set measures over a grid of cut levels: suffix sums of the cell
     measures sorted by nodal maximum, exactly non-increasing in the level."""
     k_values = np.asarray(k_values, dtype=float)
-    cell_max = u_h.nodal_values[mesh.cells].max(axis=1)
+    values = u_h.nodal_values
+    cell_max = functools.reduce(np.maximum, (values[mesh.cells[:, m]]
+                                             for m in range(mesh.dim + 1)))
     order = np.argsort(cell_max, kind="stable")
     tail = np.append(np.cumsum(mesh.cell_measures[order][::-1])[::-1], 0.0)
     return tail[np.searchsorted(cell_max[order], k_values, side="right")]
@@ -919,14 +933,22 @@ class DmpCertificate:
 def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
                  rule: QuadratureRule, fvals: np.ndarray) -> float:
     """L^exponent norm of f by quadrature (the maximum over the degree-4
-    points for an infinite exponent).  `fvals` are f at the points of `rule`,
-    reused when the norm's rule is that one."""
-    degree = 4 if math.isinf(exponent) else max(4, int(math.ceil(exponent)) + 1)
+    points for an infinite exponent).  The rule has degree ceil(exponent) + 1,
+    at least 4 and at most `MAX_NORM_DEGREE`: an exponent near its infinite
+    limit would otherwise ask for hundreds of thousands of points per cell.
+    `fvals` are f at the points of `rule`, reused when the norm's rule is
+    that one; any other rule is evaluated one `cell_blocks` slice at a time."""
+    degree = 4 if math.isinf(exponent) \
+        else min(max(4, int(math.ceil(exponent)) + 1), MAX_NORM_DEGREE)
     norm_rule = quadrature_rule(mesh.dim, degree)
-    if norm_rule is not rule:
-        xq = physical_points(mesh, norm_rule)
-        fvals = np.broadcast_to(np.asarray(coeffs.f(xq), float), xq.shape[:2])
-    fvals = np.abs(fvals)
+    if norm_rule is rule:
+        fvals = np.abs(fvals)
+    else:
+        fvals = np.empty((mesh.num_cells, len(norm_rule.weights)))
+        for cells in cell_blocks(*fvals.shape):
+            xq = physical_points(mesh, norm_rule, cells)
+            fvals[cells] = np.abs(np.broadcast_to(np.asarray(coeffs.f(xq), float),
+                                                  xq.shape[:2]))
     if math.isinf(exponent):
         return float(fvals.max())
     total = np.einsum("cq,q,c->", fvals ** exponent, norm_rule.weights, mesh.cell_measures)
@@ -963,9 +985,22 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     sup_uh = u_h.max_value()
     bound_tol = BOUND_TOL * max(abs(k_star), float(np.abs(u_h.nodal_values).max()))
 
-    # The (C, M, M) parts are shared by the sweep and the element and edge
-    # checks, and dropped before the quadrature-point passes that follow.
-    parts = local_form_parts(mesh, u_h, coeffs, rule)
+    # One sampling of u_h at the quadrature points serves the zeroth-order
+    # check, the sign and norm of f and the form parts.  The points are
+    # dropped before the sweep and the element and edge checks, which share
+    # the (C, M, M) parts.
+    samples = state_samples(mesh, u_h, rule, physical_points(mesh, rule))
+    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _samples=samples)
+    points = samples[0]
+    fvals = np.broadcast_to(np.asarray(coeffs.f(points), float), points.shape[:2])
+    f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))
+    h_nu = float(mesh.h * coeffs.nu)
+    applicable = {"f_nonpositive": f_nonpositive, "h_nu_below_one": h_nu < 1.0}
+    f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent, rule, fvals)
+    del fvals, points
+    parts = local_form_parts(mesh, u_h, coeffs, rule, _samples=samples)
+    del samples
+
     sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, parts=parts)
     case = _select_element_case(parts, coeffs)
     element = element_condition_check(mesh, coeffs, case=case,
@@ -975,22 +1010,10 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
         edge = edge_condition_check_2d(mesh, coeffs, parts=parts)
     del parts
 
-    # One set of quadrature points for the zeroth-order check, the sign of f
-    # and, when its rule matches, the norm of f.
-    points = physical_points(mesh, rule)
-    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _points=points)
-    fvals = np.broadcast_to(np.asarray(coeffs.f(points), float), points.shape[:2])
-    del points
-    f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))
-    h_nu = float(mesh.h * coeffs.nu)
-    applicable = {"f_nonpositive": f_nonpositive, "h_nu_below_one": h_nu < 1.0}
-    flags_true = f_nonpositive and h_nu < 1.0
     holds = None
-    if flags_true and sweep.satisfied:
+    if f_nonpositive and h_nu < 1.0 and sweep.satisfied:
         holds = bool(sup_uh <= k_star + bound_tol)
 
-    f_norm = _source_norm(mesh, coeffs, params.f_norm_exponent, rule, fvals)
-    del fvals
     overshoot = max(sup_uh - k_star, 0.0)
     empirical_c = overshoot / f_norm if f_norm > 1e-300 else None
 

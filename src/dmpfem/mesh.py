@@ -9,6 +9,7 @@ interior dihedral angles of a tetrahedron.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -53,14 +54,26 @@ def _signed_measures(verts: np.ndarray) -> np.ndarray:
     return np.linalg.det(edges) / fact
 
 
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis, one component at a time,
+    summed in component order as `np.linalg.norm(vectors, axis=-1)` does."""
+    return functools.reduce(np.add, (vectors[..., d] ** 2 for d in range(vectors.shape[-1])))
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(vectors, axis=-1)`, bit for bit, without its reduction
+    over a short last axis."""
+    return np.sqrt(_squared_norms(vectors))
+
+
 def _pairwise_diameters(verts: np.ndarray) -> np.ndarray:
     """Max pairwise vertex distance per simplex; verts (..., d+1, d).  Takes
     the d(d+1)/2 distinct pairs and one square root of the largest squared
     length (the square root is monotone, so the bits equal the all-pairs
     maximum)."""
-    i, j = np.triu_indices(verts.shape[-2], 1)
-    diff = verts[..., i, :] - verts[..., j, :]
-    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=-1))
+    pairs = itertools.combinations(range(verts.shape[-2]), 2)
+    return np.sqrt(functools.reduce(np.maximum, (
+        _squared_norms(verts[..., i, :] - verts[..., j, :]) for i, j in pairs)))
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,9 @@ class AngleReport:
     gamma_fit: float
 
 
+_SORT_NETWORKS = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)]}  # facet widths 2 and 3
+
+
 def _facet_table(cells: np.ndarray, nv: int):
     """Facet incidence from one sort of packed facet keys.
 
@@ -164,11 +180,16 @@ def _facet_table(cells: np.ndarray, nv: int):
     m = cells.shape[1]
     if nv ** (m - 1) > 2 ** 63:
         raise InvalidParameters(f"{nv} vertices overflow the int64 facet keys")
+    # column k holds vertex k of every facet, (cells, m); a compare-exchange
+    # network sorts the m - 1 columns
     others = np.array([[j for j in range(m) if j != i] for i in range(m)])
-    rows = np.sort(cells[:, others], axis=2).reshape(-1, m - 1)
-    keys = rows[:, 0]
-    for col in range(1, m - 1):
-        keys = keys * nv + rows[:, col]
+    cols = [cells[:, others[:, k]] for k in range(m - 1)]
+    for a, b in _SORT_NETWORKS[m - 1]:
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    rows = np.stack(cols, axis=-1).reshape(-1, m - 1)
+    keys = cols[0].ravel()
+    for col in cols[1:]:
+        keys = keys * nv + col.ravel()
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")  # slots grouped by facet
     first = np.cumsum(counts) - counts
@@ -203,7 +224,8 @@ def build_mesh(vertices, cells) -> Mesh:
     nv = vertices.shape[0]
     if cells.size and (cells.min() < 0 or cells.max() >= nv):
         raise IndexOutOfRange(f"cell vertex index outside [0, {nv})")
-    repeats = (np.diff(np.sort(cells, axis=1), axis=1) == 0).any(axis=1)
+    repeats = functools.reduce(np.logical_or, (
+        cells[:, i] == cells[:, j] for i, j in itertools.combinations(range(dim + 1), 2)))
     if repeats.any():
         k = int(np.argmax(repeats))
         raise DegenerateCell(f"cell {k} repeats a vertex: {cells[k].tolist()}")
@@ -289,7 +311,7 @@ def generate_structured_3d(nx: int, ny: int, nz: int) -> Mesh:
 def _all_cell_angles(mesh: Mesh) -> np.ndarray:
     """The pair angles of every cell (module docstring): (n_cells, n_pairs)."""
     grads = mesh.shape_gradients
-    norms = np.linalg.norm(grads, axis=-1)
+    norms = row_norms(grads)
     normals = -grads / norms[..., None]
     pairs = list(itertools.combinations(range(mesh.dim + 1), 2))
     cols = []
@@ -432,10 +454,11 @@ ROW_BLOCK = 8192  # rows formatted per write: bounds the Python strings held at 
 
 
 def write_rows(fp, row_format: str, rows: np.ndarray) -> None:
-    """Write `row_format % row` for each row of a 2D array, one joined string
+    """Write `row_format % row` for each row of a 2D array, one `%` operation
     per block of rows; integer-valued floats print exactly under `%d`."""
     for lo in range(0, len(rows), ROW_BLOCK):
-        fp.write("".join([row_format % tuple(r) for r in rows[lo:lo + ROW_BLOCK].tolist()]))
+        block = rows[lo:lo + ROW_BLOCK]
+        fp.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,

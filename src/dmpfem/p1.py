@@ -153,13 +153,14 @@ def quadrature_rule(dim: int, degree: int) -> QuadratureRule:
     return QuadratureRule(dim=dim, degree=eff, points=pts, weights=wts / wts.sum())
 
 
-def physical_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature point coordinates for every cell: (n_cells, n_q, dim),
-    C-contiguous.  Each point sums its barycentric terms in local-vertex
-    order, over one (n_cells, dim) gather per local vertex."""
+def physical_points(mesh: Mesh, rule: QuadratureRule, cells=slice(None)) -> np.ndarray:
+    """Quadrature point coordinates for every cell, or for the cells of a
+    slice: (n_cells, n_q, dim), C-contiguous.  Each point sums its barycentric
+    terms in local-vertex order, over one (n_cells, dim) gather per local
+    vertex."""
     bar = rule.points
-    corners = [mesh.vertices[mesh.cells[:, m]] for m in range(bar.shape[1])]
-    out = np.empty((mesh.num_cells, len(bar), mesh.dim))
+    corners = [mesh.vertices[mesh.cells[cells, m]] for m in range(bar.shape[1])]
+    out = np.empty((len(corners[0]), len(bar), mesh.dim))
     for q, weights in enumerate(bar):
         point = weights[0] * corners[0]
         for weight, corner in zip(weights[1:], corners[1:]):

@@ -42,6 +42,7 @@ from .rng import SplitMix64
 C_MODES = ("nonnegative", "identically-zero", "general")
 SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
+BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
 
 
 def as_point_callable(value):
@@ -206,6 +207,8 @@ class SolveOptions:
             raise InvalidParameters("tolerances must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParameters("damping must lie in (0, 1]")
+        if self.picard_max_iter < 0:
+            raise InvalidParameters("picard_max_iter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -240,52 +243,68 @@ def default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
     return quadrature_rule(mesh.dim, 2 if coeffs.constant_coefficients else 4)
 
 
-def _state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule, points=None):
-    """Quadrature points (C, Q, D) with the state w there (C, Q) and its
-    constant per-cell gradient broadcast over the points (C, Q, D).  `points`
-    are the `physical_points` of the rule when the caller already holds them."""
-    xq = physical_points(mesh, rule) if points is None else points
-    return xq, w.values_in_cells(rule), np.broadcast_to(w.cell_gradients()[:, None, :], xq.shape)
+def cell_blocks(num_cells: int, points_per_cell: int) -> list:
+    """Consecutive cell slices holding about `BLOCK_POINTS` quadrature points
+    each.  No slice holds a single cell unless the mesh does: numpy hands a
+    one-row matrix product to BLAS gemv, whose sums round differently from
+    the gemm of a taller block."""
+    step = max(2, BLOCK_POINTS // max(points_per_cell, 1))
+    bounds = list(range(0, num_cells, step)) + [num_cells]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def coefficient_samples(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-                        rule: QuadratureRule, *, _points=None):
-    """Evaluate (a, b, c) at all quadrature points with state frozen at w.
+def state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule, points=None):
+    """The quadrature points (C, Q, D), the state w there (C, Q) and its
+    constant per-cell gradient (C, D).  `points` are the `physical_points` of
+    the rule when the caller holds them; None leaves them to be computed one
+    `cell_blocks` slice at a time."""
+    return points, w.values_in_cells(rule), w.cell_gradients()
 
-    Returns the quadrature coordinates and arrays of shapes (C, Q), (C, Q, D)
-    and (C, Q).
-    """
-    xq, eta, p = _state_samples(mesh, w, rule, _points)
-    a = np.broadcast_to(np.asarray(coeffs.a(xq, eta, p), float), eta.shape)
-    b = np.broadcast_to(np.asarray(coeffs.b(xq, eta, p), float), xq.shape)
-    c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
-    return xq, a, b, c
+
+def _sample_blocks(mesh: Mesh, rule: QuadratureRule, samples):
+    """(cells, x, eta, p) per `cell_blocks` slice of `state_samples`, the
+    gradient broadcast over the block's points."""
+    xq, eta, grad = samples
+    for cells in cell_blocks(*eta.shape):
+        x = physical_points(mesh, rule, cells) if xq is None else xq[cells]
+        yield cells, x, eta[cells], np.broadcast_to(grad[cells, None, :], x.shape)
 
 
 def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-                     rule: QuadratureRule, *, _values=None):
+                     rule: QuadratureRule, *, _samples=None):
     """Per-cell local matrices of the three form terms, frozen at state w.
 
     Returns (diffusion, advection, reaction), each (C, M, M) with entry
     [cell, m, n] = integral over the cell of the term with trial shape
     function n and test shape function m.  Each term is first summed over the
     quadrature points and then multiplied once per cell: the shape gradients
-    are constant on a cell.  `_values` are the (a, b, c) of
-    `coefficient_samples` when the caller already holds them.
+    are constant on a cell.  a, b and c are sampled one `cell_blocks` slice
+    at a time, so no (C, Q, D) coefficient array is held.  `_samples` are the
+    `state_samples` of w when the caller already holds them.
     """
-    a, b, c = _values or coefficient_samples(mesh, w, coeffs, rule)[1:]
+    samples = _samples or state_samples(mesh, w, rule)
     grads = gradient_table(mesh)
     bar = rule.points
     wq = rule.weights
     meas = mesh.cell_measures
     n_local = bar.shape[1]
-
-    a_cell = np.einsum("cq,q->c", a, wq) * meas
-    diffusion = np.einsum("c,cmd,cnd->cmn", a_cell, grads, grads)
-    b_cell = np.matmul(b.transpose(0, 2, 1), bar * wq[:, None]).transpose(0, 2, 1)
-    advection = (b_cell @ grads.transpose(0, 2, 1)) * meas[:, None, None]
+    b_weights = bar * wq[:, None]
     mass = (bar[:, :, None] * bar[:, None, :] * wq[:, None, None]).reshape(len(wq), -1)
-    reaction = (c @ mass).reshape(-1, n_local, n_local) * meas[:, None, None]
+
+    diffusion, advection, reaction = (np.empty((mesh.num_cells, n_local, n_local))
+                                      for _ in range(3))
+    for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
+        a = np.broadcast_to(np.asarray(coeffs.a(x, eta, p), float), eta.shape)
+        b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
+        c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+        g, m = grads[cells], meas[cells]
+        a_cell = np.einsum("cq,q->c", a, wq) * m
+        diffusion[cells] = np.einsum("c,cmd,cnd->cmn", a_cell, g, g)
+        b_cell = np.matmul(b.transpose(0, 2, 1), b_weights).transpose(0, 2, 1)
+        advection[cells] = (b_cell @ g.transpose(0, 2, 1)) * m[:, None, None]
+        reaction[cells] = (c @ mass).reshape(-1, n_local, n_local) * m[:, None, None]
     return diffusion, advection, reaction
 
 
@@ -360,9 +379,8 @@ class _FrozenFormAssembly:
 
     def system(self, w: P1Field) -> SparseSystem:
         mesh, rule = self.mesh, self.rule
-        values = coefficient_samples(mesh, w, self.coeffs, rule, _points=self.points)[1:]
-        parts = local_form_parts(mesh, w, self.coeffs, rule, _values=values)
-        del values
+        parts = local_form_parts(mesh, w, self.coeffs, rule,
+                                 _samples=state_samples(mesh, w, rule, self.points))
         return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs)
 
 
@@ -532,34 +550,39 @@ class ZerothOrderReport:
 
 def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
                                  rule: QuadratureRule | None = None, *,
-                                 _points=None) -> ZerothOrderReport:
+                                 _samples=None) -> ZerothOrderReport:
     """Probe c(x,u) - div b(x,u,grad u)/2 >= 0 at all quadrature points.
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
-    step 1e-6 * h inside each cell.  `_points` are the `physical_points` of
-    the rule when the caller already holds them.
+    step 1e-6 * h inside each cell.  The coefficients are sampled one
+    `cell_blocks` slice at a time into one (C, Q) array of values.
+    `_samples` are the `state_samples` of u_h when the caller already holds
+    them.
     """
-    xq, eta, p = _state_samples(mesh, u_h, rule or default_rule(mesh, coeffs), _points)
-    c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
-    if coeffs.div_b is not None:
-        div = np.broadcast_to(np.asarray(coeffs.div_b(xq, eta, p), float), eta.shape)
-        supplied = True
-    else:
-        supplied = False
-        step = 1e-6 * mesh.h
-        div = np.zeros(eta.shape)
-        for axis in range(mesh.dim):
-            shift = np.zeros(mesh.dim)
-            shift[axis] = step
-            eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
-            b_plus = np.broadcast_to(
-                np.asarray(coeffs.b(xq + shift, eta + eta_shift, p), float), xq.shape)
-            b_minus = np.broadcast_to(
-                np.asarray(coeffs.b(xq - shift, eta - eta_shift, p), float), xq.shape)
-            div = div + (b_plus[..., axis] - b_minus[..., axis]) / (2.0 * step)
+    rule = rule or default_rule(mesh, coeffs)
+    samples = _samples or state_samples(mesh, u_h, rule)
+    supplied = coeffs.div_b is not None
+    step = 1e-6 * mesh.h
+    values = np.empty(samples[1].shape)
+    for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
+        c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+        if supplied:
+            div = np.broadcast_to(np.asarray(coeffs.div_b(x, eta, p), float), eta.shape)
+        else:
+            div = np.zeros(eta.shape)
+            for axis in range(mesh.dim):
+                shift = np.zeros(mesh.dim)
+                shift[axis] = step
+                eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
+                # component `axis` of b, copied so that the rest is freed
+                b_plus = np.broadcast_to(np.asarray(
+                    coeffs.b(x + shift, eta + eta_shift, p), float), x.shape)[..., axis].copy()
+                b_minus = np.broadcast_to(np.asarray(
+                    coeffs.b(x - shift, eta - eta_shift, p), float), x.shape)[..., axis].copy()
+                div = div + (b_plus - b_minus) / (2.0 * step)
+        values[cells] = c - 0.5 * div
 
-    values = c - 0.5 * div
     min_value = float(values.min())
     return ZerothOrderReport(min_value=min_value,
                              condition_holds=min_value >= -1e-10,

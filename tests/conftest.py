@@ -408,17 +408,45 @@ def table_de_giorgi_verify(inp, rho=None, tau_max: int = 40, rel_tol: float = 1e
 
 # -- einsum oracles of the assembly kernels --------------------------------------
 
+# The drift and reaction kinds the kernels are compared over: zeros as fresh
+# and as broadcast arrays, a broadcast constant and a state-dependent field.
+
+def drift_field(x, e, p):
+    # a contiguous, state-dependent drift
+    return np.stack([np.sin(3.0 * x[..., d] + e) for d in range(x.shape[-1])], axis=-1)
+
+
+KERNEL_B = {
+    "zero": lambda x, e, p: np.zeros(np.shape(x)),
+    "zero-broadcast": lambda x, e, p: np.broadcast_to(np.zeros(np.shape(x)[-1]), np.shape(x)),
+    "constant-broadcast": lambda x, e, p: np.broadcast_to(
+        np.linspace(-2.0, 3.0, np.shape(x)[-1]), np.shape(x)),
+    "field": drift_field,
+}
+KERNEL_C = {
+    "zero": lambda x, e: np.zeros(np.shape(e)),
+    "zero-broadcast": lambda x, e: np.broadcast_to(0.0, np.shape(e)),
+    "constant-broadcast": lambda x, e: np.broadcast_to(0.7, np.shape(e)),
+    "field": lambda x, e: 1.0 + x[..., 0] * x[..., -1] + e ** 2,
+}
+
+
 def einsum_physical_points(mesh: Mesh, rule) -> np.ndarray:
     """Quadrature point coordinates by one einsum over the cell vertices."""
     return np.einsum("qm,cmd->cqd", rule.points, mesh.vertices[mesh.cells])
 
 
 def einsum_local_form_parts(mesh: Mesh, w, coeffs, rule):
-    """(diffusion, advection, reaction) of `local_form_parts`, each term
-    contracted over cells, quadrature points and shape functions in one einsum."""
-    from dmpfem.solver import coefficient_samples
+    """(diffusion, advection, reaction) of `local_form_parts`, with a, b, c
+    sampled at all quadrature points at once and each term contracted over
+    cells, quadrature points and shape functions in one einsum."""
+    from dmpfem.p1 import physical_points
 
-    _, a, b, c = coefficient_samples(mesh, w, coeffs, rule)
+    xq, eta = physical_points(mesh, rule), w.values_in_cells(rule)
+    p = np.broadcast_to(w.cell_gradients()[:, None, :], xq.shape)
+    a = np.broadcast_to(np.asarray(coeffs.a(xq, eta, p), float), eta.shape)
+    b = np.broadcast_to(np.asarray(coeffs.b(xq, eta, p), float), xq.shape)
+    c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
     grads = mesh.shape_gradients
     bar = rule.points
     wq = rule.weights
@@ -428,6 +456,81 @@ def einsum_local_form_parts(mesh: Mesh, w, coeffs, rule):
     advection = np.einsum("cqd,cnd,qm,q->cmn", b, grads, bar, wq) * meas[:, None, None]
     reaction = np.einsum("cq,qm,qn,q->cmn", c, bar, bar, wq) * meas[:, None, None]
     return diffusion, advection, reaction
+
+
+# -- full-table and unblocked oracles of the certificate checks -----------------
+
+def full_element_condition_check(mesh: Mesh, coeffs, case: str, lambda_star, parts):
+    """`element_condition_check` over the full (C, M, M) tables, diagonal
+    masked, with the reductions taken over their short axes."""
+    from dmpfem.dmp import MAX_FAILURE_RECORDS, PAIR_TOL, ElementConditionReport
+
+    if lambda_star is None:
+        lambda_star = 0.1 * coeffs.lam
+    diffusion, advection, reaction = parts
+    total = np.swapaxes(diffusion + advection + reaction, 1, 2)
+    d_pair = -total
+    tol = PAIR_TOL * (np.abs(diffusion) + np.abs(advection) + np.abs(reaction)).max(axis=(1, 2))
+    grads = mesh.shape_gradients
+    gnorm = np.linalg.norm(grads, axis=-1)
+    prod = gnorm[:, :, None] * gnorm[:, None, :] * mesh.cell_measures[:, None, None]
+    m = mesh.dim + 1
+    off = ~np.eye(m, dtype=bool)
+    if case == "poisson-like":
+        gdots = np.einsum("cid,cjd->cij", grads, grads)
+        norm_prod = gnorm[:, :, None] * gnorm[:, None, :]
+        cos_angle = -gdots / norm_prod
+        reference = coeffs.lam * prod * cos_angle
+        drift_ok = np.abs(np.swapaxes(advection, 1, 2)) <= tol[:, None, None]
+        react_ok = np.abs(np.swapaxes(reaction, 1, 2)) <= tol[:, None, None]
+        margin = np.minimum(d_pair - reference, d_pair)
+        ok = (d_pair >= reference - tol[:, None, None]) \
+            & (d_pair >= -tol[:, None, None]) & drift_ok & react_ok
+    else:
+        reference = lambda_star * prod
+        margin = d_pair - reference
+        ok = d_pair >= reference - tol[:, None, None]
+        if case == "b-zero-c-nonneg":
+            ok &= np.abs(np.swapaxes(advection, 1, 2)) <= tol[:, None, None]
+    bad = np.argwhere(~ok & off[None, :, :])
+    failures = [{"cell": int(cell), "i": int(i), "j": int(j),
+                 "d_value": float(d_pair[cell, i, j]),
+                 "reference": float(reference[cell, i, j])}
+                for cell, i, j in bad[:MAX_FAILURE_RECORDS]]
+    masked = np.where(off[None, :, :], margin, np.inf)
+    return ElementConditionReport(
+        case=case, lambda_star=lambda_star if case != "poisson-like" else None,
+        all_pass=bool(np.all(ok[:, off])), min_margin=float(masked.min()),
+        num_pairs=int(mesh.num_cells * m * (m - 1)), num_failing_pairs=int(len(bad)),
+        failures=failures)
+
+
+def unblocked_zeroth_order_condition(mesh: Mesh, u_h, coeffs, rule):
+    """`check_zeroth_order_condition` with every coefficient sampled at all
+    quadrature points at once."""
+    from dmpfem.p1 import physical_points
+    from dmpfem.solver import ZerothOrderReport
+
+    xq, eta = physical_points(mesh, rule), u_h.values_in_cells(rule)
+    p = np.broadcast_to(u_h.cell_gradients()[:, None, :], xq.shape)
+    c = np.broadcast_to(np.asarray(coeffs.c(xq, eta), float), eta.shape)
+    if coeffs.div_b is not None:
+        div = np.broadcast_to(np.asarray(coeffs.div_b(xq, eta, p), float), eta.shape)
+    else:
+        step = 1e-6 * mesh.h
+        div = np.zeros(eta.shape)
+        for axis in range(mesh.dim):
+            shift = np.zeros(mesh.dim)
+            shift[axis] = step
+            eta_shift = p[:, :1, axis] * step
+            b_plus = np.broadcast_to(
+                np.asarray(coeffs.b(xq + shift, eta + eta_shift, p), float), xq.shape)
+            b_minus = np.broadcast_to(
+                np.asarray(coeffs.b(xq - shift, eta - eta_shift, p), float), xq.shape)
+            div = div + (b_plus[..., axis] - b_minus[..., axis]) / (2.0 * step)
+    min_value = float((c - 0.5 * div).min())
+    return ZerothOrderReport(min_value=min_value, condition_holds=min_value >= -1e-10,
+                             used_supplied_divergence=coeffs.div_b is not None)
 
 
 def coo_assemble_matrix(mesh: Mesh, parts):

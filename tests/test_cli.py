@@ -175,6 +175,8 @@ class TestSolveCommand:
         ["solve", "--linear-tol", "nan"],
         ["solve", "--picard-tol", "nan"],
         ["solve", "--picard-tol", "inf"],
+        ["solve", "--picard-max-iter", "-1"],
+        ["dmp-check", "--solve", "--picard-max-iter", "-1"],
         ["solve", "--coeffs", "nan-bounds.json"],
         ["dmp-check", "--solve", "--lambda-star", "nan"],
         ["dmp-check", "--solve", "--alpha-exponent", "nan"],
@@ -341,6 +343,21 @@ class TestDmpCheckCommand:
                         "--problem", "poisson", "--seed", "42", "-o", out]) == 0
         for name in names[:2]:
             assert (out3 / name).read_bytes() == (out4 / name).read_bytes(), name
+        # a 3D coefficient file: formula drift and no div_b, so the zeroth-
+        # order check differentiates b numerically
+        cube = tmp_path / "cube.json"
+        assert run(["mesh-gen", "--cube", "3x3x4", "-o", cube]) == 0
+        coeffs = tmp_path / "drift.json"
+        coeffs.write_text(json.dumps({
+            "a": "1 + eta^2/(1+eta^2)", "b": ["0.1*eta", "0.2*x", "0.1*sin(z)"], "c": "1",
+            "f": "1 - x*y", "g": "0", "lambda": 1.0, "Lambda": 2.0, "nu": 2.0,
+            "c_mode": "nonnegative"}))
+        out5, out6 = tmp_path / "d5", tmp_path / "d6"
+        codes = [run(["dmp-check", "--mesh", cube, "--solve", "--coeffs", coeffs,
+                      "--seed", "7", "-o", out]) for out in (out5, out6)]
+        assert codes[0] == codes[1] and codes[0] in (0, 4)
+        for name in names:
+            assert (out5 / name).read_bytes() == (out6 / name).read_bytes(), name
 
     def test_degiorgi_check_embedded(self, square_mesh, tmp_path):
         outdir = tmp_path / "dg"

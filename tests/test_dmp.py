@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dmpfem.dmp import (
     fit_decay_constant,
     level_set_profile,
 )
+from dmpfem.cli import main
 from dmpfem.errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -39,12 +41,14 @@ from dmpfem.mesh import (
     generate_structured_3d,
     interior_edges_2d,
 )
+from dmpfem.expressions import point_function, state_function, vector_state_function
 from dmpfem.p1 import P1Field, constant_field, cut_minus, cut_plus, quadrature_rule
 from dmpfem.solver import (
     CoefficientSet,
     SolveResult,
     advection_diffusion,
     assemble_q,
+    check_zeroth_order_condition,
     default_rule,
     interpolate_boundary,
     local_form_parts,
@@ -54,8 +58,12 @@ from dmpfem.solver import (
 )
 
 from conftest import (
+    KERNEL_B,
+    KERNEL_C,
     adjacent_pair,
+    drift_field,
     equilateral_mesh,
+    full_element_condition_check,
     level_set_measure,
     loop_assumption_sweep,
     loop_edge_records,
@@ -65,6 +73,7 @@ from conftest import (
     table_de_giorgi_verify,
     table_fit_decay_constant,
     triangle_vertex_angles,
+    unblocked_zeroth_order_condition,
 )
 
 
@@ -818,12 +827,11 @@ class TestCertificate:
         dmp_certificate(m, result, coeffs)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("coeffs,expected", [(quasilinear_a(f=1.0), 2),
-                                                  (poisson(f=1.0), 3)])
+    @pytest.mark.parametrize("coeffs,expected", [(quasilinear_a(f=1.0), 1),
+                                                  (poisson(f=1.0), 2)])
     def test_quadrature_points_computed_once_per_rule(self, monkeypatch, coeffs, expected):
-        # once for the form parts and once for the zeroth-order check, the f
-        # scan and the norm of f; a degree-2 rule leaves the degree-4 norm
-        # its own points
+        # once for the form parts, the zeroth-order check, the f scan and the
+        # norm of f; a degree-2 rule leaves the degree-4 norm its own points
         m = generate_structured_2d(6, 6)
         result = picard_solve(m, coeffs)
         calls = []
@@ -860,3 +868,139 @@ class TestCertificate:
         assert cert.edge_condition is None
         assert cert.to_dict()["edge_condition"]["verdict"] == "not-applicable"
         assert cert.theorem_3_3_verdict == "pass"
+
+
+def _dumps(report) -> str:
+    return json.dumps(report.to_dict())
+
+
+class TestBlockedPassesMatchOracles:
+    """The pair-only element check and the blocked zeroth-order check give the
+    bytes of the full-table and unblocked oracles, zero signs included."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 4),
+           pattern=st.sampled_from(["right-diagonal", "crisscross"]),
+           amount=st.sampled_from([0.0, 0.05, 0.15]),
+           b_kind=st.sampled_from(sorted(KERNEL_B)), c_kind=st.sampled_from(sorted(KERNEL_C)),
+           supplied_div=st.booleans(), at_zero=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reports_match_oracles(self, dim, n, pattern, amount, b_kind, c_kind,
+                                   supplied_div, at_zero, seed):
+        rng = np.random.default_rng(seed)
+        base = generate_structured_2d(n + 1, n, pattern=pattern) if dim == 2 \
+            else generate_structured_3d(n, n, n + 1)
+        m = perturbed_mesh(base, rng, amount)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+            b=KERNEL_B[b_kind], c=KERNEL_C[c_kind], f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=10.0,
+            div_b=(lambda x, e, p: np.sin(x[..., 0] + e)) if supplied_div else None)
+        w = constant_field(m, 0.0) if at_zero else random_nodal_field(m, rng)
+        rule = default_rule(m, coeffs)
+        for form in (coeffs, poisson()):
+            parts = local_form_parts(m, w, form, rule)
+            for case in ELEMENT_CASES:
+                for lambda_star in (None, 0.05):
+                    assert _dumps(element_condition_check(
+                        m, form, case=case, lambda_star=lambda_star, parts=parts)) == \
+                        _dumps(full_element_condition_check(m, form, case, lambda_star, parts))
+        assert _dumps(check_zeroth_order_condition(m, w, coeffs, rule)) == \
+            _dumps(unblocked_zeroth_order_condition(m, w, coeffs, rule))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_kuhn_zero_margin_sign(self, n):
+        # right dihedral angles give margins of +0.0 and -0.0; the reported
+        # minimum keeps the zero the full table gives (the minimum over the
+        # pairs alone gives +0.0 for the solved field at 8^3, the table -0.0)
+        m = generate_structured_3d(n, n, n)
+        coeffs = quasilinear_a(f=1.0)
+        for w in (constant_field(m, 0.0), random_nodal_field(m, np.random.default_rng(n)),
+                  picard_solve(m, coeffs).u_h):
+            parts = local_form_parts(m, w, coeffs, default_rule(m, coeffs))
+            assert _dumps(element_condition_check(m, coeffs, parts=parts)) == \
+                _dumps(full_element_condition_check(m, coeffs, "poisson-like", None, parts))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_size_does_not_change_bytes(self, monkeypatch, dim):
+        rng = np.random.default_rng(dim)
+        base = generate_structured_2d(7, 6) if dim == 2 else generate_structured_3d(3, 3, 4)
+        # an odd cell count, so that blocks of two cells leave one over
+        m = perturbed_mesh(build_mesh(base.vertices, base.cells[:-1]), rng, 0.1)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]), b=drift_field,
+            c=KERNEL_C["field"], f=lambda x: 1.0 - x[..., 0], g=0.0,
+            lam=0.5, Lam=1.5, nu=10.0, c_mode="nonnegative")
+        points = len(default_rule(m, coeffs).weights)
+        outputs = []
+        # one cell (taken as two), one cell short of the mesh, more than it holds
+        for block in (1, points * (m.num_cells - 1), 10 ** 9):
+            monkeypatch.setattr(dmpfem.solver, "BLOCK_POINTS", block)
+            result = picard_solve(m, coeffs)
+            cert = dmp_certificate(m, result, coeffs, params=DmpParams(r=1.2))
+            outputs.append((result.u_h.nodal_values.tobytes(), _dumps(cert)))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _peak_of(monkeypatch, module, name, peaks):
+    """Record in `peaks[name]` the largest tracemalloc peak, above the memory
+    held at entry, of any call of module.name; tracemalloc must be running."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestMemoryBudget:
+    def test_certificate_holds_no_full_point_temporaries(self, monkeypatch):
+        # formula coefficients and no div_b, as a --coeffs file gives them,
+        # so the zeroth-order check takes finite differences of b
+        m = generate_structured_3d(12, 12, 12)
+        coeffs = CoefficientSet(
+            a=state_function("1 + eta^2/(1+eta^2)", 3),
+            b=vector_state_function(["0.1*eta", "0.2*x", "0.1*sin(z)"], 3),
+            c=state_function("1", 3, with_gradient=False), f=point_function("1", 3),
+            g=point_function("0", 3), lam=1.0, Lam=2.0, nu=2.0, c_mode="nonnegative")
+        result = picard_solve(m, coeffs)
+        rule = default_rule(m, coeffs)
+        cell_points = m.num_cells * len(rule.weights) * 8  # one (C, Q) float array
+        peaks = {}
+        for name in ("check_zeroth_order_condition", "local_form_parts"):
+            _peak_of(monkeypatch, dmpfem.dmp, name, peaks)
+        tracemalloc.start()
+        try:
+            dmp_certificate(m, result, coeffs)
+        finally:
+            tracemalloc.stop()
+        # what the passes must hold: their outputs, plus the temporaries of
+        # one block of points (16 floats a point); one more (C, Q, D) array,
+        # 3.3 MiB here, breaks either budget
+        block = 16 * dmpfem.solver.BLOCK_POINTS * 8
+        parts = 3 * m.num_cells * 16 * 8
+        assert peaks["check_zeroth_order_condition"] < cell_points + block
+        assert peaks["local_form_parts"] < parts + block
+
+    def test_small_r_norm_rule_is_capped(self, tmp_path):
+        # r = 1.01 asks for the L^134.7 norm of f; an uncapped degree-136
+        # rule would hold 328,509 points per tetrahedron
+        mesh = tmp_path / "cube.json"
+        assert main(["mesh-gen", "--cube", "4x4x4", "-o", str(mesh)]) == 0
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = main(["dmp-check", "--mesh", str(mesh), "--solve", "--f", "1",
+                         "--r", "1.01", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2 ** 20
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["theorem_3_2"]["f_norm_exponent"] == pytest.approx(4.0 * 1.01 / (3.0 * 0.01))
+        assert cert["theorem_3_2"]["f_norm"] == pytest.approx(1.0, rel=1e-12)

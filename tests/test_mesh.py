@@ -25,6 +25,7 @@ from dmpfem.mesh import (
     macro_measures,
     mesh_from_dict,
     mesh_to_dict,
+    row_norms,
     save_mesh,
     write_rows,
     write_vtk,
@@ -101,6 +102,12 @@ class TestBuildMesh:
         want = all_pairs_diameters(m.vertices[m.cells])
         assert m.cell_diameters.tobytes() == want.tobytes()
         assert m.h == float(want.max())
+        # the cached gradients are a strided view; a contiguous copy and
+        # random vectors take the same sums
+        rand = rng.standard_normal((50, 4, m.dim)) * np.exp(5.0 * rng.standard_normal((50, 4, 1)))
+        for vectors in (m.shape_gradients, np.ascontiguousarray(m.shape_gradients), rand):
+            assert row_norms(vectors).tobytes() == \
+                np.linalg.norm(vectors, axis=-1).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vertex_rejected(self, bad):

@@ -46,8 +46,11 @@ from dmpfem.solver import (
 )
 
 from conftest import (
+    KERNEL_B,
+    KERNEL_C,
     assemble_every_pass_picard,
     coo_assemble_matrix,
+    drift_field,
     einsum_local_form_parts,
     einsum_physical_points,
     perturbed_mesh,
@@ -224,26 +227,6 @@ class TestAssembly:
         assert (pattern != pattern.T).nnz == 0
 
 
-def _drift_field(x, e, p):
-    # a contiguous, state-dependent drift
-    return np.stack([np.sin(3.0 * x[..., d] + e) for d in range(x.shape[-1])], axis=-1)
-
-
-KERNEL_B = {
-    "zero": lambda x, e, p: np.zeros(np.shape(x)),
-    "zero-broadcast": lambda x, e, p: np.broadcast_to(np.zeros(np.shape(x)[-1]), np.shape(x)),
-    "constant-broadcast": lambda x, e, p: np.broadcast_to(
-        np.linspace(-2.0, 3.0, np.shape(x)[-1]), np.shape(x)),
-    "field": _drift_field,
-}
-KERNEL_C = {
-    "zero": lambda x, e: np.zeros(np.shape(e)),
-    "zero-broadcast": lambda x, e: np.broadcast_to(0.0, np.shape(e)),
-    "constant-broadcast": lambda x, e: np.broadcast_to(0.7, np.shape(e)),
-    "field": lambda x, e: 1.0 + x[..., 0] * x[..., -1] + e ** 2,
-}
-
-
 class TestKernelOracles:
     """The quadrature-first contractions against the one-einsum oracles."""
 
@@ -387,7 +370,7 @@ class TestAssemblyMap:
         drift = [0.7, -1.3, 0.4][:m.dim]
         coeffs = CoefficientSet(
             a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
-            b=lambda x, e, p: _drift_field(x, e, p) + np.asarray(drift),
+            b=lambda x, e, p: drift_field(x, e, p) + np.asarray(drift),
             c=lambda x, e: 1.0 + e ** 2,
             f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=10.0)
         layout = assembly_map(m)
