@@ -32,6 +32,7 @@ from .solver import (
     default_rule,
     interpolate_boundary,
     local_form_parts,
+    point_values,
     state_samples,
 )
 
@@ -48,6 +49,9 @@ ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 MAX_FAILURE_RECORDS = 50  # failing element pairs listed in a report
 MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
 MAX_NORM_DEGREE = 12  # quadrature degree cap of the f norm: 343 points per tetrahedron
+TAU_MAX = 40  # steps of the De Giorgi ladder k0 + rho - rho / 2^tau
+DECAY_SLACK = 1e-9  # relative slack of the ladder's geometric decay and tail bounds
+HYPOTHESIS_SLACK = 1e-12  # relative slack of the decay hypothesis
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                       k_star: float = 0.0, parts=None) -> AssumptionSweep:
+                       k_star: float = 0.0, parts=None, *, _matrix=None) -> AssumptionSweep:
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
     A nonzero matrix entry a_ij with u_i > u_j couples the cut pair exactly
@@ -195,11 +199,12 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
     lies within the rounding bound of those sums is recomputed from its
     terms, each with its exact sign, so every reported sign is that of the
     summed terms.  `parts` are the `local_form_parts` of the form; when not
-    given, those frozen at u_h with the `default_rule`.
+    given, those frozen at u_h with the `default_rule`.  `_matrix` is their
+    `assemble_matrix` when the caller already holds it.
     """
-    if parts is None:
+    if parts is None and _matrix is None:
         parts = _form_parts(mesh, coeffs, u_h)
-    matrix = assemble_matrix(mesh, parts).tocoo()
+    matrix = (assemble_matrix(mesh, parts) if _matrix is None else _matrix).tocoo()
     grid = _cut_level_grid(u_h, k_star)
     n = len(grid)
     u = u_h.nodal_values
@@ -409,57 +414,49 @@ class EdgeConditionReport:
         }
 
 
-def _looks_like_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
-    x = mesh.vertices[: min(5, mesh.num_vertices)]
-    for eta_val, p_val in ((0.0, 0.0), (1.37, -0.81), (-2.6, 0.44)):
-        eta = np.full(len(x), eta_val)
-        p = np.full_like(x, p_val)
-        a = np.asarray(coeffs.a(x, eta, p), float)
-        b = np.asarray(coeffs.b(x, eta, p), float)
-        c = np.asarray(coeffs.c(x, eta), float)
-        if (np.abs(a - 1.0).max() > 1e-13 or np.abs(b).max() > 1e-14
-                or np.abs(c).max() > 1e-14):
-            return False
-    return True
+def _is_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
+    """Whether the coefficients are declared constant and one probe gives
+    a = 1, b = 0, c = 0: the unit Laplacian."""
+    if not coeffs.constant_coefficients:
+        return False
+    x = mesh.vertices[:1]
+    eta, p = np.zeros(1), np.zeros_like(x)
+    a = np.asarray(coeffs.a(x, eta, p), float)
+    b = np.asarray(coeffs.b(x, eta, p), float)
+    c = np.asarray(coeffs.c(x, eta), float)
+    return bool(np.abs(a - 1.0).max() <= 1e-13 and np.abs(b).max() <= 1e-14
+                and np.abs(c).max() <= 1e-14)
 
 
-def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
-                            poisson_identity: bool | None = None,
-                            parts=None) -> EdgeConditionReport:
+def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts=None, *,
+                            _matrix=None) -> EdgeConditionReport:
     """Check nonpositivity of the two-cell integral sum over each interior edge.
 
-    For the unit Laplacian the sum has the closed form
-    -(cot alpha + cot beta)/2 = -sin(alpha+beta)/(2 sin alpha sin beta) in the
-    two opposite angles, which is nonpositive exactly when alpha + beta <= pi;
-    it is evaluated from the apex-vector cotangents.  When the coefficients are
-    detected (or declared) to be of that form the identity is verified to
-    rounding as a cross-check of the assembled integrals.  `parts` are the
-    `local_form_parts` of the form; when not given, those frozen at zero with
-    the `default_rule`.
+    The two cells' entries with trial function m and test function n sum to
+    the assembled entry A[n, m] (the reversed sum is A[m, n]), from +0.0 in
+    cell order, so two -0.0 entries add up to +0.0.  For the unit Laplacian
+    the sum has the closed form -(cot alpha + cot beta)/2 =
+    -sin(alpha+beta)/(2 sin alpha sin beta) in the two opposite angles, which
+    is nonpositive exactly when alpha + beta <= pi; it is evaluated from the
+    apex-vector cotangents.  When `_is_unit_poisson` holds the identity is
+    verified to rounding as a cross-check of the assembled integrals.
+    `parts` are the `local_form_parts` of the form; when not given, those
+    frozen at zero with the `default_rule`.  `_matrix` is their
+    `assemble_matrix` when the caller already holds it.
     """
     if mesh.dim != 2:
         raise DimensionMismatch("edge-based verification is 2D only")
-    if poisson_identity is None:
-        poisson_identity = _looks_like_unit_poisson(mesh, coeffs)
-
+    poisson_identity = _is_unit_poisson(mesh, coeffs)
     if parts is None:
         parts = _form_parts(mesh, coeffs)
-    diffusion, advection, reaction = parts
-    total = diffusion + advection + reaction  # [cell, test, trial]
-    cell_scale = _cell_scales(parts)
+    if _matrix is None:
+        _matrix = assemble_matrix(mesh, parts)
 
     edges = interior_edges_2d(mesh)
-    nodes, cells = edges.nodes, edges.cells
-    owned = mesh.cells[cells]  # (E, 2, 3)
-    lm = np.argmax(owned == nodes[:, None, :1], axis=2)
-    ln = np.argmax(owned == nodes[:, None, 1:], axis=2)
-    # gradient carried by m, test n -> [test, trial] = [ln, lm]; sums start
-    # from +0.0 so that two -0.0 entries add up to +0.0
-    fwd = total[cells, ln, lm]
-    rev = total[cells, lm, ln]
-    s_fwd = 0.0 + fwd[:, 0] + fwd[:, 1]
-    s_rev = 0.0 + rev[:, 0] + rev[:, 1]
-    scale = cell_scale[cells].max(axis=1)
+    m_nodes, n_nodes = edges.nodes.T
+    s_fwd = np.asarray(_matrix[n_nodes, m_nodes]).ravel()
+    s_rev = np.asarray(_matrix[m_nodes, n_nodes]).ravel()
+    scale = _cell_scales(parts)[edges.cells].max(axis=1)
     alpha, beta = edges.opposite_angles.T
     cot = edges.opposite_cotangents
     closed = -(cot[:, 0] + cot[:, 1]) / 2.0
@@ -475,14 +472,14 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet,
         {"node_m": m, "node_n": n, "sum": sf, "sum_reversed": sr,
          "poisson_closed_form": cf, "angle_sum": a, "verdict": "pass" if ok else "fail"}
         for m, n, sf, sr, cf, a, ok in zip(
-            nodes[:, 0].tolist(), nodes[:, 1].tolist(), s_fwd.tolist(), s_rev.tolist(),
+            m_nodes.tolist(), n_nodes.tolist(), s_fwd.tolist(), s_rev.tolist(),
             closed.tolist(), (alpha + beta).tolist(), passed.tolist())]
     return EdgeConditionReport(
         all_pass=bool(passed.all()),
         max_sum=float(max(s_fwd.max(), s_rev.max())) if records else 0.0,
         num_edges=len(records),
         edges=records,
-        poisson_identity_checked=bool(poisson_identity),
+        poisson_identity_checked=poisson_identity,
         identity_max_error=identity_err,
     )
 
@@ -577,12 +574,11 @@ def _log_phi(values: np.ndarray) -> np.ndarray:
     return np.where(positive, np.log(np.where(positive, values, 1.0)), -np.inf)
 
 
-def _decay_bound(gap, logphi_k, alpha: float, beta: float, log_m: float,
-                 rel_tol: float):
+def _decay_bound(gap, logphi_k, alpha: float, beta: float, log_m: float):
     """Elementwise log of the largest phi(s), s = k + gap, that the decay
     hypothesis phi(s) <= (M/gap)^alpha phi(k)^beta allows with relative slack
-    rel_tol, from log phi(k) (-inf where phi(k) = 0)."""
-    return alpha * (log_m - np.log(gap)) + beta * logphi_k + math.log1p(rel_tol)
+    `HYPOTHESIS_SLACK`, from log phi(k) (-inf where phi(k) = 0)."""
+    return alpha * (log_m - np.log(gap)) + beta * logphi_k + math.log1p(HYPOTHESIS_SLACK)
 
 
 @dataclass(frozen=True)
@@ -718,7 +714,7 @@ class DeGiorgiReport:
 
 
 def _first_violation(levels: np.ndarray, logphi: np.ndarray, alpha: float,
-                     beta: float, log_m: float, rel_tol: float):
+                     beta: float, log_m: float):
     """First level-index pair (a, b), a < b, in row order at which log phi
     exceeds its `_decay_bound`, or None."""
     n = len(levels)
@@ -734,7 +730,7 @@ def _first_violation(levels: np.ndarray, logphi: np.ndarray, alpha: float,
         return found
 
     def bound(a, b):
-        return _decay_bound(levels[b] - levels[a], logphi[a], alpha, beta, log_m, rel_tol)
+        return _decay_bound(levels[b] - levels[a], logphi[a], alpha, beta, log_m)
 
     def margin(r, b):
         return logphi[b] - bound(rows[r], b)
@@ -751,44 +747,37 @@ def _first_violation(levels: np.ndarray, logphi: np.ndarray, alpha: float,
     return found
 
 
-def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
-                     tau_max: int = 40, rel_tol: float = 1e-9) -> DeGiorgiReport:
+def de_giorgi_verify(inp: DeGiorgiInput) -> DeGiorgiReport:
     """Check the iteration lemma's hypothesis and conclusions on the samples.
 
     Verifies (a) the decay hypothesis on every sampled level pair above k0 and
-    on the geometric ladder k0 + rho - rho/2^tau, (b) the induced geometric
-    decay bound at each ladder level, and (c) that the value at k0 + rho has
-    dropped below the chain's tail.  Raises `HypothesisViolated` if (a) fails,
-    since the conclusions are then unsupported.
+    on the geometric ladder k0 + rho - rho/2^tau, tau <= `TAU_MAX`, with rho
+    from `de_giorgi_rho`, (b) the induced geometric decay bound at each ladder
+    level, and (c) that the value at k0 + rho has dropped below the chain's
+    tail.  Raises `HypothesisViolated` if (a) fails, since the conclusions are
+    then unsupported.
     """
-    if rho is None:
-        rho = de_giorgi_rho(inp)
-    if rho < 0:
-        raise InvalidParameters("rho must be nonnegative")
-
+    rho = de_giorgi_rho(inp)
     ks = inp.samples[:, 0]
     grid = ks[ks >= inp.k0]
     if len(grid) == 0 or grid[0] > inp.k0:
         grid = np.concatenate([[inp.k0], grid])
-    hyp_tol = 1e-12
     log_m = math.log(inp.M)
     # every pair k < s of the increasing grid; report the first in row order
-    failure = _first_violation(grid, _log_phi(inp.phi(grid)), inp.alpha, inp.beta,
-                               log_m, hyp_tol)
+    failure = _first_violation(grid, _log_phi(inp.phi(grid)), inp.alpha, inp.beta, log_m)
     if failure is not None:
         ai, bi = failure
         raise HypothesisViolated(
             f"decay hypothesis fails for levels ({grid[ai]:.6g}, "
             f"{grid[bi]:.6g})", pair=(float(grid[ai]), float(grid[bi])))
 
-    taus = np.arange(tau_max + 1)
+    taus = np.arange(TAU_MAX + 1)
     ladder = inp.k0 + rho - rho / 2.0 ** taus
     if rho > 0:
         k, s = ladder[:-1], ladder[1:]
         step = s > k  # a step collapsed by rounding is skipped
         bad = step & (_log_phi(inp.phi(s)) > _decay_bound(
-            np.where(step, s - k, 1.0), _log_phi(inp.phi(k)), inp.alpha, inp.beta,
-            log_m, hyp_tol))
+            np.where(step, s - k, 1.0), _log_phi(inp.phi(k)), inp.alpha, inp.beta, log_m))
         if bad.any():
             t = int(np.argmax(bad))
             raise HypothesisViolated(
@@ -805,7 +794,7 @@ def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
         if val <= 0.0:
             continue
         if phi0 <= 0.0 or math.log(val) > log_phi0 - t * math.log(ratio) \
-                + math.log1p(rel_tol):
+                + math.log1p(DECAY_SLACK):
             decay_ok = False
             first_failure = int(t)
             break
@@ -814,12 +803,12 @@ def de_giorgi_verify(inp: DeGiorgiInput, rho: float | None = None,
     if phi0 <= 0.0:
         tail_ok = tail_value <= 0.0
     else:
-        log_tail_bound = log_phi0 - tau_max * math.log(ratio) + math.log1p(rel_tol)
+        log_tail_bound = log_phi0 - TAU_MAX * math.log(ratio) + math.log1p(DECAY_SLACK)
         tail_ok = tail_value <= 0.0 or math.log(tail_value) <= log_tail_bound
 
-    return DeGiorgiReport(rho=float(rho), decay_ratio=ratio, hypothesis_ok=True,
+    return DeGiorgiReport(rho=rho, decay_ratio=ratio, hypothesis_ok=True,
                           decay_ok=decay_ok, first_decay_failure=first_failure,
-                          tail_ok=tail_ok, tail_value=tail_value, tau_max=tau_max)
+                          tail_ok=tail_ok, tail_value=tail_value, tau_max=TAU_MAX)
 
 
 # -- certificate ---------------------------------------------------------------
@@ -947,8 +936,7 @@ def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
         fvals = np.empty((mesh.num_cells, len(norm_rule.weights)))
         for cells in cell_blocks(*fvals.shape):
             xq = physical_points(mesh, norm_rule, cells)
-            fvals[cells] = np.abs(np.broadcast_to(np.asarray(coeffs.f(xq), float),
-                                                  xq.shape[:2]))
+            fvals[cells] = np.abs(point_values("f", coeffs.f, xq))
     if math.isinf(exponent):
         return float(fvals.max())
     total = np.einsum("cq,q,c->", fvals ** exponent, norm_rule.weights, mesh.cell_measures)
@@ -968,7 +956,6 @@ def _select_element_case(parts, coeffs: CoefficientSet) -> str:
 
 
 def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSet,
-                    rule: QuadratureRule | None = None,
                     params: DmpParams | None = None) -> DmpCertificate:
     """Run every verification pass on a converged solution and bundle the
     evidence.  Raises `NotConverged` for unconverged inputs."""
@@ -976,8 +963,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
         raise NotConverged("refusing to certify an unconverged solve")
     params = params or DmpParams()
     params.check_for_dim(mesh.dim)
-    if rule is None:
-        rule = default_rule(mesh, coeffs)
+    rule = default_rule(mesh, coeffs)
 
     u_h = solve_result.u_h
     assignment = interpolate_boundary(mesh, coeffs.g)
@@ -992,7 +978,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     samples = state_samples(mesh, u_h, rule, physical_points(mesh, rule))
     zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _samples=samples)
     points = samples[0]
-    fvals = np.broadcast_to(np.asarray(coeffs.f(points), float), points.shape[:2])
+    fvals = point_values("f", coeffs.f, points)
     f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))
     h_nu = float(mesh.h * coeffs.nu)
     applicable = {"f_nonpositive": f_nonpositive, "h_nu_below_one": h_nu < 1.0}
@@ -1001,13 +987,17 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     parts = local_form_parts(mesh, u_h, coeffs, rule, _samples=samples)
     del samples
 
-    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, parts=parts)
+    # one assembly serves the sweep and the edge check; it is dropped before
+    # the element check, the pass with the largest temporaries
+    matrix = assemble_matrix(mesh, parts)
+    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, parts=parts, _matrix=matrix)
+    edge = None
+    if mesh.dim == 2:
+        edge = edge_condition_check_2d(mesh, coeffs, parts=parts, _matrix=matrix)
+    del matrix
     case = _select_element_case(parts, coeffs)
     element = element_condition_check(mesh, coeffs, case=case,
                                       lambda_star=params.lambda_star, parts=parts)
-    edge = None
-    if mesh.dim == 2:
-        edge = edge_condition_check_2d(mesh, coeffs, parts=parts)
     del parts
 
     holds = None
@@ -1023,8 +1013,6 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     dg_report = None
     dg_failure = None
     dg_samples = profile[profile[:, 0] >= k_star]
-    if len(dg_samples) == 0:
-        dg_samples = np.array([[k_star, 0.0]])
     alpha, beta = params.decay_alpha, params.decay_beta
     fitted = fit_decay_constant(dg_samples, alpha, beta, k_star)
     inp = DeGiorgiInput(M=max(fitted, 1e-30), alpha=alpha, beta=beta,

@@ -53,6 +53,18 @@ def as_point_callable(value):
     return lambda x: np.full(np.shape(x)[:-1], v)
 
 
+def point_values(name: str, fn, x: np.ndarray) -> np.ndarray:
+    """The coordinate callable `fn` (f or g, called `name`) at the points x
+    (..., D), broadcast to their leading shape.  Raises `NonFiniteValue`,
+    naming a point and its value, if any value is NaN or infinite."""
+    values = np.broadcast_to(np.asarray(fn(x), float), x.shape[:-1])
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NonFiniteValue(f"{name} is {float(values[k])!r} at x={x[k].tolist()}")
+    return values
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Problem data and its declared bounds.
@@ -230,10 +242,8 @@ class SolveResult:
 
 def interpolate_boundary(mesh: Mesh, g) -> dict:
     """Nodal values of the boundary datum at every boundary vertex."""
-    g = as_point_callable(g)
     nodes = sorted(mesh.boundary_nodes)
-    coords = mesh.vertices[nodes]
-    vals = np.broadcast_to(np.asarray(g(coords), dtype=float), (len(nodes),))
+    vals = point_values("g", as_point_callable(g), mesh.vertices[nodes])
     return {int(j): float(v) for j, v in zip(nodes, vals)}
 
 
@@ -371,7 +381,7 @@ class _FrozenFormAssembly:
                           QuadratureDegreeTooLow)
         self.mesh, self.coeffs, self.rule = mesh, coeffs, rule
         self.points = physical_points(mesh, rule)
-        fvals = np.broadcast_to(np.asarray(coeffs.f(self.points), float), self.points.shape[:2])
+        fvals = point_values("f", coeffs.f, self.points)
         local_rhs = (fvals @ (rule.points * rule.weights[:, None])) * mesh.cell_measures[:, None]
         self.rhs = np.bincount(mesh.cells.ravel(), weights=local_rhs.ravel(),
                                minlength=mesh.num_vertices)

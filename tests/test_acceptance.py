@@ -233,7 +233,8 @@ def test_07_decay_chain():
     fitted = fit_decay_constant(profile, alpha, beta, k_star)
     inp = DeGiorgiInput(M=fitted, alpha=alpha, beta=beta, k0=k_star,
                         samples=profile)
-    report = de_giorgi_verify(inp, tau_max=40)
+    report = de_giorgi_verify(inp)
+    assert report.tau_max == 40
     assert report.hypothesis_ok
     assert report.decay_ok and report.first_decay_failure is None
     assert report.tail_ok

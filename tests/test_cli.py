@@ -194,6 +194,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("entry", ["f", "g"])
+    @pytest.mark.parametrize("command", ["solve", "dmp-check"])
+    def test_non_finite_source_or_boundary_exits_one(self, square_mesh, tmp_path, capsys,
+                                                     command, entry):
+        # Python-constant overflow: no numpy warning precedes the value
+        good = tmp_path / "good"
+        assert run(["solve", "--mesh", square_mesh, "-o", good]) == 0
+        argv = [command, "--mesh", square_mesh, f"--{entry}", "1e308*1e308",
+                "-o", tmp_path / "out"]
+        if command == "dmp-check":
+            argv += ["--solution", good / "solution.csv"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {entry} is inf at x=") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_vertex_exits_one(self, square_mesh, tmp_path, capsys):
         data = json.loads(square_mesh.read_text())
         data["vertices"][10][0] = float("nan")
@@ -304,6 +321,19 @@ class TestDmpCheckCommand:
                     "--problem", "poisson", "--checks", "assumption,bounds",
                     "-o", tmp_path / "checks"])
         assert code == 0
+
+    def test_coordinate_dependent_diffusion_is_not_held_to_the_unit_identity(
+            self, square_mesh, tmp_path):
+        # a = 1 + xy equals 1 on the row y = 0 only
+        spec = {"a": "1 + x*y", "b": ["0", "0"], "c": "0", "f": "-1", "g": "0",
+                "lambda": 1.0, "Lambda": 2.0, "nu": 0.0, "c_mode": "identically-zero"}
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text(json.dumps(spec))
+        outdir = tmp_path / "check"
+        assert run(["dmp-check", "--mesh", square_mesh, "--solve", "--coeffs",
+                    coeffs_path, "-o", outdir]) == 0
+        edge = json.loads((outdir / "certificate.json").read_text())["edge_condition"]
+        assert edge["verdict"] == "pass" and edge["poisson_identity_checked"] is False
 
     def test_unknown_check_rejected(self, square_mesh, tmp_path):
         assert run(["dmp-check", "--mesh", square_mesh, "--solve",

@@ -32,6 +32,7 @@ from dmpfem.errors import (
     DimensionMismatch,
     HypothesisViolated,
     InvalidParameters,
+    NonFiniteValue,
     NotConverged,
     UnsupportedCMode,
 )
@@ -47,6 +48,7 @@ from dmpfem.solver import (
     CoefficientSet,
     SolveResult,
     advection_diffusion,
+    assemble_matrix,
     assemble_q,
     check_zeroth_order_condition,
     default_rule,
@@ -384,7 +386,7 @@ class TestSlackScale:
                 local_form_parts(m, constant_field(m, 0.0), coeffs,
                                  default_rule(m, coeffs)), coeffs)
             element = element_condition_check(m, coeffs, case=case)
-            edge = edge_condition_check_2d(m, coeffs, poisson_identity=False)
+            edge = edge_condition_check_2d(m, coeffs)
             verdicts.add((case, element.all_pass, edge.all_pass))
         assert len(verdicts) == 1
         assert verdicts.pop()[1:] == ((False, False) if skew else (True, True))
@@ -394,7 +396,7 @@ class TestSlackScale:
         m = generate_structured_2d(8, 8, skew=0.6)
         coeffs = _scaled_laplacian(s)
         element = element_condition_check(m, coeffs)
-        edge = edge_condition_check_2d(m, coeffs, poisson_identity=False)
+        edge = edge_condition_check_2d(m, coeffs)
         assert not element.all_pass and not edge.all_pass
         assert element.min_margin == pytest.approx(-0.3 * s, rel=1e-9)
         assert edge.max_sum == pytest.approx(0.6 * s, rel=1e-9)
@@ -448,19 +450,18 @@ class TestEdgeCondition:
             parts = local_form_parts(mesh, w, coeffs, rule)
             # without parts the check freezes the form at zero
             zero = local_form_parts(mesh, constant_field(mesh, 0.0), coeffs, rule)
-            for given, form in ((None, zero), (parts, parts)):
+            for given, form, matrix in ((None, zero, None), (parts, parts, None),
+                                        (parts, parts, assemble_matrix(mesh, parts))):
                 records, all_pass, max_sum, identity_err = loop_edge_records(
                     mesh, form, PAIR_TOL)
-                report = edge_condition_check_2d(mesh, coeffs, poisson_identity=False,
-                                                 parts=given)
+                report = edge_condition_check_2d(mesh, coeffs, parts=given, _matrix=matrix)
                 # json.dumps tells every bit, the sign of zero included
                 assert json.dumps(report.edges) == json.dumps(records)
                 assert (report.all_pass, report.max_sum, report.num_edges) == \
                     (all_pass, max_sum, len(records))
-            if unit:
-                report = edge_condition_check_2d(mesh, coeffs, parts=parts)
-                assert report.poisson_identity_checked
-                assert report.identity_max_error == identity_err
+                assert report.poisson_identity_checked == unit
+                if unit:
+                    assert report.identity_max_error == identity_err
 
 
     @pytest.mark.parametrize("seed", [4, 0])
@@ -479,14 +480,55 @@ class TestEdgeCondition:
         assert interior_edges_2d(m).opposite_angles.min() < 0.01
 
     def test_negative_zero_entries_sum_to_positive_zero(self):
-        # as in the scalar sum 0.0 + x + y, which certificate bytes depend on
+        # as in the scalar sum 0.0 + x + y, which certificate bytes depend on;
+        # all entries -0.0, then random mixes of +0.0 and -0.0
         mesh = adjacent_pair(math.pi / 2, math.pi / 2)
-        parts = tuple(np.full((2, 3, 3), -0.0) for _ in range(3))
-        records, _, _, _ = loop_edge_records(mesh, parts, PAIR_TOL)
-        report = edge_condition_check_2d(mesh, poisson(), poisson_identity=False,
-                                         parts=parts)
-        assert json.dumps(report.edges) == json.dumps(records)
-        assert math.copysign(1.0, report.edges[0]["sum"]) == 1.0
+        rng = np.random.default_rng(9)
+        signs = [np.ones((3, 2, 3, 3))] + [rng.choice([1.0, -1.0], (3, 2, 3, 3))
+                                           for _ in range(16)]
+        for sign in signs:
+            parts = tuple(-0.0 * sign)
+            records, _, _, _ = loop_edge_records(mesh, parts, PAIR_TOL)
+            report = edge_condition_check_2d(mesh, poisson(), parts=parts)
+            assert json.dumps(report.edges) == json.dumps(records)
+            assert math.copysign(1.0, report.edges[0]["sum"]) == 1.0
+            assert math.copysign(1.0, report.edges[0]["sum_reversed"]) == 1.0
+
+    def test_unit_poisson_with_doubled_parts_fails_the_identity(self):
+        m = generate_structured_2d(4, 4)
+        coeffs = poisson()
+        parts = tuple(2.0 * part for part in local_form_parts(
+            m, constant_field(m, 0.0), coeffs, default_rule(m, coeffs)))
+        with pytest.raises(InvalidParameters, match="cotangent closed form"):
+            edge_condition_check_2d(m, coeffs, parts=parts)
+
+    def test_identity_needs_declared_constant_unit_coefficients(self):
+        # a = 1 + xy is 1 on the row y = 0, where the first vertices lie;
+        # it is not the unit Laplacian and must not be held to its closed form
+        m = generate_structured_2d(8, 8)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + x[..., 0] * x[..., 1],
+            b=lambda x, e, p: np.zeros(np.shape(x)), c=lambda x, e: np.zeros(np.shape(e)),
+            f=-1.0, g=0.0, lam=1.0, Lam=2.0, nu=0.0, c_mode="identically-zero")
+        report = edge_condition_check_2d(m, coeffs)
+        assert not report.poisson_identity_checked and report.all_pass
+        cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs)
+        assert not cert.edge_condition.poisson_identity_checked
+        assert set(cert.verdicts().values()) == {"pass"}
+
+    @pytest.mark.parametrize("mesh", [generate_structured_2d(6, 6),
+                                      generate_structured_3d(3, 3, 3)],
+                             ids=["2d", "3d"])
+    def test_one_assembly_map_per_certificate(self, mesh, monkeypatch):
+        for coeffs in (poisson(f=1.0), quasilinear_a()):
+            result = picard_solve(mesh, coeffs)
+            calls = []
+            real = dmpfem.solver.assembly_map
+            monkeypatch.setattr(dmpfem.solver, "assembly_map",
+                                lambda m: calls.append(m) or real(m))
+            dmp_certificate(mesh, result, coeffs)
+            monkeypatch.undo()
+            assert len(calls) == 1
 
 
 class TestLevelSets:
@@ -757,6 +799,20 @@ class TestCertificate:
         assert cert.theorem_3_2_verdict == "fail"
         assert cert.theorem_3_3_verdict == "fail"
         assert cert.to_dict()["theorem_3_3"]["bound_tol"] == 1e-15
+
+    @pytest.mark.parametrize("entry", ["f", "g"])
+    def test_non_finite_source_or_boundary_rejected(self, entry):
+        m = generate_structured_2d(4, 4)
+        result = picard_solve(m, poisson())
+        with pytest.raises(NonFiniteValue, match=f"^{entry} is inf at x="):
+            dmp_certificate(m, result, poisson(**{entry: math.inf}))
+
+    def test_non_finite_source_on_the_norm_rule_rejected(self):
+        # exponent 8 asks for a degree-9 rule, sampled block by block
+        m = generate_structured_2d(4, 4)
+        coeffs = poisson(f=math.nan)
+        with pytest.raises(NonFiniteValue, match="^f is nan at x="):
+            dmpfem.dmp._source_norm(m, coeffs, 8.0, default_rule(m, coeffs), None)
 
     def test_unconverged_rejected(self):
         m = generate_structured_2d(4, 4)

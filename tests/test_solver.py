@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -122,6 +123,24 @@ class TestCoefficientValidation:
         coeffs = replace(base, **{entry: spoiled[entry]})
         with pytest.raises(NonFiniteValue, match=f"coefficient {entry} is"):
             validate_coefficients(coeffs, m)
+
+
+class TestNonFiniteSourceAndBoundary:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", ["f", "g"])
+    def test_picard_solve_rejects(self, entry, bad):
+        m = generate_structured_2d(4, 4)
+        with pytest.raises(NonFiniteValue, match=f"^{entry} is {bad!r} at x="):
+            picard_solve(m, poisson(**{entry: bad}))
+
+    @pytest.mark.parametrize("entry", ["f", "g"])
+    def test_names_a_point_where_the_value_is_bad(self, entry):
+        m = generate_structured_2d(8, 8)
+        spoiled = poisson(**{entry: lambda x: np.where(x[..., 0] > 0.5, np.nan, -1.0)})
+        with pytest.raises(NonFiniteValue, match=f"^{entry} is nan at x=") as info:
+            picard_solve(m, spoiled)
+        x = json.loads(str(info.value).split("x=")[1])
+        assert len(x) == 2 and x[0] > 0.5
 
 
 class TestBoundaryInterpolation:
