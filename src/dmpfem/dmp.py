@@ -188,7 +188,7 @@ def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                       k_star: float = 0.0, parts=None, *, _matrix=None) -> AssumptionSweep:
+                       k_star: float = 0.0, matrix=None) -> AssumptionSweep:
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
     A nonzero matrix entry a_ij with u_i > u_j couples the cut pair exactly
@@ -198,13 +198,12 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
     so the pass costs O(nnz + levels) after the sort.  A level whose value
     lies within the rounding bound of those sums is recomputed from its
     terms, each with its exact sign, so every reported sign is that of the
-    summed terms.  `parts` are the `local_form_parts` of the form; when not
-    given, those frozen at u_h with the `default_rule`.  `_matrix` is their
-    `assemble_matrix` when the caller already holds it.
+    summed terms.  `matrix` is the assembled form; when not given, the form
+    frozen at u_h with the `default_rule`.
     """
-    if parts is None and _matrix is None:
-        parts = _form_parts(mesh, coeffs, u_h)
-    matrix = (assemble_matrix(mesh, parts) if _matrix is None else _matrix).tocoo()
+    if matrix is None:
+        matrix = assemble_matrix(mesh, _form_parts(mesh, coeffs, u_h))
+    matrix = matrix.tocoo()
     grid = _cut_level_grid(u_h, k_star)
     n = len(grid)
     u = u_h.nodal_values
@@ -415,12 +414,12 @@ class EdgeConditionReport:
 
 
 def _is_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
-    """Whether the coefficients are declared constant and one probe gives
-    a = 1, b = 0, c = 0: the unit Laplacian."""
+    """Whether the coefficients are declared constant and give a = 1, b = 0,
+    c = 0 at every vertex: the unit Laplacian."""
     if not coeffs.constant_coefficients:
         return False
-    x = mesh.vertices[:1]
-    eta, p = np.zeros(1), np.zeros_like(x)
+    x = mesh.vertices
+    eta, p = np.zeros(len(x)), np.zeros_like(x)
     a = np.asarray(coeffs.a(x, eta, p), float)
     b = np.asarray(coeffs.b(x, eta, p), float)
     c = np.asarray(coeffs.c(x, eta), float)
@@ -990,7 +989,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # one assembly serves the sweep and the edge check; it is dropped before
     # the element check, the pass with the largest temporaries
     matrix = assemble_matrix(mesh, parts)
-    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, parts=parts, _matrix=matrix)
+    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, matrix=matrix)
     edge = None
     if mesh.dim == 2:
         edge = edge_condition_check_2d(mesh, coeffs, parts=parts, _matrix=matrix)

@@ -322,11 +322,13 @@ class TestDmpCheckCommand:
                     "-o", tmp_path / "checks"])
         assert code == 0
 
+    @pytest.mark.parametrize("declared", [{}, {"constant_coefficients": True}])
     def test_coordinate_dependent_diffusion_is_not_held_to_the_unit_identity(
-            self, square_mesh, tmp_path):
-        # a = 1 + xy equals 1 on the row y = 0 only
+            self, square_mesh, tmp_path, declared):
+        # a = 1 + xy equals 1 on the row y = 0 only, also when declared constant
         spec = {"a": "1 + x*y", "b": ["0", "0"], "c": "0", "f": "-1", "g": "0",
-                "lambda": 1.0, "Lambda": 2.0, "nu": 0.0, "c_mode": "identically-zero"}
+                "lambda": 1.0, "Lambda": 2.0, "nu": 0.0, "c_mode": "identically-zero",
+                **declared}
         coeffs_path = tmp_path / "coeffs.json"
         coeffs_path.write_text(json.dumps(spec))
         outdir = tmp_path / "check"

@@ -197,7 +197,8 @@ class TestAssumptionSweep:
         coeffs = advection_diffusion(list(rng.uniform(-60, 60, 2)), f=1.0)
         v = P1Field(m, rng.uniform(-1, 1, m.num_vertices))
         parts = local_form_parts(m, v, coeffs, default_rule(m, coeffs))
-        sweep = assumption_a_sweep(m, v, coeffs, k_star=-2.0, parts=parts)
+        sweep = assumption_a_sweep(m, v, coeffs, k_star=-2.0,
+                                   matrix=assemble_matrix(m, parts))
         assert len(sweep.k_values) > len(np.unique(v.nodal_values)) + 1
         _assert_sweep_matches_loop(sweep, m, v, parts, -2.0)
         levels = np.linspace(-2.0, v.max_value(), 4001)
@@ -346,7 +347,7 @@ class TestDefaultFormParts:
 
         sweep = assumption_a_sweep(m, u_h, coeffs, k_star=-0.5)
         assert dumps(sweep) == dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
-                                                        parts=at_uh))
+                                                        matrix=assemble_matrix(m, at_uh)))
         for case in ELEMENT_CASES:
             element = element_condition_check(m, coeffs, case=case)
             assert dumps(element) == dumps(element_condition_check(m, coeffs, case=case,
@@ -357,7 +358,7 @@ class TestDefaultFormParts:
         if problem == "quasilinear":
             # a depends on the state here, so the frozen states are told apart
             assert dumps(sweep) != dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
-                                                            parts=at_zero))
+                                                            matrix=assemble_matrix(m, at_zero)))
             assert dumps(element) != dumps(element_condition_check(m, coeffs, case=case,
                                                                    parts=at_uh))
 
@@ -502,14 +503,17 @@ class TestEdgeCondition:
         with pytest.raises(InvalidParameters, match="cotangent closed form"):
             edge_condition_check_2d(m, coeffs, parts=parts)
 
-    def test_identity_needs_declared_constant_unit_coefficients(self):
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_identity_needs_unit_coefficients_at_every_vertex(self, declared):
         # a = 1 + xy is 1 on the row y = 0, where the first vertices lie;
-        # it is not the unit Laplacian and must not be held to its closed form
+        # it is not the unit Laplacian and must not be held to its closed form,
+        # not even when it is (wrongly) declared constant
         m = generate_structured_2d(8, 8)
         coeffs = CoefficientSet(
             a=lambda x, e, p: 1.0 + x[..., 0] * x[..., 1],
             b=lambda x, e, p: np.zeros(np.shape(x)), c=lambda x, e: np.zeros(np.shape(e)),
-            f=-1.0, g=0.0, lam=1.0, Lam=2.0, nu=0.0, c_mode="identically-zero")
+            f=-1.0, g=0.0, lam=1.0, Lam=2.0, nu=0.0, c_mode="identically-zero",
+            constant_coefficients=declared)
         report = edge_condition_check_2d(m, coeffs)
         assert not report.poisson_identity_checked and report.all_pass
         cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs)
@@ -662,7 +666,8 @@ class TestDeGiorgi:
         k_star = {"zero": 0.0, "below": v.min_value() - 0.1, "top": v.max_value()}[level]
 
         parts = local_form_parts(m, v, coeffs, quadrature_rule(2, 4))
-        sweep = assumption_a_sweep(m, v, coeffs, k_star=k_star, parts=parts)
+        sweep = assumption_a_sweep(m, v, coeffs, k_star=k_star,
+                                   matrix=assemble_matrix(m, parts))
         _assert_sweep_matches_loop(sweep, m, v, parts, k_star)
 
         grid = np.unique(np.concatenate([[k_star], v.nodal_values]))
