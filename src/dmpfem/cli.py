@@ -146,7 +146,7 @@ def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
         lam=json_value(spec, "lambda", float, source),
         Lam=json_value(spec, "Lambda", float, source), nu=json_value(spec, "nu", float, source),
         c_mode=str(spec["c_mode"]), div_b=div_b,
-        constant_coefficients=bool(spec.get("constant_coefficients", constant)),
+        constant_coefficients=constant,
     )
 
 

@@ -21,8 +21,7 @@ from .errors import (
     UnsupportedCMode,
 )
 from .mesh import Mesh, acuteness_audit, interior_edges_2d, row_norms
-from .p1 import P1Field, QuadratureRule, constant_field, gradient_table, \
-    physical_points, quadrature_rule
+from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadrature_rule
 from .solver import (
     CoefficientSet,
     SolveResult,
@@ -176,19 +175,12 @@ def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
     return np.unique(np.concatenate([[k_star], values[values > k_star]]))
 
 
-def _form_parts(mesh: Mesh, coeffs: CoefficientSet, w: P1Field | None = None):
-    """`local_form_parts` with the default rule, frozen at w (zero for None)."""
-    return local_form_parts(mesh, constant_field(mesh, 0.0) if w is None else w,
-                            coeffs, default_rule(mesh, coeffs))
-
-
 def _poly_abs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """coef[0] + x coef[1] + x^2 coef[2], elementwise, for x >= 0."""
     return coef[0] + x * (coef[1] + x * coef[2])
 
 
-def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                       k_star: float = 0.0, matrix=None) -> AssumptionSweep:
+def assumption_a_sweep(u_h: P1Field, matrix, k_star: float = 0.0) -> AssumptionSweep:
     """Evaluate the cut-pair form value at every decisive cut level >= k_star.
 
     A nonzero matrix entry a_ij with u_i > u_j couples the cut pair exactly
@@ -198,11 +190,8 @@ def assumption_a_sweep(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
     so the pass costs O(nnz + levels) after the sort.  A level whose value
     lies within the rounding bound of those sums is recomputed from its
     terms, each with its exact sign, so every reported sign is that of the
-    summed terms.  `matrix` is the assembled form; when not given, the form
-    frozen at u_h with the `default_rule`.
+    summed terms.  `matrix` is the assembled form.
     """
-    if matrix is None:
-        matrix = assemble_matrix(mesh, _form_parts(mesh, coeffs, u_h))
     matrix = matrix.tocoo()
     grid = _cut_level_grid(u_h, k_star)
     n = len(grid)
@@ -315,10 +304,9 @@ class ElementConditionReport:
         }
 
 
-def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
+def element_condition_check(mesh: Mesh, coeffs: CoefficientSet, parts,
                             case: str = "poisson-like",
-                            lambda_star: float | None = None,
-                            parts=None) -> ElementConditionReport:
+                            lambda_star: float | None = None) -> ElementConditionReport:
     """Check the per-pair element integrals that force the cut-pair inequality.
 
     For each cell and ordered vertex pair (i, j) with i != j the quantity
@@ -330,15 +318,13 @@ def element_condition_check(mesh: Mesh, coeffs: CoefficientSet,
     in the strict cases, and `lam * |grad_i||grad_j| cos(angle_ij) |T|`
     together with nonnegativity in the diffusion-only case (where the drift
     and reaction integrals must vanish).  `parts` are the `local_form_parts`
-    of the form; when not given, those frozen at zero with the `default_rule`.
+    of the form.
     """
     if case not in ELEMENT_CASES:
         raise InvalidParameters(f"case must be one of {ELEMENT_CASES}")
     if lambda_star is None:
         lambda_star = 0.1 * coeffs.lam
 
-    if parts is None:
-        parts = _form_parts(mesh, coeffs)
     m = mesh.dim + 1
     # The d(d+1) ordered pairs i != j in row-major order.  local_form_parts
     # stores [cell, test, trial] and the pair quantity carries the gradient on
@@ -427,8 +413,8 @@ def _is_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
                 and np.abs(c).max() <= 1e-14)
 
 
-def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts=None, *,
-                            _matrix=None) -> EdgeConditionReport:
+def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts,
+                            matrix) -> EdgeConditionReport:
     """Check nonpositivity of the two-cell integral sum over each interior edge.
 
     The two cells' entries with trial function m and test function n sum to
@@ -439,22 +425,17 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts=None, *,
     is nonpositive exactly when alpha + beta <= pi; it is evaluated from the
     apex-vector cotangents.  When `_is_unit_poisson` holds the identity is
     verified to rounding as a cross-check of the assembled integrals.
-    `parts` are the `local_form_parts` of the form; when not given, those
-    frozen at zero with the `default_rule`.  `_matrix` is their
-    `assemble_matrix` when the caller already holds it.
+    `parts` are the `local_form_parts` of the form and `matrix` their
+    `assemble_matrix`.
     """
     if mesh.dim != 2:
         raise DimensionMismatch("edge-based verification is 2D only")
     poisson_identity = _is_unit_poisson(mesh, coeffs)
-    if parts is None:
-        parts = _form_parts(mesh, coeffs)
-    if _matrix is None:
-        _matrix = assemble_matrix(mesh, parts)
 
     edges = interior_edges_2d(mesh)
     m_nodes, n_nodes = edges.nodes.T
-    s_fwd = np.asarray(_matrix[n_nodes, m_nodes]).ravel()
-    s_rev = np.asarray(_matrix[m_nodes, n_nodes]).ravel()
+    s_fwd = np.asarray(matrix[n_nodes, m_nodes]).ravel()
+    s_rev = np.asarray(matrix[m_nodes, n_nodes]).ravel()
     scale = _cell_scales(parts)[edges.cells].max(axis=1)
     alpha, beta = edges.opposite_angles.T
     cot = edges.opposite_cotangents
@@ -974,7 +955,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # check, the sign and norm of f and the form parts.  The points are
     # dropped before the sweep and the element and edge checks, which share
     # the (C, M, M) parts.
-    samples = state_samples(mesh, u_h, rule, physical_points(mesh, rule))
+    samples = state_samples(u_h, rule, physical_points(mesh, rule))
     zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _samples=samples)
     points = samples[0]
     fvals = point_values("f", coeffs.f, points)
@@ -989,14 +970,14 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # one assembly serves the sweep and the edge check; it is dropped before
     # the element check, the pass with the largest temporaries
     matrix = assemble_matrix(mesh, parts)
-    sweep = assumption_a_sweep(mesh, u_h, coeffs, k_star, matrix=matrix)
+    sweep = assumption_a_sweep(u_h, matrix, k_star)
     edge = None
     if mesh.dim == 2:
-        edge = edge_condition_check_2d(mesh, coeffs, parts=parts, _matrix=matrix)
+        edge = edge_condition_check_2d(mesh, coeffs, parts, matrix)
     del matrix
     case = _select_element_case(parts, coeffs)
-    element = element_condition_check(mesh, coeffs, case=case,
-                                      lambda_star=params.lambda_star, parts=parts)
+    element = element_condition_check(mesh, coeffs, parts, case=case,
+                                      lambda_star=params.lambda_star)
     del parts
 
     holds = None

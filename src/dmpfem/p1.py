@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,13 +234,12 @@ def cut_minus(field: P1Field, k: float) -> P1Field:
     return P1Field(field.mesh, np.minimum(field.nodal_values - k, 0.0))
 
 
-def lp_norm(field: P1Field, p: float, rule: QuadratureRule | None = None) -> float:
-    """Continuous L^p norm by per-cell quadrature of |v|^p."""
+def lp_norm(field: P1Field, p: float) -> float:
+    """Continuous L^p norm by per-cell quadrature of |v|^p, of degree ceil(p) + 1."""
     if p < 1:
         raise InvalidParameters("p must be >= 1")
     p = min(p, MAX_LP_EXPONENT)
-    if rule is None:
-        rule = quadrature_rule(field.mesh.dim, int(math.ceil(p)) + 1)
+    rule = quadrature_rule(field.mesh.dim, int(math.ceil(p)) + 1)
     vals = np.abs(field.values_in_cells(rule)) ** p
     total = np.einsum("cq,q,c->", vals, rule.weights, field.mesh.cell_measures)
     return float(total ** (1.0 / p))
@@ -265,20 +265,26 @@ def field_to_csv(field: P1Field, path) -> None:
 
 
 def field_from_csv(mesh: Mesh, path) -> P1Field:
-    """Read a `field_to_csv` file: one row per node, each with a finite value.
+    """Read a `field_to_csv` file: one row per node, each with a finite value
+    and the coordinates of its mesh vertex.
 
     Raises `InvalidParameters` naming the first bad line for a missing
-    `value` column, a row of the wrong width, a node index that is not an
-    integer in [0, n_vertices) or appears twice, or a value that is not a
-    finite number; and when rows do not cover every node.
+    `value` or coordinate column, a row of the wrong width, a node index that
+    is not an integer in [0, n_vertices) or appears twice, a value that is
+    not a finite number, or coordinates more than 1e-12 * max(1, max |vertex|)
+    from the node's vertex (a solution of another mesh); and when rows do
+    not cover every node.
     """
     n = mesh.num_vertices
     values = np.full(n, np.nan)
+    coords, lines = [None] * n, [0] * n
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip().split(",")
-        if "value" not in header:
-            raise InvalidParameters(f"solution file {path} has no 'value' column")
+        absent = [col for col in [*"xyz"[:mesh.dim], "value"] if col not in header]
+        if absent:
+            raise InvalidParameters(f"solution file {path} lacks columns {absent}")
         idx_value = header.index("value")
+        coordinates_of = operator.itemgetter(*(header.index(col) for col in "xyz"[:mesh.dim]))
         for lineno, line in enumerate(fp, start=2):
             parts = line.strip().split(",")
             if parts == [""]:
@@ -297,9 +303,25 @@ def field_from_csv(mesh: Mesh, path) -> P1Field:
             except ValueError as exc:
                 raise InvalidParameters(f"solution file {path} line {lineno}: {exc}") from exc
             values[j] = value
+            coords[j], lines[j] = coordinates_of(parts), lineno
     missing = np.flatnonzero(np.isnan(values))
     if missing.size:
         raise InvalidParameters(
             f"solution file {path} does not cover every node: {missing.size} missing, "
             f"e.g. {missing[:5].tolist()}")
+    try:  # one batch; a failing one is rescanned in file order for the line to name
+        xyz = np.array(coords, dtype=float)
+    except ValueError:
+        for lineno, row in sorted(zip(lines, coords)):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise InvalidParameters(f"solution file {path} line {lineno}: {exc}") from exc
+    tol = 1e-12 * max(1.0, float(np.abs(mesh.vertices).max()))
+    off = np.flatnonzero(~(np.abs(xyz - mesh.vertices).max(axis=1) <= tol))
+    if off.size:
+        j = min(off.tolist(), key=lines.__getitem__)
+        raise InvalidParameters(
+            f"solution file {path} line {lines[j]}: node {j} lies at "
+            f"{xyz[j].tolist()}, its mesh vertex at {mesh.vertices[j].tolist()}")
     return P1Field(mesh, values)

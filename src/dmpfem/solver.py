@@ -265,7 +265,7 @@ def cell_blocks(num_cells: int, points_per_cell: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def state_samples(mesh: Mesh, w: P1Field, rule: QuadratureRule, points=None):
+def state_samples(w: P1Field, rule: QuadratureRule, points=None):
     """The quadrature points (C, Q, D), the state w there (C, Q) and its
     constant per-cell gradient (C, D).  `points` are the `physical_points` of
     the rule when the caller holds them; None leaves them to be computed one
@@ -294,7 +294,7 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     at a time, so no (C, Q, D) coefficient array is held.  `_samples` are the
     `state_samples` of w when the caller already holds them.
     """
-    samples = _samples or state_samples(mesh, w, rule)
+    samples = _samples or state_samples(w, rule)
     grads = gradient_table(mesh)
     bar = rule.points
     wq = rule.weights
@@ -373,9 +373,7 @@ class _FrozenFormAssembly:
     `system(w)` then samples the coefficients at w, forms the local parts and
     scatters them."""
 
-    def __init__(self, mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule | None):
-        if rule is None:
-            rule = default_rule(mesh, coeffs)
+    def __init__(self, mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule):
         if not coeffs.constant_coefficients and rule.degree < 4:
             warnings.warn("quadrature degree < 4 with non-constant coefficients",
                           QuadratureDegreeTooLow)
@@ -390,14 +388,14 @@ class _FrozenFormAssembly:
     def system(self, w: P1Field) -> SparseSystem:
         mesh, rule = self.mesh, self.rule
         parts = local_form_parts(mesh, w, self.coeffs, rule,
-                                 _samples=state_samples(mesh, w, rule, self.points))
+                                 _samples=state_samples(w, rule, self.points))
         return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs)
 
 
 def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
                rule: QuadratureRule | None = None) -> SparseSystem:
     """Assemble matrix and load vector of the form with coefficients frozen at w."""
-    return _FrozenFormAssembly(mesh, coeffs, rule).system(w)
+    return _FrozenFormAssembly(mesh, coeffs, rule or default_rule(mesh, coeffs)).system(w)
 
 
 def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
@@ -477,30 +475,26 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None) -> np.n
     return x
 
 
-def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None = None,
-                 initial_guess: P1Field | None = None,
-                 rule: QuadratureRule | None = None) -> SolveResult:
+def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
+                 opts: SolveOptions | None = None) -> SolveResult:
     """Frozen-coefficient fixed-point iteration for the Galerkin system.
 
-    Each pass assembles the form at the current iterate, solves the linear
-    system, and applies a damped update; iteration stops once the relative
-    nodal update falls below `picard_tol`.  `picard_iterations` counts the
-    updates actually applied, so a state-independent problem converges after
-    exactly one.  The quadrature points, the load vector and the assembly map
-    do not depend on the iterate and are computed once; a pass samples the
-    coefficients, forms the local parts, scatters them and factors.  With
-    `constant_coefficients` the form does not depend on the iterate either,
-    so the system is assembled and factored once and later passes reuse its
-    solution.
+    Each pass assembles the `default_rule` form at the current iterate,
+    solves the linear system, and applies a damped update; iteration stops
+    once the relative nodal update falls below `picard_tol`.
+    `picard_iterations` counts the updates actually applied, so a
+    state-independent problem converges after exactly one.  The quadrature
+    points, the load vector and the assembly map do not depend on the
+    iterate and are computed once; a pass samples the coefficients, forms
+    the local parts, scatters them and factors.  With `constant_coefficients`
+    the form does not depend on the iterate either, so the system is
+    assembled and factored once and later passes reuse its solution.
     """
     opts = opts or SolveOptions()
     assignment = interpolate_boundary(mesh, coeffs.g)
-    form = _FrozenFormAssembly(mesh, coeffs, rule)
-    if initial_guess is None:
-        u = np.zeros(mesh.num_vertices)
-        u[list(assignment)] = list(assignment.values())
-    else:
-        u = initial_guess.nodal_values.copy()
+    form = _FrozenFormAssembly(mesh, coeffs, default_rule(mesh, coeffs))
+    u = np.zeros(mesh.num_vertices)
+    u[list(assignment)] = list(assignment.values())
 
     applied = 0
     sol = None
@@ -525,11 +519,10 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet, opts: SolveOptions | None =
         applied += 1
 
 
-def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                      rule: QuadratureRule | None = None) -> float:
-    """Relative residual of the nonlinear Galerkin identity at u_h, measured
-    on the unconstrained (interior) nodes."""
-    system = assemble_q(mesh, u_h, coeffs, rule)
+def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet) -> float:
+    """Relative residual of the nonlinear Galerkin identity at u_h, with the
+    `default_rule`, measured on the unconstrained (interior) nodes."""
+    system = assemble_q(mesh, u_h, coeffs)
     free = np.ones(mesh.num_vertices, dtype=bool)
     free[list(mesh.boundary_nodes)] = False
     r = (system.rhs - system.matrix @ u_h.nodal_values)[free]
@@ -571,7 +564,7 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     them.
     """
     rule = rule or default_rule(mesh, coeffs)
-    samples = _samples or state_samples(mesh, u_h, rule)
+    samples = _samples or state_samples(u_h, rule)
     supplied = coeffs.div_b is not None
     step = 1e-6 * mesh.h
     values = np.empty(samples[1].shape)

@@ -117,6 +117,16 @@ def random_nodal_field(mesh: Mesh, rng: np.random.Generator, scale: float = 1.0)
     return P1Field(mesh, rng.uniform(-scale, scale, size=mesh.num_vertices))
 
 
+def frozen_form(mesh: Mesh, coeffs, w=None) -> tuple:
+    """(parts, matrix): the `local_form_parts` with the `default_rule`, frozen
+    at w (the zero field when None), and their `assemble_matrix`."""
+    from dmpfem.p1 import constant_field
+    from dmpfem.solver import assemble_matrix, default_rule, local_form_parts
+    parts = local_form_parts(mesh, constant_field(mesh, 0.0) if w is None else w,
+                             coeffs, default_rule(mesh, coeffs))
+    return parts, assemble_matrix(mesh, parts)
+
+
 def perturbed_mesh(mesh: Mesh, rng: np.random.Generator, amount: float) -> Mesh:
     """Move every interior vertex by up to `amount` times the mesh size."""
     verts = mesh.vertices.copy()

@@ -44,6 +44,7 @@ from dmpfem.p1 import lp_norm
 from conftest import (
     adjacent_pair,
     equilateral_mesh,
+    frozen_form,
     random_nodal_field,
     random_triangle,
     triangle_vertex_angles,
@@ -95,7 +96,7 @@ def test_02_edge_sum_closed_form():
         if abs(alpha + beta - math.pi) < 1e-9:
             continue
         mesh = adjacent_pair(alpha, beta)
-        report = edge_condition_check_2d(mesh, poisson())
+        report = edge_condition_check_2d(mesh, poisson(), *frozen_form(mesh, poisson()))
         record = report.edges[0]
         closed = -math.sin(alpha + beta) / (2 * math.sin(alpha) * math.sin(beta))
         assert abs(record["sum"] - closed) <= 1e-12 * max(1.0, abs(closed))
@@ -171,7 +172,8 @@ def test_05_element_condition_sufficiency():
         "equilateral 3x2": equilateral_mesh(3, 2),
     }
     for label, mesh in meshes.items():
-        report = element_condition_check(mesh, poisson(), case="poisson-like")
+        report = element_condition_check(mesh, poisson(), frozen_form(mesh, poisson())[0],
+                                         case="poisson-like")
         assert report.all_pass, label
         for _ in range(20):
             fc = rng.uniform(-3.0, 3.0, size=3)
@@ -182,12 +184,14 @@ def test_05_element_condition_sufficiency():
             result = picard_solve(mesh, coeffs)
             k_star = compute_k_star(mesh, interpolate_boundary(mesh, coeffs.g),
                                     coeffs.c_mode)
-            sweep = assumption_a_sweep(mesh, result.u_h, coeffs, k_star=k_star)
+            sweep = assumption_a_sweep(result.u_h, frozen_form(mesh, coeffs, result.u_h)[1],
+                                       k_star=k_star)
             assert sweep.satisfied, label
 
     obtuse = generate_structured_2d(3, 3, skew=0.55)
     assert acuteness_audit(obtuse).classification == "obtuse"
-    failing = element_condition_check(obtuse, poisson(), case="poisson-like")
+    failing = element_condition_check(obtuse, poisson(), frozen_form(obtuse, poisson())[0],
+                                      case="poisson-like")
     assert not failing.all_pass
     assert failing.failures, "failing pairs must be listed as evidence"
     _finish("element condition sufficiency (3 meshes x 20 solves + obtuse)",

@@ -337,6 +337,30 @@ class TestDmpCheckCommand:
         edge = json.loads((outdir / "certificate.json").read_text())["edge_condition"]
         assert edge["verdict"] == "pass" and edge["poisson_identity_checked"] is False
 
+    def test_declared_constancy_is_not_trusted(self, tmp_path):
+        # a depends on the state; a file declaring it constant once made the
+        # solve stop after one update, 11% off, and every check still passed
+        mesh = tmp_path / "mesh16.json"
+        assert run(["mesh-gen", "--square", "16x16", "-o", mesh]) == 0
+        spec = {"a": "1 + eta^2/(1+eta^2)", "b": ["0", "0"], "c": "0", "f": "-10",
+                "g": "0", "lambda": 1.0, "Lambda": 2.0, "nu": 0.0,
+                "c_mode": "identically-zero"}
+        certs, outs = [], []
+        for name, declared in (("plain", {}), ("declared", {"constant_coefficients": True})):
+            coeffs_path = tmp_path / f"{name}.json"
+            coeffs_path.write_text(json.dumps({**spec, **declared}))
+            out = tmp_path / name
+            assert run(["dmp-check", "--mesh", mesh, "--solve", "--coeffs", coeffs_path,
+                        "-o", out]) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            cert.pop("run")
+            certs.append(cert)
+            outs.append(out)
+        assert certs[0]["solve"]["picard_iterations"] > 1
+        assert certs[0] == certs[1]
+        for name in ("solution.csv", "level_sets.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_unknown_check_rejected(self, square_mesh, tmp_path):
         assert run(["dmp-check", "--mesh", square_mesh, "--solve",
                     "--checks", "bogus", "-o", tmp_path / "x"]) == 1
@@ -427,7 +451,7 @@ class TestSolutionFile:
         assert "line 6: node 4 has value nan" in capsys.readouterr().err
 
     def test_malformed_rows(self, square_mesh, tmp_path, capsys, solution_lines):
-        for row in ("4,0.5,0", "4,0.5,0,abc", "four,0.5,0,1.0"):
+        for row in ("4,0.5,0", "4,0.5,0,abc", "four,0.5,0,1.0", "4,abc,0,1.0"):
             edited = list(solution_lines)
             edited[5] = row
             assert self._check(square_mesh, tmp_path, edited) == 1
@@ -441,6 +465,32 @@ class TestSolutionFile:
         assert self._check(square_mesh, tmp_path, solution_lines
                            + [solution_lines[5]]) == 1
         assert "node 4 appears twice" in capsys.readouterr().err
+
+    def test_solution_of_another_mesh(self, square_mesh, tmp_path, capsys):
+        # same vertex count and numbering, interior vertices moved by the skew
+        skewed = tmp_path / "skewed.json"
+        assert run(["mesh-gen", "--square", "8x8", "--skew", "0.5", "-o", skewed]) == 0
+        assert run(["solve", "--mesh", skewed, "-o", tmp_path / "skewed"]) == 0
+        assert run(["dmp-check", "--mesh", square_mesh,
+                    "--solution", tmp_path / "skewed" / "solution.csv",
+                    "-o", tmp_path / "check"]) == 1
+        err = capsys.readouterr().err
+        assert "line " in err and "its mesh vertex at" in err
+        assert not (tmp_path / "check").exists()
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_edited_coordinate(self, square_mesh, tmp_path, capsys, solution_lines, column):
+        row = solution_lines[12].split(",")
+        row[column] = repr(float(row[column]) + 1e-9)
+        solution_lines[12] = ",".join(row)
+        assert self._check(square_mesh, tmp_path, solution_lines) == 1
+        assert "line 13: node 11 lies at" in capsys.readouterr().err
+
+    def test_missing_coordinate_column(self, square_mesh, tmp_path, capsys, solution_lines):
+        edited = [",".join(line.split(",")[:2] + line.split(",")[3:])
+                  for line in solution_lines]
+        assert self._check(square_mesh, tmp_path, edited) == 1
+        assert "lacks columns ['y']" in capsys.readouterr().err
 
 
 _COEFFS_2D = {"a": "1", "b": ["0", "0"], "c": "0", "f": "1", "g": "0", "lambda": 1.0,

@@ -65,6 +65,7 @@ from conftest import (
     adjacent_pair,
     drift_field,
     equilateral_mesh,
+    frozen_form,
     full_element_condition_check,
     level_set_measure,
     loop_assumption_sweep,
@@ -77,6 +78,21 @@ from conftest import (
     triangle_vertex_angles,
     unblocked_zeroth_order_condition,
 )
+
+
+def _sweep(mesh, coeffs, w, k_star=0.0):
+    """`assumption_a_sweep` of the `default_rule` form frozen at w."""
+    return assumption_a_sweep(w, frozen_form(mesh, coeffs, w)[1], k_star)
+
+
+def _element(mesh, coeffs, **kwargs):
+    """`element_condition_check` of the `default_rule` form frozen at zero."""
+    return element_condition_check(mesh, coeffs, frozen_form(mesh, coeffs)[0], **kwargs)
+
+
+def _edge(mesh, coeffs):
+    """`edge_condition_check_2d` of the `default_rule` form frozen at zero."""
+    return edge_condition_check_2d(mesh, coeffs, *frozen_form(mesh, coeffs))
 
 
 def _assert_sweep_matches_loop(sweep, m, v, parts, k_star):
@@ -152,14 +168,14 @@ class TestAssumptionSweep:
     def test_level_beyond_max_gives_zero(self):
         m = generate_structured_2d(3, 3)
         v = random_nodal_field(m, np.random.default_rng(1))
-        sweep = assumption_a_sweep(m, v, poisson(), k_star=v.max_value())
+        sweep = _sweep(m, poisson(), v, k_star=v.max_value())
         assert sweep.q_values == pytest.approx(np.zeros_like(sweep.q_values),
                                                abs=1e-14)
         assert sweep.satisfied
 
     def test_constant_field_all_zero(self):
         m = generate_structured_2d(3, 3)
-        sweep = assumption_a_sweep(m, constant_field(m, 2.0), poisson(), k_star=-1.0)
+        sweep = _sweep(m, poisson(), constant_field(m, 2.0), k_star=-1.0)
         assert np.abs(sweep.q_values).max() == 0.0
 
     def test_solved_poisson_on_non_obtuse_mesh(self):
@@ -168,7 +184,7 @@ class TestAssumptionSweep:
         result = picard_solve(m, coeffs)
         k_star = compute_k_star(m, interpolate_boundary(m, coeffs.g),
                                 coeffs.c_mode)
-        sweep = assumption_a_sweep(m, result.u_h, coeffs, k_star=k_star)
+        sweep = _sweep(m, coeffs, result.u_h, k_star=k_star)
         assert sweep.satisfied
         assert np.all(np.diff(sweep.k_values) > 0)
         assert sweep.k_values[0] == pytest.approx(k_star)
@@ -177,13 +193,12 @@ class TestAssumptionSweep:
         # alpha + beta > pi makes the shared-edge sum positive; a field that
         # changes sign across that edge then breaks the cut-pair inequality
         mesh = adjacent_pair(2.0, 1.5)
-        edge = edge_condition_check_2d(mesh, poisson()).edges[0]
+        edge = _edge(mesh, poisson()).edges[0]
         assert edge["sum"] > 0
         values = np.zeros(mesh.num_vertices)
         values[edge["node_m"]] = -1.0
         values[edge["node_n"]] = 1.0
-        sweep = assumption_a_sweep(mesh, P1Field(mesh, values), poisson(),
-                                   k_star=0.0)
+        sweep = _sweep(mesh, poisson(), P1Field(mesh, values), k_star=0.0)
         assert not sweep.satisfied
         assert sweep.min_value < 0
 
@@ -197,8 +212,7 @@ class TestAssumptionSweep:
         coeffs = advection_diffusion(list(rng.uniform(-60, 60, 2)), f=1.0)
         v = P1Field(m, rng.uniform(-1, 1, m.num_vertices))
         parts = local_form_parts(m, v, coeffs, default_rule(m, coeffs))
-        sweep = assumption_a_sweep(m, v, coeffs, k_star=-2.0,
-                                   matrix=assemble_matrix(m, parts))
+        sweep = assumption_a_sweep(v, assemble_matrix(m, parts), k_star=-2.0)
         assert len(sweep.k_values) > len(np.unique(v.nodal_values)) + 1
         _assert_sweep_matches_loop(sweep, m, v, parts, -2.0)
         levels = np.linspace(-2.0, v.max_value(), 4001)
@@ -214,7 +228,7 @@ class TestAssumptionSweep:
         # every scale of f; an absolute slack let the small scales pass
         m = generate_structured_2d(8, 8, skew=skew)
         coeffs = {"poisson": poisson(f=f), "drift": advection_diffusion([40.0, -30.0], f=f)}[problem]
-        sweep = assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs)
+        sweep = _sweep(m, coeffs, picard_solve(m, coeffs).u_h)
         assert not sweep.satisfied
         assert sweep.min_value < 0.0 and sweep.min_ratio < -0.5
 
@@ -230,7 +244,7 @@ class TestAssumptionSweep:
         sweeps = []
         for f in (1.0, 2.0 ** j):
             coeffs = make(f)
-            sweeps.append(assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs))
+            sweeps.append(_sweep(m, coeffs, picard_solve(m, coeffs).u_h))
         base, scaled = sweeps
         assert np.array_equal(scaled.k_values, 2.0 ** j * base.k_values)
         assert scaled.min_ratio == base.min_ratio
@@ -244,7 +258,7 @@ class TestAssumptionSweep:
         for skew in (0.0, 0.6):
             m = generate_structured_2d(16, 16, skew=skew)
             coeffs = poisson(f=1.0)
-            sweep = assumption_a_sweep(m, picard_solve(m, coeffs).u_h, coeffs)
+            sweep = _sweep(m, coeffs, picard_solve(m, coeffs).u_h)
             assert len(sweep.k_values) > 50
             assert sweep.satisfied == (skew == 0.0)
 
@@ -274,22 +288,20 @@ class TestAssumptionSweep:
 class TestElementCondition:
     def test_equilateral_poisson_passes_with_equality(self):
         m = equilateral_mesh(2, 2)
-        report = element_condition_check(m, poisson(), case="poisson-like")
+        report = _element(m, poisson(), case="poisson-like")
         assert report.all_pass
         # margin against the angle reference is zero for constant unit a
         assert report.min_margin == pytest.approx(0.0, abs=1e-13)
 
     def test_right_angle_pair_boundary_case(self, reference_triangle):
-        report_iii = element_condition_check(reference_triangle, poisson(),
-                                             case="poisson-like")
+        report_iii = _element(reference_triangle, poisson(), case="poisson-like")
         assert report_iii.all_pass
-        report_i = element_condition_check(reference_triangle, poisson(),
-                                           case="general-b", lambda_star=0.1)
+        report_i = _element(reference_triangle, poisson(), case="general-b", lambda_star=0.1)
         assert not report_i.all_pass  # the orthogonal pair has zero integral
 
     def test_obtuse_triangle_fails(self):
         m = build_mesh([[0, 0], [1, 0], [0.8, 0.15]], [[0, 1, 2]])
-        report = element_condition_check(m, poisson(), case="poisson-like")
+        report = _element(m, poisson(), case="poisson-like")
         assert not report.all_pass
         assert report.failures
         worst = report.failures[0]
@@ -298,12 +310,11 @@ class TestElementCondition:
     def test_case_validation(self):
         m = generate_structured_2d(2, 2)
         with pytest.raises(InvalidParameters):
-            element_condition_check(m, poisson(), case="bogus")
+            _element(m, poisson(), case="bogus")
 
     def test_acute_mesh_passes_strict_case(self):
         m = equilateral_mesh(2, 2)
-        report = element_condition_check(m, poisson(), case="b-zero-c-nonneg",
-                                         lambda_star=0.2)
+        report = _element(m, poisson(), case="b-zero-c-nonneg", lambda_star=0.2)
         # equilateral: D = cos(pi/3) * prod = 0.5 * prod >= 0.2 * prod
         assert report.all_pass
 
@@ -314,7 +325,7 @@ class TestElementCondition:
         angles = np.array([triangle_vertex_angles(m.vertices[cell]) for cell in m.cells])
         expected = [(t, i, j) for t in range(m.num_cells) for i in range(3)
                     for j in range(3) if i != j and angles[t, 3 - i - j] > math.pi / 2]
-        report = element_condition_check(m, poisson())
+        report = _element(m, poisson())
         written = report.to_dict()
         assert report.num_failing_pairs == written["num_failures"] == len(expected) == 256
         assert report.failures == written["failures"]
@@ -323,44 +334,46 @@ class TestElementCondition:
             expected[:MAX_FAILURE_RECORDS]
 
 
-class TestDefaultFormParts:
-    """Without `parts`, the element and edge checks freeze the form at zero
-    and the sweep at u_h, each with the default rule."""
+class TestPassesMatchCertificate:
+    """Each pass, handed the certificate's own form (the `default_rule` parts
+    frozen at u_h and their matrix), writes the certificate's block."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("problem", ["poisson", "quasilinear", "drift"])
-    def test_reports_equal_explicit_parts(self, dim, problem):
+    def test_pass_reproduces_certificate_block(self, dim, problem):
         if dim == 2:
             m = generate_structured_2d(6, 5, skew=0.4)
         else:
             m = perturbed_mesh(generate_structured_3d(3, 3, 3), np.random.default_rng(2), 0.1)
+        # f > 0 lifts u_h above k* = 0, so the sweep has levels to check
         coeffs = {"poisson": poisson(f=1.0),
-                  "quasilinear": quasilinear_a(f=lambda x: -1.0 - 3.0 * x[..., 0]),
-                  "drift": advection_diffusion([1.0, -2.0, 0.5][:dim], c0=0.5)}[problem]
-        rule = default_rule(m, coeffs)
-        u_h = picard_solve(m, coeffs).u_h
-        at_zero = local_form_parts(m, constant_field(m, 0.0), coeffs, rule)
-        at_uh = local_form_parts(m, u_h, coeffs, rule)
+                  "quasilinear": quasilinear_a(f=lambda x: 1.0 + 3.0 * x[..., 0]),
+                  "drift": advection_diffusion([1.0, -2.0, 0.5][:dim], f=1.0, c0=0.5)}[problem]
+        result = picard_solve(m, coeffs)
+        u_h = result.u_h
+        cert = dmp_certificate(m, result, coeffs)
+        written = cert.to_dict()
+        parts, matrix = frozen_form(m, coeffs, u_h)
 
-        def dumps(report):
-            return json.dumps(report.to_dict())
+        def dumps(block):
+            return json.dumps(block.to_dict() if hasattr(block, "to_dict") else block)
 
-        sweep = assumption_a_sweep(m, u_h, coeffs, k_star=-0.5)
-        assert dumps(sweep) == dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
-                                                        matrix=assemble_matrix(m, at_uh)))
-        for case in ELEMENT_CASES:
-            element = element_condition_check(m, coeffs, case=case)
-            assert dumps(element) == dumps(element_condition_check(m, coeffs, case=case,
-                                                                   parts=at_zero))
-        if dim == 2:
-            assert dumps(edge_condition_check_2d(m, coeffs)) == \
-                dumps(edge_condition_check_2d(m, coeffs, parts=at_zero))
+        assert dumps(assumption_a_sweep(u_h, matrix, cert.k_star)) == \
+            dumps(written["assumption_a"])
+        case = dmpfem.dmp._select_element_case(parts, coeffs)
+        assert dumps(element_condition_check(m, coeffs, parts, case=case)) == \
+            dumps(written["element_condition"])
+        edge = edge_condition_check_2d(m, coeffs, parts, matrix) if dim == 2 \
+            else {"verdict": "not-applicable"}
+        assert dumps(edge) == dumps(written["edge_condition"])
+        assert len(written["assumption_a"]["k_values"]) > 5
         if problem == "quasilinear":
-            # a depends on the state here, so the frozen states are told apart
-            assert dumps(sweep) != dumps(assumption_a_sweep(m, u_h, coeffs, k_star=-0.5,
-                                                            matrix=assemble_matrix(m, at_zero)))
-            assert dumps(element) != dumps(element_condition_check(m, coeffs, case=case,
-                                                                   parts=at_uh))
+            # a depends on the state here, so the form frozen at zero differs
+            zero_parts, zero_matrix = frozen_form(m, coeffs)
+            assert dumps(assumption_a_sweep(u_h, zero_matrix, cert.k_star)) != \
+                dumps(written["assumption_a"])
+            assert dumps(element_condition_check(m, coeffs, zero_parts, case=case)) != \
+                dumps(written["element_condition"])
 
 
 def _scaled_laplacian(s: float) -> CoefficientSet:
@@ -386,8 +399,8 @@ class TestSlackScale:
             case = dmpfem.dmp._select_element_case(
                 local_form_parts(m, constant_field(m, 0.0), coeffs,
                                  default_rule(m, coeffs)), coeffs)
-            element = element_condition_check(m, coeffs, case=case)
-            edge = edge_condition_check_2d(m, coeffs)
+            element = _element(m, coeffs, case=case)
+            edge = _edge(m, coeffs)
             verdicts.add((case, element.all_pass, edge.all_pass))
         assert len(verdicts) == 1
         assert verdicts.pop()[1:] == ((False, False) if skew else (True, True))
@@ -396,8 +409,8 @@ class TestSlackScale:
     def test_small_obtuse_operator_fails(self, s):
         m = generate_structured_2d(8, 8, skew=0.6)
         coeffs = _scaled_laplacian(s)
-        element = element_condition_check(m, coeffs)
-        edge = edge_condition_check_2d(m, coeffs)
+        element = _element(m, coeffs)
+        edge = _edge(m, coeffs)
         assert not element.all_pass and not edge.all_pass
         assert element.min_margin == pytest.approx(-0.3 * s, rel=1e-9)
         assert edge.max_sum == pytest.approx(0.6 * s, rel=1e-9)
@@ -406,14 +419,14 @@ class TestSlackScale:
 class TestEdgeCondition:
     def test_square_pair_boundary_case(self):
         mesh = adjacent_pair(math.pi / 2, math.pi / 2)
-        report = edge_condition_check_2d(mesh, poisson())
+        report = _edge(mesh, poisson())
         assert report.num_edges == 1
         assert report.all_pass
         assert report.edges[0]["sum"] == pytest.approx(0.0, abs=1e-13)
 
     def test_equilateral_pair_closed_form(self):
         mesh = adjacent_pair(math.pi / 3, math.pi / 3)
-        report = edge_condition_check_2d(mesh, poisson())
+        report = _edge(mesh, poisson())
         expected = -1.0 / math.sqrt(3.0)
         assert report.edges[0]["sum"] == pytest.approx(expected, rel=1e-12)
         assert report.edges[0]["poisson_closed_form"] == pytest.approx(expected,
@@ -421,20 +434,20 @@ class TestEdgeCondition:
 
     def test_wide_pair_fails(self):
         mesh = adjacent_pair(2.0, 1.5)  # alpha + beta > pi
-        report = edge_condition_check_2d(mesh, poisson())
+        report = _edge(mesh, poisson())
         assert not report.all_pass
         assert report.edges[0]["sum"] > 0
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
-            edge_condition_check_2d(generate_structured_3d(1, 1, 1), poisson())
+            _edge(generate_structured_3d(1, 1, 1), poisson())
 
     def test_matches_global_assembly_offdiagonal(self):
         m = generate_structured_2d(4, 3, skew=0.25)
         system = assemble_q(m, constant_field(m, 0.0), poisson(),
                             quadrature_rule(2, 2))
         a = system.matrix.toarray()
-        report = edge_condition_check_2d(m, poisson())
+        report = _edge(m, poisson())
         for record in report.edges:
             i, j = record["node_m"], record["node_n"]
             assert record["sum"] == pytest.approx(a[j, i], abs=1e-12)
@@ -447,15 +460,11 @@ class TestEdgeCondition:
         w = random_nodal_field(mesh, np.random.default_rng(4))
         for unit, coeffs in ((True, poisson()), (False, quasilinear_a()),
                              (False, advection_diffusion([1.0, -2.0], c0=0.5))):
-            rule = default_rule(mesh, coeffs)
-            parts = local_form_parts(mesh, w, coeffs, rule)
-            # without parts the check freezes the form at zero
-            zero = local_form_parts(mesh, constant_field(mesh, 0.0), coeffs, rule)
-            for given, form, matrix in ((None, zero, None), (parts, parts, None),
-                                        (parts, parts, assemble_matrix(mesh, parts))):
+            # the form frozen at zero and at a random state
+            for form, matrix in (frozen_form(mesh, coeffs), frozen_form(mesh, coeffs, w)):
                 records, all_pass, max_sum, identity_err = loop_edge_records(
                     mesh, form, PAIR_TOL)
-                report = edge_condition_check_2d(mesh, coeffs, parts=given, _matrix=matrix)
+                report = edge_condition_check_2d(mesh, coeffs, form, matrix)
                 # json.dumps tells every bit, the sign of zero included
                 assert json.dumps(report.edges) == json.dumps(records)
                 assert (report.all_pass, report.max_sum, report.num_edges) == \
@@ -475,7 +484,7 @@ class TestEdgeCondition:
         verts[inner] += np.random.default_rng(seed).uniform(
             -0.3 / 48, 0.3 / 48, size=verts[inner].shape)
         m = build_mesh(verts, m.cells)
-        report = edge_condition_check_2d(m, poisson())
+        report = _edge(m, poisson())
         assert report.poisson_identity_checked
         assert report.identity_max_error <= PAIR_TOL
         assert interior_edges_2d(m).opposite_angles.min() < 0.01
@@ -490,7 +499,8 @@ class TestEdgeCondition:
         for sign in signs:
             parts = tuple(-0.0 * sign)
             records, _, _, _ = loop_edge_records(mesh, parts, PAIR_TOL)
-            report = edge_condition_check_2d(mesh, poisson(), parts=parts)
+            report = edge_condition_check_2d(mesh, poisson(), parts,
+                                             assemble_matrix(mesh, parts))
             assert json.dumps(report.edges) == json.dumps(records)
             assert math.copysign(1.0, report.edges[0]["sum"]) == 1.0
             assert math.copysign(1.0, report.edges[0]["sum_reversed"]) == 1.0
@@ -498,10 +508,9 @@ class TestEdgeCondition:
     def test_unit_poisson_with_doubled_parts_fails_the_identity(self):
         m = generate_structured_2d(4, 4)
         coeffs = poisson()
-        parts = tuple(2.0 * part for part in local_form_parts(
-            m, constant_field(m, 0.0), coeffs, default_rule(m, coeffs)))
+        parts = tuple(2.0 * part for part in frozen_form(m, coeffs)[0])
         with pytest.raises(InvalidParameters, match="cotangent closed form"):
-            edge_condition_check_2d(m, coeffs, parts=parts)
+            edge_condition_check_2d(m, coeffs, parts, assemble_matrix(m, parts))
 
     @pytest.mark.parametrize("declared", [False, True])
     def test_identity_needs_unit_coefficients_at_every_vertex(self, declared):
@@ -514,7 +523,7 @@ class TestEdgeCondition:
             b=lambda x, e, p: np.zeros(np.shape(x)), c=lambda x, e: np.zeros(np.shape(e)),
             f=-1.0, g=0.0, lam=1.0, Lam=2.0, nu=0.0, c_mode="identically-zero",
             constant_coefficients=declared)
-        report = edge_condition_check_2d(m, coeffs)
+        report = _edge(m, coeffs)
         assert not report.poisson_identity_checked and report.all_pass
         cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs)
         assert not cert.edge_condition.poisson_identity_checked
@@ -666,8 +675,7 @@ class TestDeGiorgi:
         k_star = {"zero": 0.0, "below": v.min_value() - 0.1, "top": v.max_value()}[level]
 
         parts = local_form_parts(m, v, coeffs, quadrature_rule(2, 4))
-        sweep = assumption_a_sweep(m, v, coeffs, k_star=k_star,
-                                   matrix=assemble_matrix(m, parts))
+        sweep = assumption_a_sweep(v, assemble_matrix(m, parts), k_star=k_star)
         _assert_sweep_matches_loop(sweep, m, v, parts, k_star)
 
         grid = np.unique(np.concatenate([[k_star], v.nodal_values]))
@@ -690,7 +698,7 @@ class TestDeGiorgi:
         profile = np.column_stack([grid, level_set_profile(m, v, grid)])
         monkeypatch.setattr(dmpfem.dmp, "_BLOCK_TERMS", 7)
         monkeypatch.setattr(dmpfem.dmp, "_ROW_SLACK", np.inf)  # rescan every row
-        sweep = assumption_a_sweep(m, v, coeffs)
+        sweep = _sweep(m, coeffs, v)
         _assert_sweep_matches_loop(sweep, m, v, local_form_parts(
             m, v, coeffs, quadrature_rule(2, 2)), 0.0)
         fitted = fit_decay_constant(profile, 4.0, 1.5, 0.0)
@@ -845,7 +853,7 @@ class TestCertificate:
                   generate_structured_2d(3, 3, pattern="crisscross"),
                   equilateral_mesh(3, 2)]
         for m in meshes:
-            report = element_condition_check(m, poisson(), case="poisson-like")
+            report = _element(m, poisson(), case="poisson-like")
             assert report.all_pass
             for _ in range(5):
                 fc = rng.uniform(-2, 2)
@@ -856,7 +864,7 @@ class TestCertificate:
                 result = picard_solve(m, coeffs)
                 k_star = compute_k_star(m, interpolate_boundary(m, coeffs.g),
                                         coeffs.c_mode)
-                sweep = assumption_a_sweep(m, result.u_h, coeffs, k_star=k_star)
+                sweep = _sweep(m, coeffs, result.u_h, k_star=k_star)
                 assert sweep.satisfied
 
     def test_certificate_json_shape(self):
@@ -963,7 +971,7 @@ class TestBlockedPassesMatchOracles:
             for case in ELEMENT_CASES:
                 for lambda_star in (None, 0.05):
                     assert _dumps(element_condition_check(
-                        m, form, case=case, lambda_star=lambda_star, parts=parts)) == \
+                        m, form, parts, case=case, lambda_star=lambda_star)) == \
                         _dumps(full_element_condition_check(m, form, case, lambda_star, parts))
         assert _dumps(check_zeroth_order_condition(m, w, coeffs, rule)) == \
             _dumps(unblocked_zeroth_order_condition(m, w, coeffs, rule))
@@ -978,7 +986,7 @@ class TestBlockedPassesMatchOracles:
         for w in (constant_field(m, 0.0), random_nodal_field(m, np.random.default_rng(n)),
                   picard_solve(m, coeffs).u_h):
             parts = local_form_parts(m, w, coeffs, default_rule(m, coeffs))
-            assert _dumps(element_condition_check(m, coeffs, parts=parts)) == \
+            assert _dumps(element_condition_check(m, coeffs, parts)) == \
                 _dumps(full_element_condition_check(m, coeffs, "poisson-like", None, parts))
 
     @pytest.mark.parametrize("dim", [2, 3])

@@ -358,13 +358,6 @@ class TestCallCounts:
             picard_solve(m, coeffs)
         assert made == []
 
-    def test_low_degree_warning_once_per_solve(self):
-        m = generate_structured_2d(4, 4)
-        with pytest.warns(QuadratureDegreeTooLow) as record:
-            result = picard_solve(m, quasilinear_a(f=-1.0), rule=quadrature_rule(2, 2))
-        assert result.picard_iterations > 1
-        assert sum(w.category is QuadratureDegreeTooLow for w in record) == 1
-
 
 def _map_oracle_cases():
     rng = np.random.default_rng(11)
@@ -617,14 +610,6 @@ class TestPicard:
         m = generate_structured_2d(4, 4)
         with pytest.raises(PicardDiverged):
             picard_solve(m, poisson(), SolveOptions(picard_max_iter=0))
-
-    def test_exact_initial_guess_needs_no_update(self):
-        m = generate_structured_2d(4, 4)
-        coeffs = poisson(f=-1.0, g=0.0)
-        first = picard_solve(m, coeffs)
-        again = picard_solve(m, coeffs, initial_guess=first.u_h)
-        assert again.converged
-        assert again.picard_iterations == 0
 
     def test_converged_iterate_satisfies_galerkin_identity(self):
         m = generate_structured_2d(8, 8)
