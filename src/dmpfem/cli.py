@@ -187,8 +187,10 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--picard-max-iter", type=int, default=SolveOptions.picard_max_iter)
     group.add_argument("--picard-tol", type=float, default=SolveOptions.picard_tol)
     group.add_argument("--linear-tol", type=float, default=SolveOptions.linear_tol,
-                       help="each sparse LU solve must reach a relative residual "
-                            "of at most 10x this (default %(default)s)")
+                       help="each linear solve must reach a relative residual of at "
+                            "most 10x this; a Picard pass refined with an earlier LU "
+                            "factor is accepted at this residual, else it refactors "
+                            "(default %(default)s)")
     group.add_argument("--damping", type=float, default=SolveOptions.damping)
 
 
@@ -269,9 +271,11 @@ def _gated_verdicts(verdicts: dict, checks: list) -> dict:
     return {name: gate[name] for name in checks}
 
 
-# JSON types accepted for the convergence record of `dmp-check --solve-result`.
+# JSON types accepted for the convergence record of `dmp-check --solve-result`;
+# a record may leave out the two counts, which then read -1 (unknown).
 _SOLVE_INFO_TYPES = {"picard_iterations": (int,), "final_update_norm": (int, float),
-                     "final_linear_residual": (int, float), "converged": (bool,)}
+                     "final_linear_residual": (int, float), "converged": (bool,),
+                     "factorizations": (int,), "refinement_steps": (int,)}
 
 
 def cmd_dmp_check(args) -> int:
@@ -296,7 +300,8 @@ def cmd_dmp_check(args) -> int:
         u_h = field_from_csv(mesh, args.solution)
         solve_info = {"source": args.solution, "converged": True,
                       "picard_iterations": -1, "final_update_norm": float("nan"),
-                      "final_linear_residual": float("nan")}
+                      "final_linear_residual": float("nan"),
+                      "factorizations": -1, "refinement_steps": -1}
         if args.solve_result:
             solve_info.update(read_json_object(args.solve_result, "solve result"))
             for key, types in _SOLVE_INFO_TYPES.items():
@@ -311,6 +316,8 @@ def cmd_dmp_check(args) -> int:
             final_update_norm=float(solve_info["final_update_norm"]),
             final_linear_residual=float(solve_info["final_linear_residual"]),
             converged=solve_info["converged"],
+            factorizations=solve_info["factorizations"],
+            refinement_steps=solve_info["refinement_steps"],
         )
 
     cert = dmp_certificate(mesh, result, coeffs, params=params)

@@ -956,7 +956,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # dropped before the sweep and the element and edge checks, which share
     # the (C, M, M) parts.
     samples = state_samples(u_h, rule, physical_points(mesh, rule))
-    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, rule, _samples=samples)
+    zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, _samples=samples)
     points = samples[0]
     fvals = point_values("f", coeffs.f, points)
     f_nonpositive = bool(fvals.max() <= 1e-12 * float(np.abs(fvals).max()))

@@ -43,6 +43,7 @@ C_MODES = ("nonnegative", "identically-zero", "general")
 SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
+REFINE_STEPS = 10  # refinement steps with a kept LU factor before a solve refactors
 
 
 def as_point_callable(value):
@@ -225,11 +226,17 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The outcome of `picard_solve`.  `factorizations` counts the sparse LU
+    factorizations it ran and `refinement_steps` the solves with a kept factor
+    (see `linear_solve`)."""
+
     u_h: P1Field
     picard_iterations: int
     final_update_norm: float
     final_linear_residual: float
     converged: bool
+    factorizations: int
+    refinement_steps: int
 
     def to_dict(self) -> dict:
         return {
@@ -237,6 +244,8 @@ class SolveResult:
             "final_update_norm": self.final_update_norm,
             "final_linear_residual": self.final_linear_residual,
             "converged": self.converged,
+            "factorizations": self.factorizations,
+            "refinement_steps": self.refinement_steps,
         }
 
 
@@ -387,9 +396,13 @@ class _FrozenFormAssembly:
 
     def system(self, w: P1Field) -> SparseSystem:
         mesh, rule = self.mesh, self.rule
-        parts = local_form_parts(mesh, w, self.coeffs, rule,
-                                 _samples=state_samples(w, rule, self.points))
-        return SparseSystem(matrix=assemble_matrix(mesh, parts, self.layout), rhs=self.rhs)
+        local, advection, reaction = local_form_parts(
+            mesh, w, self.coeffs, rule, _samples=state_samples(w, rule, self.points))
+        # the parts are this call's own: summed in place, in `assemble_matrix`'s
+        # order, they add no (C, M, M) temporary next to the solve's kept factor
+        local += advection
+        local += reaction
+        return SparseSystem(matrix=self.layout.matrix(local), rhs=self.rhs)
 
 
 def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
@@ -399,9 +412,9 @@ def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
 
 
 def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
-            coeffs: CoefficientSet, rule: QuadratureRule | None = None) -> float:
-    """Value of the form at (u, v) with coefficients frozen at w."""
-    system = assemble_q(mesh, w, coeffs, rule)
+            coeffs: CoefficientSet) -> float:
+    """Value of the `default_rule` form at (u, v) with coefficients frozen at w."""
+    system = assemble_q(mesh, w, coeffs)
     return float(v.nodal_values @ (system.matrix @ u.nodal_values))
 
 
@@ -451,22 +464,70 @@ def _relative_residual(matrix, rhs, x) -> float:
     return float(np.linalg.norm(rhs - matrix @ x) / denom)
 
 
-def linear_solve(system: SparseSystem, opts: SolveOptions | None = None) -> np.ndarray:
+@dataclass
+class KeptFactor:
+    """The sparse LU factor that `linear_solve` keeps across the calls of one
+    solve (None before the first), and how often it factored and refined."""
+
+    lu: object = None
+    factorizations: int = 0
+    refinement_steps: int = 0
+
+
+def _refine(kept: KeptFactor, system: SparseSystem, x: np.ndarray, linear_tol: float):
+    """Iterative refinement x <- x + LU^-1 (b - A x) with the kept, older factor,
+    for as long as each step at least halves the relative residual and for at
+    most `REFINE_STEPS` steps; a step that does not lower it is dropped.  So it
+    stops at the rounding floor, not at `linear_tol`, which keeps the last
+    Picard update a true one.  Returns the refined x, or None unless some step
+    was kept and the residual ended at or below `linear_tol`."""
+    matrix, rhs = system.matrix, system.rhs
+    denom = float(np.linalg.norm(rhs)) or 1.0
+    r = rhs - matrix @ x
+    residual = float(np.linalg.norm(r)) / denom
+    kept_steps = 0
+    for _ in range(REFINE_STEPS):
+        trial = x + kept.lu.solve(r)
+        kept.refinement_steps += 1
+        r_trial = rhs - matrix @ trial
+        trial_residual = float(np.linalg.norm(r_trial)) / denom
+        if not trial_residual < residual:  # at the floor, not contracting, or NaN
+            break
+        halved = trial_residual <= 0.5 * residual
+        x, r, residual, kept_steps = trial, r_trial, trial_residual, kept_steps + 1
+        if not halved:
+            break
+    return x if kept_steps and residual <= linear_tol else None
+
+
+def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
+                 kept: KeptFactor | None = None, x0: np.ndarray | None = None) -> np.ndarray:
     """Solve the constrained system (symmetric or not, pinned rows are identity
     rows) by one SuperLU factorization; minimum degree on A^T + A halves the
     COLAMD fill on the 2D and 3D ladders.  The pattern of every such system is
     symmetric, so SuperLU's symmetric mode builds the elimination tree of
-    A^T + A; pivoting stays partial (threshold 1).  A singular or non-finite
-    matrix, or a relative residual above `10 * linear_tol`, raises
-    `LinearSolveDiverged`."""
+    A^T + A; pivoting stays partial (threshold 1).
+
+    With `kept`, the factor outlives the call: when it holds one (of an earlier
+    matrix), the solve first refines the start x0 with it (`_refine`), and only
+    if that misses `linear_tol` does it factor this matrix, keeping the new
+    factor in its place.  A singular or non-finite matrix, or a relative
+    residual above `10 * linear_tol`, raises `LinearSolveDiverged`."""
     opts = opts or SolveOptions()
-    try:
-        lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-        x = lu.solve(system.rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise LinearSolveDiverged(f"sparse LU factorization failed: {exc}",
-                                  residual=float("nan")) from exc
+    x = None
+    if kept is not None and kept.lu is not None:
+        x = _refine(kept, system, x0, opts.linear_tol)
+    if x is None:
+        try:
+            lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           options={"SymmetricMode": True})
+            x = lu.solve(system.rhs)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveDiverged(f"sparse LU factorization failed: {exc}",
+                                      residual=float("nan")) from exc
+        if kept is not None:
+            kept.lu = lu
+            kept.factorizations += 1
     residual = _relative_residual(system.matrix, system.rhs, x)
     if not np.isfinite(residual) or residual > 10.0 * opts.linear_tol:
         raise LinearSolveDiverged(
@@ -486,9 +547,12 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     state-independent problem converges after exactly one.  The quadrature
     points, the load vector and the assembly map do not depend on the
     iterate and are computed once; a pass samples the coefficients, forms
-    the local parts, scatters them and factors.  With `constant_coefficients`
-    the form does not depend on the iterate either, so the system is
-    assembled and factored once and later passes reuse its solution.
+    the local parts and scatters them.  The first pass factors its system;
+    later passes refine the current iterate with that factor and refactor
+    only when refinement misses `linear_tol` (see `linear_solve`).  With
+    `constant_coefficients` the form does not depend on the iterate either,
+    so the system is assembled and factored once and later passes reuse its
+    solution.
     """
     opts = opts or SolveOptions()
     assignment = interpolate_boundary(mesh, coeffs.g)
@@ -498,10 +562,11 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
 
     applied = 0
     sol = None
+    kept = KeptFactor()
     while True:
         if sol is None or not coeffs.constant_coefficients:
             system = apply_dirichlet(form.system(P1Field(mesh, u)), assignment, mesh)
-            sol = linear_solve(system, opts)
+            sol = linear_solve(system, opts, kept, u)
             lin_res = _relative_residual(system.matrix, system.rhs, sol)
         diff = sol - u
         denom = max(float(np.linalg.norm(sol)), 1e-30)
@@ -510,7 +575,9 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
             u = u + opts.damping * diff
             return SolveResult(u_h=P1Field(mesh, u), picard_iterations=applied,
                                final_update_norm=update,
-                               final_linear_residual=lin_res, converged=True)
+                               final_linear_residual=lin_res, converged=True,
+                               factorizations=kept.factorizations,
+                               refinement_steps=kept.refinement_steps)
         if applied >= opts.picard_max_iter:
             raise PicardDiverged(
                 f"no convergence after {applied} updates (last update {update:.3e})",
@@ -521,13 +588,17 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
 
 def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet) -> float:
     """Relative residual of the nonlinear Galerkin identity at u_h, with the
-    `default_rule`, measured on the unconstrained (interior) nodes."""
+    `default_rule`, on the unconstrained (interior) nodes: |F - A u| over
+    |F| + |A u|, with F the load and A the form frozen at u_h.  It does not
+    change when f, g and u_h are scaled together, and reads 1 when A u
+    vanishes there but F does not; 0 when both vanish."""
     system = assemble_q(mesh, u_h, coeffs)
     free = np.ones(mesh.num_vertices, dtype=bool)
     free[list(mesh.boundary_nodes)] = False
-    r = (system.rhs - system.matrix @ u_h.nodal_values)[free]
-    denom = max(float(np.linalg.norm(system.rhs[free])), 1.0)
-    return float(np.linalg.norm(r) / denom)
+    load = system.rhs[free]
+    action = (system.matrix @ u_h.nodal_values)[free]
+    denom = float(np.linalg.norm(load)) + float(np.linalg.norm(action))
+    return float(np.linalg.norm(load - action)) / denom if denom > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -551,10 +622,9 @@ class ZerothOrderReport:
         }
 
 
-def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet,
-                                 rule: QuadratureRule | None = None, *,
+def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet, *,
                                  _samples=None) -> ZerothOrderReport:
-    """Probe c(x,u) - div b(x,u,grad u)/2 >= 0 at all quadrature points.
+    """Probe c(x,u) - div b(x,u,grad u)/2 >= 0 at all `default_rule` points.
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
@@ -563,7 +633,7 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     `_samples` are the `state_samples` of u_h when the caller already holds
     them.
     """
-    rule = rule or default_rule(mesh, coeffs)
+    rule = default_rule(mesh, coeffs)
     samples = _samples or state_samples(u_h, rule)
     supplied = coeffs.div_b is not None
     step = 1e-6 * mesh.h

@@ -569,11 +569,12 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
     assignment = interpolate_boundary(mesh, coeffs.g)
     u = np.zeros(mesh.num_vertices)
     u[list(assignment)] = list(assignment.values())
-    applied = 0
+    applied = passes = 0
     while True:
         system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs),
                                  assignment, mesh)
         sol = linear_solve(system, opts)
+        passes += 1
         lin_res = _relative_residual(system.matrix, system.rhs, sol)
         diff = sol - u
         update = opts.damping * float(np.linalg.norm(diff)) \
@@ -581,7 +582,8 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
         if update <= opts.picard_tol:
             return SolveResult(u_h=P1Field(mesh, u + opts.damping * diff),
                                picard_iterations=applied, final_update_norm=update,
-                               final_linear_residual=lin_res, converged=True)
+                               final_linear_residual=lin_res, converged=True,
+                               factorizations=passes, refinement_steps=0)
         assert applied < opts.picard_max_iter
         u = u + opts.damping * diff
         applied += 1

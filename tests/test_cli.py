@@ -155,6 +155,7 @@ class TestSolveCommand:
         solve_info = json.loads((outdir / "solve.json").read_text())
         assert solve_info["converged"] is True
         assert solve_info["picard_iterations"] == 1
+        assert solve_info["factorizations"] == 1 and solve_info["refinement_steps"] == 0
         assert (outdir / "solution.csv").exists()
         assert (outdir / "solution.vtk").exists()
 
@@ -514,6 +515,8 @@ class TestMalformedJson:
                      id="solve-result-array"),
         pytest.param("solve-result", '{"picard_iterations": "x"}',
                      "picard_iterations must be int, got 'x'", id="solve-result-bad-type"),
+        pytest.param("solve-result", '{"factorizations": 1.0}',
+                     "factorizations must be int, got 1.0", id="solve-result-bad-count"),
         pytest.param("report", "[1,2]", "does not hold a JSON object", id="report-array"),
         pytest.param("mesh", '{"dim": 2, "vertices": "abc", "cells": []}',
                      "key 'vertices' has the wrong type", id="mesh-vertices-string"),

@@ -806,7 +806,8 @@ class TestCertificate:
         values[interior[0]] = 1e-12
         fake = SolveResult(u_h=P1Field(m, values), picard_iterations=1,
                            final_update_norm=0.0, final_linear_residual=0.0,
-                           converged=True)
+                           converged=True, factorizations=0,
+                           refinement_steps=0)
         cert = dmp_certificate(m, fake, poisson(f=0.0, g=0.0))
         assert cert.assumption.satisfied and cert.bound_tol == 1e-15
         assert cert.theorem_3_2_verdict == "fail"
@@ -832,7 +833,8 @@ class TestCertificate:
         coeffs = poisson()
         fake = SolveResult(u_h=constant_field(m, 0.0), picard_iterations=0,
                            final_update_norm=1.0, final_linear_residual=1.0,
-                           converged=False)
+                           converged=False, factorizations=0,
+                           refinement_steps=0)
         with pytest.raises(NotConverged):
             dmp_certificate(m, fake, coeffs)
 
@@ -973,7 +975,7 @@ class TestBlockedPassesMatchOracles:
                     assert _dumps(element_condition_check(
                         m, form, parts, case=case, lambda_star=lambda_star)) == \
                         _dumps(full_element_condition_check(m, form, case, lambda_star, parts))
-        assert _dumps(check_zeroth_order_condition(m, w, coeffs, rule)) == \
+        assert _dumps(check_zeroth_order_condition(m, w, coeffs)) == \
             _dumps(unblocked_zeroth_order_condition(m, w, coeffs, rule))
 
     @pytest.mark.parametrize("n", [4, 8])

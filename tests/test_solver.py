@@ -427,18 +427,6 @@ class TestFactorReuse:
     """Constant-coefficient problems are factored once; the confirming pass
     reuses the first solve and the result stays the same."""
 
-    @staticmethod
-    def _count_factorizations(monkeypatch):
-        splu = dmpfem.solver.spla.splu
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(dmpfem.solver.spla, "splu", counted)
-        return calls
-
     @pytest.mark.parametrize("case", ["poisson-2d", "drift-2d", "poisson-3d",
                                       "drift-damped-2d"])
     def test_one_factorization_same_result(self, monkeypatch, case):
@@ -448,21 +436,99 @@ class TestFactorReuse:
             else advection_diffusion([3.0, -2.0], f=-1.0, g=0.5, c0=0.5)
         opts = SolveOptions(damping=0.5) if "damped" in case else SolveOptions()
         oracle = assemble_every_pass_picard(m, coeffs, opts)
-        calls = self._count_factorizations(monkeypatch)
+        calls = _count_factorizations(monkeypatch)
         result = picard_solve(m, coeffs, opts)
-        assert len(calls) == 1
+        assert len(calls) == result.factorizations == 1
+        assert result.refinement_steps == 0
+        assert result.u_h.nodal_values.tobytes() == oracle.u_h.nodal_values.tobytes()
+        assert _without_counts(result) == _without_counts(oracle)
+
+
+def _count_factorizations(monkeypatch) -> list:
+    splu = dmpfem.solver.spla.splu
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(dmpfem.solver.spla, "splu", counted)
+    return calls
+
+
+def _without_counts(result) -> dict:
+    record = result.to_dict()
+    del record["factorizations"], record["refinement_steps"]
+    return record
+
+
+class TestKeptFactor:
+    """State-dependent solves factor once and refine later passes with that
+    factor, against the oracle that factors every pass."""
+
+    CASES = {
+        "quasilinear-6": lambda: (generate_structured_2d(6, 6), quasilinear_a(f=-1.0)),
+        "quasilinear-32": lambda: (generate_structured_2d(32, 32), quasilinear_a(f=-1.0)),
+        "quasilinear-kuhn-4": lambda: (generate_structured_3d(4, 4, 4), quasilinear_a(f=1.0)),
+        # the zero-state factor does not contract here: the fallback refactors
+        "stalling-32": lambda: (generate_structured_2d(32, 32), quasilinear_a(f=-50.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_factor_every_pass(self, monkeypatch, case):
+        m, coeffs = self.CASES[case]()
+        oracle = assemble_every_pass_picard(m, coeffs)
+        calls = _count_factorizations(monkeypatch)
+        result = picard_solve(m, coeffs)
+        assert result.converged and result.picard_iterations == oracle.picard_iterations > 2
+        assert len(calls) == result.factorizations
+        assert result.factorizations == (1 if case.startswith("quasilinear") else 2)
+        assert result.refinement_steps >= result.picard_iterations
+        want = oracle.u_h.nodal_values
+        assert np.abs(result.u_h.nodal_values - want).max() <= 1e-13 * np.abs(want).max()
+        assert result.final_update_norm > 0.0
+        assert galerkin_residual(m, result.u_h, coeffs) <= 1e-10
+
+    def test_counts_recorded(self):
+        # passes 2-5 refine in 7, 5, 4 and 3 steps with the first pass's factor
+        m, coeffs = self.CASES["quasilinear-6"]()
+        record = picard_solve(m, coeffs).to_dict()
+        assert (record["picard_iterations"], record["factorizations"],
+                record["refinement_steps"]) == (4, 1, 19)
+
+    def test_zero_refine_budget_factors_every_pass(self, monkeypatch):
+        m, coeffs = self.CASES["quasilinear-6"]()
+        oracle = assemble_every_pass_picard(m, coeffs)
+        monkeypatch.setattr(dmpfem.solver, "REFINE_STEPS", 0)
+        calls = _count_factorizations(monkeypatch)
+        result = picard_solve(m, coeffs)
+        assert len(calls) == result.factorizations == result.picard_iterations + 1 > 2
         assert result.u_h.nodal_values.tobytes() == oracle.u_h.nodal_values.tobytes()
         assert result.to_dict() == oracle.to_dict()
 
-    def test_state_dependent_problem_factors_every_pass(self, monkeypatch):
-        m = generate_structured_2d(6, 6)
-        coeffs = quasilinear_a(f=-1.0)
-        oracle = assemble_every_pass_picard(m, coeffs)
-        calls = self._count_factorizations(monkeypatch)
-        result = picard_solve(m, coeffs)
-        assert len(calls) == result.picard_iterations + 1 > 2
-        assert result.u_h.nodal_values.tobytes() == oracle.u_h.nodal_values.tobytes()
-        assert result.to_dict() == oracle.to_dict()
+    def test_pass_without_refinement_step_refactors(self, monkeypatch):
+        # even a start that already solves the system is not taken unrefined,
+        # so a budget of 0 is the factor-every-pass solve
+        monkeypatch.setattr(dmpfem.solver, "REFINE_STEPS", 0)
+        system = SparseSystem(sparse.identity(4, format="csr"), np.ones(4))
+        kept = dmpfem.solver.KeptFactor()
+        for _ in range(2):
+            linear_solve(system, kept=kept, x0=system.rhs)
+        assert kept.factorizations == 2 and kept.refinement_steps == 0
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_singular_or_nan_system_still_fails(self, bad):
+        # refinement with the kept identity factor cannot lower the residual,
+        # so the pass refactors, and that factorization fails as before
+        n = 6
+        rhs = np.ones(n)
+        kept = dmpfem.solver.KeptFactor()
+        linear_solve(SparseSystem(sparse.identity(n, format="csr"), rhs), kept=kept)
+        matrix = sparse.identity(n, format="lil")
+        matrix[3, 3] = bad
+        with pytest.raises(LinearSolveDiverged):
+            linear_solve(SparseSystem(matrix.tocsr(), rhs), kept=kept, x0=rhs)
+        assert kept.factorizations == 1 and kept.refinement_steps == 1
 
 
 class TestDirichlet:
@@ -618,6 +684,28 @@ class TestPicard:
         assert galerkin_residual(m, result.u_h, coeffs) <= 10 * 1e-10
 
 
+class TestGalerkinResidual:
+    @pytest.mark.parametrize("exponent", [-40, -3, 5, 30])
+    def test_scale_free(self, exponent):
+        # f, g and u_h scaled by a power of two scale the load and A u exactly
+        m = generate_structured_2d(8, 8, skew=0.2)
+        f = lambda x: np.sin(3.0 * x[..., 0]) - 0.5  # noqa: E731
+        g = lambda x: x[..., 0] - 2.0 * x[..., 1]  # noqa: E731
+        u_h = picard_solve(m, poisson(f=f, g=g)).u_h
+        s = 2.0 ** exponent
+        scaled = poisson(f=lambda x: s * f(x), g=lambda x: s * g(x))
+        residual = galerkin_residual(m, u_h, poisson(f=f, g=g))
+        assert galerkin_residual(m, P1Field(m, s * u_h.nodal_values), scaled) == residual
+        assert 0.0 < residual <= 1e-12
+
+    def test_constant_field_is_not_a_solution(self):
+        # A u vanishes on the interior rows of a constant field, so all of the
+        # load is residual; the old denominator max(|F|, 1) read 0.11 here
+        m = generate_structured_2d(8, 8)
+        assert galerkin_residual(m, constant_field(m, -5.0), poisson(f=-1.0, g=0.0)) == 1.0
+        assert galerkin_residual(m, constant_field(m, 0.0), poisson(f=0.0, g=0.0)) == 0.0
+
+
 class TestQApply:
     def test_zero_test_function(self):
         m = generate_structured_2d(3, 3)
@@ -663,10 +751,8 @@ class TestQApply:
         w, u1, u2, v = (random_nodal_field(m, rng) for _ in range(4))
         alpha, beta = 1.3, -0.7
         combo = P1Field(m, alpha * u1.nodal_values + beta * u2.nodal_values)
-        rule = quadrature_rule(2, 4)
-        lhs = q_apply(m, w, combo, v, coeffs, rule)
-        rhs = alpha * q_apply(m, w, u1, v, coeffs, rule) \
-            + beta * q_apply(m, w, u2, v, coeffs, rule)
+        lhs = q_apply(m, w, combo, v, coeffs)
+        rhs = alpha * q_apply(m, w, u1, v, coeffs) + beta * q_apply(m, w, u2, v, coeffs)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
