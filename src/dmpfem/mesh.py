@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,25 +34,57 @@ ANGLE_TOL = 1e-10
 DEGENERACY_FACTOR = 1e-14
 
 
+def _edge_columns(verts: np.ndarray) -> list:
+    """Edge vectors e_k = v_k - v_0 (k = 1..d) of one or many simplices, verts
+    (..., d+1, d): e[k-1][j] is component j of e_k, one (...,) column each."""
+    d = verts.shape[-1]
+    return [[verts[..., k, j] - verts[..., 0, j] for j in range(d)] for k in range(1, d + 1)]
+
+
+def _scaled_gradient(e: list, k: int) -> list:
+    """det * grad(lambda_{k+1}), det = det[e_1, ..., e_d], as component
+    columns: the inward normal of the facet opposite vertex k+1, from the
+    other edges alone (in 3D the cyclic cross product e_{k+2} x e_{k+3})."""
+    if len(e) == 2:
+        (ax, ay), (bx, by) = e
+        return [by, -bx] if k == 0 else [-ay, ax]
+    a, b = e[(k + 1) % 3], e[(k + 2) % 3]
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _determinant(e: list, scaled: list) -> np.ndarray:
+    """det[e_1, ..., e_d] = e_1 . (det * grad(lambda_1)), d! times the signed
+    measure; `scaled` is `_scaled_gradient(e, 0)`."""
+    return functools.reduce(np.add, (a * b for a, b in zip(e[0], scaled)))
+
+
 def barycentric_gradients(verts: np.ndarray) -> np.ndarray:
     """Gradients of the d+1 barycentric shape functions of one or many simplices.
 
     `verts` has shape (..., d+1, d); the result has the same shape, row i being
-    the constant gradient of the shape function attached to vertex i.
+    the constant gradient of the shape function attached to vertex i.  Closed
+    form from the edge vectors: grad(lambda_k) is the inward normal of the
+    facet opposite vertex k over det (`_scaled_gradient`), and grad(lambda_0)
+    is minus the sum of the others.  The result is a component-major view,
+    (..., d, d+1) in memory.
     """
     d = verts.shape[-1]
-    ones = np.ones(verts.shape[:-1] + (1,))
-    m = np.concatenate([ones, verts], axis=-1)  # (..., d+1, d+1)
-    minv = np.linalg.inv(m)
-    # Column i of inv(m) holds the affine coefficients of shape function i.
-    return np.swapaxes(minv[..., 1:, :], -1, -2)
+    e = _edge_columns(verts)
+    scaled = [_scaled_gradient(e, k) for k in range(d)]
+    det = _determinant(e, scaled[0])
+    out = np.empty(verts.shape[:-2] + (d, d + 1))
+    for k, normal in enumerate(scaled, start=1):
+        for j, column in enumerate(normal):
+            np.divide(column, det, out=out[..., j, k])
+    np.negative(out[..., 1:].sum(axis=-1), out=out[..., 0])
+    return np.swapaxes(out, -1, -2)
 
 
 def _signed_measures(verts: np.ndarray) -> np.ndarray:
-    d = verts.shape[-1]
-    edges = verts[..., 1:, :] - verts[..., :1, :]
-    fact = 2.0 if d == 2 else 6.0
-    return np.linalg.det(edges) / fact
+    """Signed measure det / d! of one or many simplices, verts (..., d+1, d),
+    from the determinant that `barycentric_gradients` divides by."""
+    e = _edge_columns(verts)
+    return _determinant(e, _scaled_gradient(e, 0)) / math.factorial(len(e))
 
 
 def _squared_norms(vectors: np.ndarray) -> np.ndarray:
@@ -86,7 +119,8 @@ class Mesh:
     vertices : (n_vertices, dim) float array.
     cells : (n_cells, dim+1) int array, positively oriented.
     boundary_nodes : frozenset of vertex indices on the boundary.
-    cell_measures : per-cell area/volume, all positive.
+    cell_measures : per-cell area/volume, all positive: the edge-vector
+        determinant over d!, in closed form (`_signed_measures`).
     cell_diameters : per-cell max pairwise vertex distance.
     h : mesh size, max of cell_diameters.
     interior_facets : (n_interior, dim) ascending vertex rows of the facets
@@ -95,7 +129,9 @@ class Mesh:
         those facets, cells ascending; local vertex `local` is the one
         opposite the facet.
     shape_gradients : (n_cells, dim+1, dim) read-only shape gradients of every
-        cell, computed on first use and kept.
+        cell, computed on first use and kept: the closed form of
+        `barycentric_gradients`, inward facet normals over the same
+        determinant as `cell_measures`.
     """
 
     dim: int
@@ -110,9 +146,9 @@ class Mesh:
 
     @cached_property
     def shape_gradients(self) -> np.ndarray:
-        # Kept as the strided view into the inverse, without a copy: the
-        # diffusion einsum of `local_form_parts` gives the same bits on a
-        # contiguous copy but runs slower on it (~1.3x at 16^3).
+        # Kept as the strided, component-major view of the closed form,
+        # without a copy: the diffusion einsum of `local_form_parts` gives the
+        # same bits on a contiguous copy but runs slower on it.
         grads = barycentric_gradients(self.vertices[self.cells])
         grads.flags.writeable = False
         return grads

@@ -467,11 +467,13 @@ def _relative_residual(matrix, rhs, x) -> float:
 @dataclass
 class KeptFactor:
     """The sparse LU factor that `linear_solve` keeps across the calls of one
-    solve (None before the first), and how often it factored and refined."""
+    solve (None before the first), how often it factored and refined, and the
+    relative residual of the last solution it returned."""
 
     lu: object = None
     factorizations: int = 0
     refinement_steps: int = 0
+    residual: float = float("nan")
 
 
 def _refine(kept: KeptFactor, system: SparseSystem, x: np.ndarray, linear_tol: float):
@@ -479,8 +481,9 @@ def _refine(kept: KeptFactor, system: SparseSystem, x: np.ndarray, linear_tol: f
     for as long as each step at least halves the relative residual and for at
     most `REFINE_STEPS` steps; a step that does not lower it is dropped.  So it
     stops at the rounding floor, not at `linear_tol`, which keeps the last
-    Picard update a true one.  Returns the refined x, or None unless some step
-    was kept and the residual ended at or below `linear_tol`."""
+    Picard update a true one.  Returns the refined x and its relative
+    residual, or None unless some step was kept and the residual ended at or
+    below `linear_tol`."""
     matrix, rhs = system.matrix, system.rhs
     denom = float(np.linalg.norm(rhs)) or 1.0
     r = rhs - matrix @ x
@@ -497,7 +500,7 @@ def _refine(kept: KeptFactor, system: SparseSystem, x: np.ndarray, linear_tol: f
         x, r, residual, kept_steps = trial, r_trial, trial_residual, kept_steps + 1
         if not halved:
             break
-    return x if kept_steps and residual <= linear_tol else None
+    return (x, residual) if kept_steps and residual <= linear_tol else None
 
 
 def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
@@ -511,13 +514,16 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
     With `kept`, the factor outlives the call: when it holds one (of an earlier
     matrix), the solve first refines the start x0 with it (`_refine`), and only
     if that misses `linear_tol` does it factor this matrix, keeping the new
-    factor in its place.  A singular or non-finite matrix, or a relative
-    residual above `10 * linear_tol`, raises `LinearSolveDiverged`."""
+    factor in its place; either way `kept.residual` records the relative
+    residual of the returned solution.  A singular or non-finite matrix, or a
+    relative residual above `10 * linear_tol`, raises `LinearSolveDiverged`."""
     opts = opts or SolveOptions()
-    x = None
+    refined = None
     if kept is not None and kept.lu is not None:
-        x = _refine(kept, system, x0, opts.linear_tol)
-    if x is None:
+        refined = _refine(kept, system, x0, opts.linear_tol)
+    if refined is not None:
+        x, residual = refined
+    else:
         try:
             lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            options={"SymmetricMode": True})
@@ -528,7 +534,9 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
         if kept is not None:
             kept.lu = lu
             kept.factorizations += 1
-    residual = _relative_residual(system.matrix, system.rhs, x)
+        residual = _relative_residual(system.matrix, system.rhs, x)
+    if kept is not None:
+        kept.residual = residual
     if not np.isfinite(residual) or residual > 10.0 * opts.linear_tol:
         raise LinearSolveDiverged(
             f"relative residual {residual:.3e} above tolerance {opts.linear_tol:.1e}",
@@ -567,7 +575,6 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
         if sol is None or not coeffs.constant_coefficients:
             system = apply_dirichlet(form.system(P1Field(mesh, u)), assignment, mesh)
             sol = linear_solve(system, opts, kept, u)
-            lin_res = _relative_residual(system.matrix, system.rhs, sol)
         diff = sol - u
         denom = max(float(np.linalg.norm(sol)), 1e-30)
         update = opts.damping * float(np.linalg.norm(diff)) / denom
@@ -575,7 +582,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
             u = u + opts.damping * diff
             return SolveResult(u_h=P1Field(mesh, u), picard_iterations=applied,
                                final_update_norm=update,
-                               final_linear_residual=lin_res, converged=True,
+                               final_linear_residual=kept.residual, converged=True,
                                factorizations=kept.factorizations,
                                refinement_steps=kept.refinement_steps)
         if applied >= opts.picard_max_iter:

@@ -135,6 +135,17 @@ def perturbed_mesh(mesh: Mesh, rng: np.random.Generator, amount: float) -> Mesh:
     return build_mesh(verts, mesh.cells)
 
 
+def lapack_geometry(verts: np.ndarray) -> tuple:
+    """Shape gradients and signed measures of simplices verts (..., d+1, d)
+    by LAPACK: the gradients from the inverse of [1 | verts], the measures
+    from the determinant of the edge vectors over d!."""
+    d = verts.shape[-1]
+    m = np.concatenate([np.ones(verts.shape[:-1] + (1,)), verts], axis=-1)
+    grads = np.swapaxes(np.linalg.inv(m)[..., 1:, :], -1, -2)
+    measures = np.linalg.det(verts[..., 1:, :] - verts[..., :1, :]) / math.factorial(d)
+    return grads, measures
+
+
 def all_pairs_diameters(verts: np.ndarray) -> np.ndarray:
     """Max vertex distance per simplex over all ordered vertex pairs, one
     square root per pair; verts (..., d+1, d)."""

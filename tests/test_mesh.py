@@ -36,6 +36,7 @@ from conftest import (
     brute_force_dihedrals,
     equilateral_mesh,
     facet_normals,
+    lapack_geometry,
     loop_boundary_nodes,
     loop_facet_owners,
     loop_interior_edges_2d,
@@ -115,6 +116,56 @@ class TestBuildMesh:
         verts[2][1] = bad
         with pytest.raises(NonFiniteValue, match="vertex 2"):
             build_mesh(verts, [[0, 1, 2], [0, 2, 3]])
+
+
+class TestClosedFormGeometry:
+    """Shape gradients and cell measures from the edge vectors, without LAPACK."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 4),
+           pattern=st.sampled_from(["right-diagonal", "crisscross"]),
+           skew=st.floats(0.0, 0.6), amount=st.floats(0.0, 0.15),
+           mirror=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lapack_oracle(self, dim, n, pattern, skew, amount, mirror, seed):
+        base = generate_structured_2d(n + 1, n, pattern=pattern, skew=skew) if dim == 2 \
+            else generate_structured_3d(n, n, n + 1)
+        m = perturbed_mesh(base, np.random.default_rng(seed), amount)
+        if mirror:  # negatively oriented input, repaired by build_mesh
+            m = build_mesh(m.vertices * np.r_[-1.0, np.ones(dim - 1)], m.cells)
+        grads, signed = lapack_geometry(m.vertices[m.cells])
+        scale = np.abs(grads).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(m.shape_gradients - grads) <= 1e-13 * scale).all()
+        assert (signed > 0).all()
+        assert (np.abs(m.cell_measures - signed) <= 1e-13 * signed).all()
+
+    @pytest.mark.parametrize("make, measure", [
+        (lambda: generate_structured_2d(16, 16), 1.0 / 512),
+        (lambda: generate_structured_3d(8, 8, 8), 1.0 / 3072),
+    ], ids=["right-diagonal-16", "kuhn-8"])
+    def test_dyadic_measures_exact(self, make, measure):
+        m = make()
+        assert (m.cell_measures == measure).all()
+        assert m.total_measure == 1.0
+
+    def test_no_lapack_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK call in the mesh geometry")
+
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "det", forbidden)
+        for m in (generate_structured_2d(4, 3, pattern="crisscross", skew=0.3),
+                  generate_structured_3d(2, 3, 2)):
+            rebuilt = build_mesh(m.vertices, m.cells[:, ::-1])
+            assert rebuilt.shape_gradients.shape == (m.num_cells, m.dim + 1, m.dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_table_is_read_only_component_major_view(self, dim):
+        m = generate_structured_2d(3, 2) if dim == 2 else generate_structured_3d(2, 1, 1)
+        grads = m.shape_gradients
+        assert not grads.flags.writeable
+        assert not grads.flags.c_contiguous
+        item = grads.itemsize
+        assert grads.strides == (dim * (dim + 1) * item, item, (dim + 1) * item)
 
 
 class TestGenerators:

@@ -496,6 +496,30 @@ class TestKeptFactor:
         assert (record["picard_iterations"], record["factorizations"],
                 record["refinement_steps"]) == (4, 1, 19)
 
+    def test_one_residual_per_pass(self, monkeypatch):
+        # a refined pass records the residual its refinement computed, with
+        # the bits of the residual formula
+        m, coeffs = self.CASES["quasilinear-6"]()
+        residual, solve = dmpfem.solver._relative_residual, dmpfem.solver.linear_solve
+        residual_calls, solves = [], []
+
+        def counted_residual(*args):
+            residual_calls.append(args)
+            return residual(*args)
+
+        def recorded_solve(system, *args):
+            x = solve(system, *args)
+            solves.append((system, x))
+            return x
+
+        monkeypatch.setattr(dmpfem.solver, "_relative_residual", counted_residual)
+        monkeypatch.setattr(dmpfem.solver, "linear_solve", recorded_solve)
+        result = picard_solve(m, coeffs)
+        assert len(residual_calls) == result.factorizations == 1
+        assert len(solves) == result.picard_iterations + 1
+        system, x = solves[-1]
+        assert result.final_linear_residual == residual(system.matrix, system.rhs, x)
+
     def test_zero_refine_budget_factors_every_pass(self, monkeypatch):
         m, coeffs = self.CASES["quasilinear-6"]()
         oracle = assemble_every_pass_picard(m, coeffs)
