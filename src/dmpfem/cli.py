@@ -13,8 +13,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import expressions
 from .dmp import DmpParams, dmp_certificate
 from .errors import DmpFemError, InvalidParameters, LinearSolveDiverged, PicardDiverged
@@ -71,21 +69,9 @@ class RunConfig:
     seed: int = 0
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, sort_keys=True, indent=1, default=_json_default)
+        json.dump(payload, fp, sort_keys=True, indent=1)
         fp.write("\n")
 
 
@@ -129,24 +115,20 @@ def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
     if missing:
         raise DmpFemError(f"coefficient file {path} lacks keys {missing}")
     source = f"coefficient file {path}"
-    a_src, c_src = str(spec["a"]), str(spec["c"])
-    b_src = json_value(spec, "b", _json_strings, source)
-    constant = not any(
-        expressions.uses_state(s) or expressions.uses_coordinates(s)
-        for s in [a_src, c_src] + b_src)
+    a = expressions.state_function(str(spec["a"]), dim)
+    b = expressions.vector_state_function(json_value(spec, "b", _json_strings, source), dim)
+    c = expressions.state_function(str(spec["c"]), dim, with_gradient=False)
     div_b = None
     if spec.get("div_b") is not None:
         div_b = expressions.state_function(str(spec["div_b"]), dim)
     return CoefficientSet(
-        a=expressions.state_function(a_src, dim),
-        b=expressions.vector_state_function(b_src, dim),
-        c=expressions.state_function(c_src, dim, with_gradient=False),
+        a=a, b=b, c=c,
         f=expressions.point_function(str(spec["f"]), dim),
         g=expressions.point_function(str(spec["g"]), dim),
         lam=json_value(spec, "lambda", float, source),
         Lam=json_value(spec, "Lambda", float, source), nu=json_value(spec, "nu", float, source),
         c_mode=str(spec["c_mode"]), div_b=div_b,
-        constant_coefficients=constant,
+        constant_coefficients=not (a.variables or b.variables or c.variables),
     )
 
 
@@ -442,10 +424,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list) -> list:
+    """Join `--f VALUE`, `--g VALUE` and `--b VALUE` into `--flag=VALUE`:
+    argparse reads a value that begins with a minus sign and is not a plain
+    number, such as `-1-x*y` or `-1,0`, as an unknown option.  A following
+    `--flag` is not joined, so a flag without a value is still an error."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--f", "--g", "--b") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,7 +21,14 @@ from .errors import (
     UnsupportedCMode,
 )
 from .mesh import Mesh, acuteness_audit, interior_edges_2d, row_norms
-from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadrature_rule
+from .p1 import (
+    P1Field,
+    QuadratureRule,
+    gradient_table,
+    norm_degree,
+    physical_points,
+    quadrature_rule,
+)
 from .solver import (
     CoefficientSet,
     SolveResult,
@@ -47,7 +54,6 @@ _ROW_SLACK = 1e-9
 ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 MAX_FAILURE_RECORDS = 50  # failing element pairs listed in a report
 MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
-MAX_NORM_DEGREE = 12  # quadrature degree cap of the f norm: 343 points per tetrahedron
 TAU_MAX = 40  # steps of the De Giorgi ladder k0 + rho - rho / 2^tau
 DECAY_SLACK = 1e-9  # relative slack of the ladder's geometric decay and tail bounds
 HYPOTHESIS_SLACK = 1e-12  # relative slack of the decay hypothesis
@@ -902,14 +908,11 @@ class DmpCertificate:
 def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
                  rule: QuadratureRule, fvals: np.ndarray) -> float:
     """L^exponent norm of f by quadrature (the maximum over the degree-4
-    points for an infinite exponent).  The rule has degree ceil(exponent) + 1,
-    at least 4 and at most `MAX_NORM_DEGREE`: an exponent near its infinite
-    limit would otherwise ask for hundreds of thousands of points per cell.
-    `fvals` are f at the points of `rule`, reused when the norm's rule is
-    that one; any other rule is evaluated one `cell_blocks` slice at a time."""
-    degree = 4 if math.isinf(exponent) \
-        else min(max(4, int(math.ceil(exponent)) + 1), MAX_NORM_DEGREE)
-    norm_rule = quadrature_rule(mesh.dim, degree)
+    points for an infinite exponent).  The rule has degree
+    `norm_degree(exponent)`.  `fvals` are f at the points of `rule`, reused
+    when the norm's rule is that one; any other rule is evaluated one
+    `cell_blocks` slice at a time."""
+    norm_rule = quadrature_rule(mesh.dim, 4 if math.isinf(exponent) else norm_degree(exponent))
     if norm_rule is rule:
         fvals = np.abs(fvals)
     else:

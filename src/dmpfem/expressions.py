@@ -4,8 +4,9 @@ Coefficient formulas crossing the command-line boundary are plain strings over
 the coordinates (x, y and z in 3D), the state value `eta` and the state
 gradient components (p1, p2 and p3 in 3D), combined with + - * / ^, unary
 minus, numeric literals and the functions sin, cos, exp, abs, min, max.
-Parsing goes through the Python ast with a strict whitelist; evaluation is
-numpy-vectorized.
+Each formula is parsed once, through the Python ast with a strict whitelist;
+evaluation is numpy-vectorized, and every compiled callable records the
+variables its formula uses in `variables`.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ _FUNCTIONS = {
     "max": np.maximum,
 }
 
+_COORDINATES = ("x", "y", "z")
+_GRADIENT = ("p1", "p2", "p3")
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
 
@@ -58,16 +61,6 @@ def _validate_node(node: ast.AST, names: set, source: str) -> None:
             f"unsupported syntax {type(node).__name__} in {source!r}")
 
 
-def _compile(source: str, names: set):
-    text = source.replace("^", "**")
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise InvalidParameters(f"cannot parse expression {source!r}: {exc}") from exc
-    _validate_node(tree, names, source)
-    return compile(tree, f"<expr {source!r}>", "eval")
-
-
 def _evaluate(code, source: str, env: dict) -> np.ndarray:
     """Run compiled formula code.  Constant subexpressions run in Python
     arithmetic, where division by zero and overflow raise and a negative base
@@ -78,57 +71,51 @@ def _evaluate(code, source: str, env: dict) -> np.ndarray:
         raise InvalidParameters(f"cannot evaluate {source!r}: {exc}") from exc
 
 
-def _coordinate_env(x: np.ndarray, dim: int) -> dict:
-    env = {"x": x[..., 0], "y": x[..., 1]}
-    if dim == 3:
-        env["z"] = x[..., 2]
-    return env
+def _formula(source: str, dim: int, names: tuple):
+    """Parse and whitelist `source` over the variables `names`, once.
+
+    The returned `fn(x, eta=None, p=None)` binds the coordinates of the points
+    `x`, the state `eta` and the gradient components of `p`, each when given,
+    and broadcasts the value to the shape of `eta`, else of the points.
+    `fn.variables` is the set of variables the formula uses."""
+    try:
+        tree = ast.parse(source.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise InvalidParameters(f"cannot parse expression {source!r}: {exc}") from exc
+    _validate_node(tree, set(names), source)
+    code = compile(tree, f"<expr {source!r}>", "eval")
+
+    def fn(x, eta=None, p=None):
+        x = np.asarray(x, dtype=float)
+        env = dict(_FUNCTIONS)
+        env.update((name, x[..., k]) for k, name in enumerate(_COORDINATES[:dim]))
+        shape = x.shape[:-1]
+        if eta is not None:
+            env["eta"] = np.asarray(eta, dtype=float)
+            shape = np.shape(eta)
+        if p is not None:
+            p = np.asarray(p, dtype=float)
+            env.update((name, p[..., k]) for k, name in enumerate(_GRADIENT[:dim]))
+        return np.broadcast_to(_evaluate(code, source, env), shape)
+
+    fn.variables = frozenset(code.co_names).intersection(names)
+    return fn
 
 
 def point_function(source: str, dim: int):
     """Compile a formula over coordinates only (sources, boundary data)."""
-    names = {"x", "y"} | ({"z"} if dim == 3 else set())
-    code = _compile(source, names)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        env = dict(_FUNCTIONS)
-        env.update(_coordinate_env(x, dim))
-        return np.broadcast_to(_evaluate(code, source, env), x.shape[:-1])
-
-    return fn
+    return _formula(source, dim, _COORDINATES[:dim])
 
 
 def state_function(source: str, dim: int, with_gradient: bool = True):
     """Compile a formula over coordinates, state and optionally its gradient."""
-    names = {"x", "y", "eta"} | ({"z"} if dim == 3 else set())
-    if with_gradient:
-        names |= {f"p{k + 1}" for k in range(dim)}
-    code = _compile(source, names)
-
-    if with_gradient:
-        def fn(x, eta, p):
-            x = np.asarray(x, dtype=float)
-            env = dict(_FUNCTIONS)
-            env.update(_coordinate_env(x, dim))
-            env["eta"] = np.asarray(eta, dtype=float)
-            p = np.asarray(p, dtype=float)
-            for k in range(dim):
-                env[f"p{k + 1}"] = p[..., k]
-            return np.broadcast_to(_evaluate(code, source, env), np.shape(eta))
-        return fn
-
-    def fn(x, eta):
-        x = np.asarray(x, dtype=float)
-        env = dict(_FUNCTIONS)
-        env.update(_coordinate_env(x, dim))
-        env["eta"] = np.asarray(eta, dtype=float)
-        return np.broadcast_to(_evaluate(code, source, env), np.shape(eta))
-    return fn
+    names = _COORDINATES[:dim] + ("eta",) + (_GRADIENT[:dim] if with_gradient else ())
+    return _formula(source, dim, names)
 
 
 def vector_state_function(sources, dim: int):
-    """Compile per-component formulas into one gradient-shaped callable."""
+    """Compile per-component formulas into one gradient-shaped callable;
+    `variables` is the union of the components' variables."""
     if len(sources) != dim:
         raise InvalidParameters(f"need {dim} drift components, got {len(sources)}")
     components = [state_function(s, dim) for s in sources]
@@ -138,21 +125,5 @@ def vector_state_function(sources, dim: int):
         vals = [np.broadcast_to(c(x, eta, p), x.shape[:-1]) for c in components]
         return np.stack(vals, axis=-1)
 
+    fn.variables = frozenset().union(*(c.variables for c in components))
     return fn
-
-
-def uses_state(source: str) -> bool:
-    """Whether a formula references the state or its gradient."""
-    text = source.replace("^", "**")
-    tree = ast.parse(text, mode="eval")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and (node.id == "eta" or node.id.startswith("p")):
-            return True
-    return False
-
-
-def uses_coordinates(source: str) -> bool:
-    text = source.replace("^", "**")
-    tree = ast.parse(text, mode="eval")
-    return any(isinstance(n, ast.Name) and n.id in ("x", "y", "z")
-               for n in ast.walk(tree))

@@ -13,6 +13,7 @@ from .errors import InvalidParameters
 from .mesh import Mesh, macro_measures, write_rows
 
 MAX_LP_EXPONENT = 64.0
+MAX_NORM_DEGREE = 12  # quadrature degree cap of the L^p norms: 343 points per tetrahedron
 
 
 def gradient_table(mesh: Mesh) -> np.ndarray:
@@ -234,12 +235,19 @@ def cut_minus(field: P1Field, k: float) -> P1Field:
     return P1Field(field.mesh, np.minimum(field.nodal_values - k, 0.0))
 
 
+def norm_degree(p: float) -> int:
+    """Quadrature degree of an L^p norm: ceil(p) + 1, at least 4 and at most
+    `MAX_NORM_DEGREE`, since a large exponent would otherwise ask for tens of
+    thousands of points per cell."""
+    return min(max(4, int(math.ceil(p)) + 1), MAX_NORM_DEGREE)
+
+
 def lp_norm(field: P1Field, p: float) -> float:
-    """Continuous L^p norm by per-cell quadrature of |v|^p, of degree ceil(p) + 1."""
+    """Continuous L^p norm by per-cell quadrature of |v|^p, of `norm_degree(p)`."""
     if p < 1:
         raise InvalidParameters("p must be >= 1")
     p = min(p, MAX_LP_EXPONENT)
-    rule = quadrature_rule(field.mesh.dim, int(math.ceil(p)) + 1)
+    rule = quadrature_rule(field.mesh.dim, norm_degree(p))
     vals = np.abs(field.values_in_cells(rule)) ** p
     total = np.einsum("cq,q,c->", vals, rule.weights, field.mesh.cell_measures)
     return float(total ** (1.0 / p))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dmpfem import expressions, solver
+from dmpfem import cli, expressions, solver
 from dmpfem.cli import main
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import load_mesh
@@ -66,12 +66,18 @@ class TestExpressions:
         with pytest.raises(InvalidParameters, match="cannot evaluate"):
             expressions.state_function("eta + 1/0", dim=2)(x, np.zeros(2), x)
 
-    def test_usage_flags(self):
-        assert expressions.uses_state("1 + eta")
-        assert expressions.uses_state("p2 - 1")
-        assert not expressions.uses_state("x + y")
-        assert expressions.uses_coordinates("x + 1")
-        assert not expressions.uses_coordinates("2")
+    def test_recorded_variables(self):
+        cases = {"1 + eta": {"eta"}, "p2 - 1": {"p2"}, "x + y": {"x", "y"}, "x + 1": {"x"},
+                 "2": set(), "max(sin(eta), abs(p1))^2": {"eta", "p1"}, "z*p3": {"z", "p3"}}
+        for source, variables in cases.items():
+            assert expressions.state_function(source, dim=3).variables == variables
+            if variables <= {"x", "y"}:
+                assert expressions.point_function(source, dim=2).variables == variables
+            if variables <= {"x", "y", "eta"}:
+                reaction = expressions.state_function(source, dim=2, with_gradient=False)
+                assert reaction.variables == variables
+            drift = expressions.vector_state_function(["2", source, "y"], dim=3)
+            assert drift.variables == variables | {"y"}
 
 
 class TestSplitMix:
@@ -166,6 +172,30 @@ class TestSolveCommand:
                     "-o", tmp_path / "run"]) == 1
         assert "cannot evaluate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--f", "-1-x*y"],
+        ["--g", "-x"],
+        ["--problem", "advection-diffusion", "--b", "-1,0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_value_with_leading_minus(self, square_mesh, tmp_path, argv):
+        # a value that begins with a minus sign but is no plain number is
+        # still the flag's value, and means what the `--flag=value` form means
+        outs = [tmp_path / "spaced", tmp_path / "joined"]
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        for out, args in zip(outs, (argv, joined)):
+            assert run(["solve", "--mesh", square_mesh, *args, "-o", out]) == 0
+        problem = json.loads((outs[0] / "solve.json").read_text())["run"]["problem"]
+        flag = argv[-2].lstrip("-")
+        assert problem[flag] == ([-1.0, 0.0] if flag == "b" else argv[-1])
+        for name in ("solution.csv", "solve.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag", ["--f", "--g", "--b"])
+    def test_flag_without_value_exits_one(self, square_mesh, tmp_path, capsys, flag):
+        assert run(["solve", "--mesh", square_mesh, "-o", tmp_path / "out", flag]) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_drift_exits_one(self, square_mesh, tmp_path, capsys):
         assert run(["solve", "--mesh", square_mesh, "--problem", "advection-diffusion",
                     "--b", "1,x", "-o", tmp_path / "run"]) == 1
@@ -257,6 +287,21 @@ class TestSolveCommand:
             "damping", "linear_tol", "picard_max_iter", "picard_tol"]
         assert run(["solve", "--mesh", square_mesh, "--linear-max-iter", "5",
                     "-o", tmp_path / "gone"]) == 1
+
+    @pytest.mark.parametrize("entry, value, constant", [
+        ("a", "1 + sin(1)", True), ("a", "1 + 0*eta", False), ("b0", "0*x", False),
+        ("b1", "0*p2", False), ("c", "max(0, 0*y)", False),
+    ])
+    def test_constancy_read_from_formulas(self, tmp_path, entry, value, constant):
+        # a formula is constant when it names no variable, whatever its value
+        spec = dict(_COEFFS_2D, b=["0", "0"])
+        if entry in ("b0", "b1"):
+            spec["b"][int(entry[1])] = value
+        else:
+            spec[entry] = value
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text(json.dumps(spec))
+        assert cli._coeffs_from_file(str(coeffs_path), 2).constant_coefficients is constant
 
     def test_coefficient_file(self, square_mesh, tmp_path):
         spec = {
@@ -496,6 +541,27 @@ class TestSolutionFile:
 
 _COEFFS_2D = {"a": "1", "b": ["0", "0"], "c": "0", "f": "1", "g": "0", "lambda": 1.0,
               "Lambda": 1.0, "nu": 0.0, "c_mode": "identically-zero"}
+
+
+class TestMalformedFormula:
+    @pytest.mark.parametrize("command", ["solve", "dmp-check"])
+    @pytest.mark.parametrize("entry", ["a", "b0", "b1", "c", "f", "g", "div_b"])
+    def test_exits_one_without_output(self, square_mesh, tmp_path, capsys, command, entry):
+        spec = dict(_COEFFS_2D, b=["0", "0"])
+        if entry in ("b0", "b1"):
+            spec["b"][int(entry[1])] = "1 +"
+        else:
+            spec[entry] = "1 +"
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text(json.dumps(spec))
+        argv = [command, "--mesh", square_mesh, "--coeffs", coeffs_path,
+                "-o", tmp_path / "out"]
+        if command == "dmp-check":
+            argv.append("--solve")
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse expression '1 +'") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedJson:

@@ -284,6 +284,22 @@ class TestNorms:
         assert lp_norm(v, 2.0) == 0.0
         assert discrete_lp(v, 2.0) == 0.0
 
+    @pytest.mark.parametrize("p, degree", [(1.0, 4), (2.0, 4), (3.5, 5), (11.0, 12),
+                                           (11.5, 12), (64.0, 12), (1e9, 12)])
+    def test_quadrature_degree_is_capped(self, monkeypatch, p, degree):
+        # the certificate's f norm uses the same degrees; uncapped, p = 64
+        # would take a rule of 35,937 points per tetrahedron
+        asked = []
+
+        def recorded(dim, d):
+            asked.append(d)
+            return quadrature_rule(dim, d)
+
+        monkeypatch.setattr(dmpfem.p1, "quadrature_rule", recorded)
+        v = constant_field(generate_structured_3d(2, 2, 2), -2.5)
+        assert lp_norm(v, p) == pytest.approx(2.5, rel=1e-12)
+        assert asked == [degree]
+
     def test_p_validation(self):
         m = generate_structured_2d(2, 2)
         v = constant_field(m, 1.0)
