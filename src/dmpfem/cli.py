@@ -25,6 +25,7 @@ from .mesh import (
     load_mesh,
     read_json_object,
     save_mesh,
+    write_rows,
     write_vtk,
 )
 from .p1 import field_from_csv, field_to_csv
@@ -85,21 +86,24 @@ def _parse_grid(spec: str, want: int) -> tuple:
 
 # -- problem construction ------------------------------------------------------
 
+# the problem flags and the values they stand for when not given; argparse
+# leaves them unset then, so that a flag the run would not use can be refused
+_PROBLEM_DEFAULTS = {"problem": "poisson", "f": "-1", "g": "0", "b": "1,0", "c0": 0.0}
+
+
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("problem")
+    group = parser.add_argument_group("problem", argument_default=argparse.SUPPRESS)
     group.add_argument("--problem", choices=["poisson", "advection-diffusion",
-                                             "quasilinear-a"], default=None,
-                       help="built-in coefficient preset")
+                                             "quasilinear-a"],
+                       help="built-in coefficient preset (default poisson)")
     group.add_argument("--coeffs", default=None,
                        help="JSON file with coefficient formulas")
-    group.add_argument("--f", dest="f_expr", default="-1",
-                       help="source formula over coordinates (default -1)")
-    group.add_argument("--g", dest="g_expr", default="0",
-                       help="boundary data formula over coordinates (default 0)")
-    group.add_argument("--b", dest="b_const", default="1,0",
-                       help="constant drift components for advection-diffusion")
-    group.add_argument("--c0", type=float, default=0.0,
-                       help="constant reaction for advection-diffusion")
+    group.add_argument("--f", help="source formula over coordinates (default -1)")
+    group.add_argument("--g", help="boundary data formula over coordinates (default 0)")
+    group.add_argument("--b", help="constant drift components for advection-diffusion "
+                                   "(default 1,0)")
+    group.add_argument("--c0", type=float,
+                       help="constant reaction for advection-diffusion (default 0)")
 
 
 def _json_strings(value) -> list:
@@ -133,25 +137,34 @@ def _coeffs_from_file(path: str, dim: int) -> CoefficientSet:
 
 
 def _build_coefficients(args, dim: int) -> tuple:
-    """Return (CoefficientSet, problem-record dict)."""
-    f = expressions.point_function(args.f_expr, dim)
-    g = expressions.point_function(args.g_expr, dim)
+    """Return (CoefficientSet, problem-record dict).  A problem flag that the
+    run would not use is an error, not silently ignored."""
+    given = [f"--{name}" for name in _PROBLEM_DEFAULTS if name in vars(args)]
     if args.coeffs:
-        coeffs = _coeffs_from_file(args.coeffs, dim)
-        return coeffs, {"coeffs_file": args.coeffs}
-    preset = args.problem or "poisson"
-    record = {"preset": preset, "f": args.f_expr, "g": args.g_expr}
+        if given:
+            raise DmpFemError(f"--coeffs takes the whole problem from its file; "
+                              f"{', '.join(given)} would be ignored")
+        return _coeffs_from_file(args.coeffs, dim), {"coeffs_file": args.coeffs}
+    problem = {**_PROBLEM_DEFAULTS, **vars(args)}
+    preset = problem["problem"]
+    unused = [flag for flag in given if flag in ("--b", "--c0")]
+    if unused and preset != "advection-diffusion":
+        raise DmpFemError(f"{', '.join(unused)} only apply to --problem "
+                          f"advection-diffusion, not {preset}")
+    f = expressions.point_function(problem["f"], dim)
+    g = expressions.point_function(problem["g"], dim)
+    record = {"preset": preset, "f": problem["f"], "g": problem["g"]}
     if preset == "poisson":
         return poisson(f=f, g=g), record
     if preset == "advection-diffusion":
         try:
-            b = [float(s) for s in args.b_const.split(",")]
+            b = [float(s) for s in problem["b"].split(",")]
         except ValueError as exc:
-            raise InvalidParameters(f"--b needs numbers, got {args.b_const!r}") from exc
+            raise InvalidParameters(f"--b needs numbers, got {problem['b']!r}") from exc
         if len(b) != dim:
             raise DmpFemError(f"--b needs {dim} components, got {len(b)}")
-        record.update({"b": b, "c0": args.c0})
-        return advection_diffusion(b, f=f, g=g, c0=args.c0), record
+        record.update({"b": b, "c0": problem["c0"]})
+        return advection_diffusion(b, f=f, g=g, c0=problem["c0"]), record
     return quasilinear_a(f=f, g=g), record
 
 
@@ -292,15 +305,10 @@ def cmd_dmp_check(args) -> int:
                         f"solve result {args.solve_result}: {key} must be "
                         f"{' or '.join(t.__name__ for t in types)}, "
                         f"got {solve_info[key]!r}")
-        result = SolveResult(
-            u_h=u_h,
-            picard_iterations=solve_info["picard_iterations"],
-            final_update_norm=float(solve_info["final_update_norm"]),
-            final_linear_residual=float(solve_info["final_linear_residual"]),
-            converged=solve_info["converged"],
-            factorizations=solve_info["factorizations"],
-            refinement_steps=solve_info["refinement_steps"],
-        )
+        # the two norms may be JSON integers; the result holds them as floats
+        result = SolveResult(u_h=u_h, **{
+            key: float(solve_info[key]) if float in types else solve_info[key]
+            for key, types in _SOLVE_INFO_TYPES.items()})
 
     cert = dmp_certificate(mesh, result, coeffs, params=params)
     payload = cert.to_dict()
@@ -311,8 +319,7 @@ def cmd_dmp_check(args) -> int:
     with open(os.path.join(args.output_dir, "level_sets.csv"), "w",
               encoding="utf-8") as fp:
         fp.write("k,measure\n")
-        for k, measure in cert.levelset_profile:
-            fp.write(f"{k:.17g},{measure:.17g}\n")
+        write_rows(fp, "%.17g,%.17g\n", cert.levelset_profile)
 
     gated = _gated_verdicts(cert.verdicts(), checks)
     failed = sorted(name for name, vs in gated.items() if "fail" in vs)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DmpFemError(Exception):
@@ -67,7 +67,3 @@ class HypothesisViolated(DmpFemError):
 
 class CoefficientBoundsViolation(DmpFemError):
     """Spot-checked coefficient values contradict the declared bounds."""
-
-
-class QuadratureDegreeTooLow(UserWarning):
-    """Quadrature degree likely insufficient for non-constant coefficients."""

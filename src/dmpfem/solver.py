@@ -19,7 +19,6 @@ shape (...) and state gradients of shape (..., dim); `c(x, eta)`, `f(x)` and
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,9 @@ from .errors import (
     MissingBoundaryValue,
     NonFiniteValue,
     PicardDiverged,
-    QuadratureDegreeTooLow,
 )
 from .mesh import Mesh
 from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadrature_rule
-from .rng import SplitMix64
 
 C_MODES = ("nonnegative", "identically-zero", "general")
 SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
@@ -149,15 +146,19 @@ def quasilinear_a(f=-1.0, g=0.0) -> CoefficientSet:
 
 
 def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> dict:
-    """Spot-check the declared bounds at random (x, eta, p) samples.
+    """Spot-check the declared bounds at random (x, eta, p) samples, drawn
+    from numpy's PCG64 generator seeded with `seed` modulo 2**64: a cell
+    floor(u * C) per sample, then its barycentric weights (normalized
+    -log(1 - u), uniform on the simplex), eta and p.
 
     Raises `NonFiniteValue` if a sample of a, b or c is NaN or infinite, and
     `CoefficientBoundsViolation` on the first broken bound; returns the
     observed extrema otherwise.
     """
-    rng = SplitMix64(seed)
-    cells = rng.integers(0, mesh.num_cells, size=SPOT_SAMPLES)
-    bary = rng.simplex_barycentric(mesh.dim + 1, SPOT_SAMPLES)
+    rng = np.random.default_rng(int(seed) % 2 ** 64)
+    cells = np.floor(rng.random(SPOT_SAMPLES) * mesh.num_cells).astype(np.int64)
+    weights = -np.log(1.0 - rng.random((SPOT_SAMPLES, mesh.dim + 1)))
+    bary = weights / weights.sum(axis=1, keepdims=True)
     x = np.einsum("nm,nmd->nd", bary, mesh.vertices[mesh.cells[cells]])
     eta = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=SPOT_SAMPLES)
     p = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=(SPOT_SAMPLES, mesh.dim))
@@ -377,16 +378,14 @@ def assemble_matrix(mesh: Mesh, parts, layout: AssemblyMap | None = None) -> spa
 
 
 class _FrozenFormAssembly:
-    """The state-independent data of the frozen-coefficient form on one mesh:
-    quadrature points, load vector and assembly map, computed once.  Each
-    `system(w)` then samples the coefficients at w, forms the local parts and
-    scatters them."""
+    """The state-independent data of the `default_rule` frozen-coefficient form
+    on one mesh: quadrature points, load vector and assembly map, computed
+    once.  Each `system(w)` then samples the coefficients at w, forms the
+    local parts and scatters them."""
 
-    def __init__(self, mesh: Mesh, coeffs: CoefficientSet, rule: QuadratureRule):
-        if not coeffs.constant_coefficients and rule.degree < 4:
-            warnings.warn("quadrature degree < 4 with non-constant coefficients",
-                          QuadratureDegreeTooLow)
-        self.mesh, self.coeffs, self.rule = mesh, coeffs, rule
+    def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
+        self.mesh, self.coeffs = mesh, coeffs
+        self.rule = rule = default_rule(mesh, coeffs)
         self.points = physical_points(mesh, rule)
         fvals = point_values("f", coeffs.f, self.points)
         local_rhs = (fvals @ (rule.points * rule.weights[:, None])) * mesh.cell_measures[:, None]
@@ -405,10 +404,10 @@ class _FrozenFormAssembly:
         return SparseSystem(matrix=self.layout.matrix(local), rhs=self.rhs)
 
 
-def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
-               rule: QuadratureRule | None = None) -> SparseSystem:
-    """Assemble matrix and load vector of the form with coefficients frozen at w."""
-    return _FrozenFormAssembly(mesh, coeffs, rule or default_rule(mesh, coeffs)).system(w)
+def assemble_q(mesh: Mesh, w: P1Field, coeffs: CoefficientSet) -> SparseSystem:
+    """Assemble matrix and load vector of the `default_rule` form with
+    coefficients frozen at w."""
+    return _FrozenFormAssembly(mesh, coeffs).system(w)
 
 
 def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
@@ -564,7 +563,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     """
     opts = opts or SolveOptions()
     assignment = interpolate_boundary(mesh, coeffs.g)
-    form = _FrozenFormAssembly(mesh, coeffs, default_rule(mesh, coeffs))
+    form = _FrozenFormAssembly(mesh, coeffs)
     u = np.zeros(mesh.num_vertices)
     u[list(assignment)] = list(assignment.values())
 
@@ -600,8 +599,7 @@ def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet) -> float
     change when f, g and u_h are scaled together, and reads 1 when A u
     vanishes there but F does not; 0 when both vanish."""
     system = assemble_q(mesh, u_h, coeffs)
-    free = np.ones(mesh.num_vertices, dtype=bool)
-    free[list(mesh.boundary_nodes)] = False
+    free = ~mesh.boundary_mask()
     load = system.rhs[free]
     action = (system.matrix @ u_h.nodal_values)[free]
     denom = float(np.linalg.norm(load)) + float(np.linalg.norm(action))

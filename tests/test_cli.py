@@ -8,7 +8,6 @@ from dmpfem import cli, expressions, solver
 from dmpfem.cli import main
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import load_mesh
-from dmpfem.rng import SplitMix64
 
 
 def run(argv):
@@ -80,39 +79,6 @@ class TestExpressions:
             assert drift.variables == variables | {"y"}
 
 
-class TestSplitMix:
-    def test_deterministic_stream(self):
-        a, b = SplitMix64(123), SplitMix64(123)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
-
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
-    def test_uniform_array_matches_scalar_stream(self, seed):
-        scalar = SplitMix64(seed)
-        want = np.array([(scalar.next_u64() >> 11) * 2.0 ** -53 for _ in range(10 ** 4)])
-        vector = SplitMix64(seed)
-        got = vector.uniform(size=(100, 100)).ravel()
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert vector.state == scalar.state
-        assert vector.next_u64() == scalar.next_u64()
-
-    def test_scalar_stream_pinned(self):
-        # the published splitmix64 outputs for seed 0
-        rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
-            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-
-    def test_uniform_range(self):
-        rng = SplitMix64(7)
-        vals = rng.uniform(-2.0, 3.0, size=(100,))
-        assert vals.min() >= -2.0 and vals.max() < 3.0
-
-    def test_barycentric_rows_sum_to_one(self):
-        rng = SplitMix64(9)
-        bary = rng.simplex_barycentric(4, 50)
-        assert bary.min() >= 0
-        assert np.abs(bary.sum(axis=1) - 1.0).max() < 1e-12
-
-
 class TestMeshGen:
     def test_square_with_vtk(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"
@@ -150,6 +116,17 @@ class TestMeshGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not mesh_path.exists() and not vtk_path.exists()
+
+
+# problem flags that the chosen problem would not use, and the message's list of them
+_UNUSED_FLAGS = [
+    (["--coeffs", "COEFFS", "--f", "50", "--problem", "quasilinear-a"], "--problem, --f"),
+    (["--coeffs", "COEFFS", "--g", "1"], "--g"),
+    (["--coeffs", "COEFFS", "--b", "0,1", "--c0", "1"], "--b, --c0"),
+    (["--problem", "poisson", "--b", "0,1"], "--b"),
+    (["--problem", "quasilinear-a", "--c0", "0"], "--c0"),
+    (["--b", "0,1", "--c0", "1"], "--b, --c0"),
+]
 
 
 class TestSolveCommand:
@@ -195,6 +172,31 @@ class TestSolveCommand:
         assert run(["solve", "--mesh", square_mesh, "-o", tmp_path / "out", flag]) == 1
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, ignored", _UNUSED_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in _UNUSED_FLAGS])
+    @pytest.mark.parametrize("command", ["solve", "dmp-check"])
+    def test_unused_problem_flag_exits_one(self, square_mesh, tmp_path, capsys, command,
+                                           argv, ignored):
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text(json.dumps(_COEFFS_2D))
+        argv = [coeffs_path if a == "COEFFS" else a for a in argv]
+        extra = ["--solve"] if command == "dmp-check" else []
+        assert run([command, "--mesh", square_mesh, *extra, *argv,
+                    "-o", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ignored in err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_problem_record(self, square_mesh, tmp_path):
+        records = []
+        for problem in ("poisson", "advection-diffusion"):
+            out = tmp_path / problem
+            assert run(["solve", "--mesh", square_mesh, "--problem", problem, "-o", out]) == 0
+            records.append(json.loads((out / "solve.json").read_text())["run"]["problem"])
+        assert records == [{"preset": "poisson", "f": "-1", "g": "0"},
+                           {"preset": "advection-diffusion", "f": "-1", "g": "0",
+                            "b": [1.0, 0.0], "c0": 0.0}]
 
     def test_non_numeric_drift_exits_one(self, square_mesh, tmp_path, capsys):
         assert run(["solve", "--mesh", square_mesh, "--problem", "advection-diffusion",
@@ -428,6 +430,22 @@ class TestDmpCheckCommand:
         cert_a.pop("run"), cert_b.pop("run")
         assert cert_a == cert_b
 
+    def test_solve_result_norms_read_as_floats(self, square_mesh, tmp_path):
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", solved]) == 0
+        info = tmp_path / "info.json"
+        info.write_text(json.dumps({"picard_iterations": 3, "final_update_norm": 0,
+                                    "final_linear_residual": 1, "converged": True}))
+        out = tmp_path / "out"
+        assert run(["dmp-check", "--mesh", square_mesh, "--solution", solved / "solution.csv",
+                    "--solve-result", info, "-o", out]) == 0
+        solve = json.loads((out / "certificate.json").read_text())["solve"]
+        assert [solve[key] for key in ("picard_iterations", "final_update_norm",
+                                       "final_linear_residual", "converged",
+                                       "factorizations", "refinement_steps")] == [
+            3, 0.0, 1.0, True, -1, -1]
+        assert '"final_update_norm": 0.0,' in (out / "certificate.json").read_text()
+
     def test_determinism_byte_identical(self, square_mesh, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         for out in (out1, out2):
@@ -460,6 +478,20 @@ class TestDmpCheckCommand:
         assert codes[0] == codes[1] and codes[0] in (0, 4)
         for name in names:
             assert (out5 / name).read_bytes() == (out6 / name).read_bytes(), name
+
+    def test_seed_changes_only_its_record(self, square_mesh, tmp_path):
+        # the spot-check draws decide no output value: seeds 0 and 1 write
+        # the same files but for the recorded seed
+        outs = [tmp_path / "s0", tmp_path / "s1"]
+        for seed, out in enumerate(outs):
+            assert run(["dmp-check", "--mesh", square_mesh, "--solve",
+                        "--problem", "quasilinear-a", "--seed", seed, "-o", out]) == 0
+        for name in ("solution.csv", "solution.vtk", "level_sets.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for name in ("solve.json", "certificate.json"):
+            text = (outs[0] / name).read_text()
+            assert text.count('"seed": 0') == 1
+            assert text.replace('"seed": 0', '"seed": 1') == (outs[1] / name).read_text()
 
     def test_degiorgi_check_embedded(self, square_mesh, tmp_path):
         outdir = tmp_path / "dg"

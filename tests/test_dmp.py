@@ -280,7 +280,7 @@ class TestAssumptionSweep:
             for mi, node_test in enumerate(cell):
                 for ni, node_trial in enumerate(cell):
                     direct += plus[node_test] * local[t, mi, ni] * minus[node_trial]
-        system = assemble_q(m, v, coeffs, rule)
+        system = assemble_q(m, v, coeffs)
         sweep_value = float(plus @ (system.matrix @ minus))
         assert sweep_value == pytest.approx(direct, rel=1e-12)
 
@@ -444,8 +444,7 @@ class TestEdgeCondition:
 
     def test_matches_global_assembly_offdiagonal(self):
         m = generate_structured_2d(4, 3, skew=0.25)
-        system = assemble_q(m, constant_field(m, 0.0), poisson(),
-                            quadrature_rule(2, 2))
+        system = assemble_q(m, constant_field(m, 0.0), poisson())
         a = system.matrix.toarray()
         report = _edge(m, poisson())
         for record in report.edges:

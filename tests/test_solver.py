@@ -14,7 +14,6 @@ from dmpfem.errors import (
     MissingBoundaryValue,
     NonFiniteValue,
     PicardDiverged,
-    QuadratureDegreeTooLow,
 )
 from dmpfem.mesh import build_mesh, generate_structured_2d, generate_structured_3d
 from dmpfem.p1 import (
@@ -26,6 +25,8 @@ from dmpfem.p1 import (
     quadrature_rule,
 )
 from dmpfem.solver import (
+    SPOT_RANGE,
+    SPOT_SAMPLES,
     CoefficientSet,
     SolveOptions,
     SparseSystem,
@@ -125,6 +126,65 @@ class TestCoefficientValidation:
             validate_coefficients(coeffs, m)
 
 
+def spot_check_draws(mesh, seed):
+    """The (x, eta, p) samples that `validate_coefficients` hands to a."""
+    seen = {}
+
+    def a(x, eta, p):
+        seen.update(x=x.copy(), eta=eta.copy(), p=p.copy())
+        return np.ones(np.shape(eta))
+
+    validate_coefficients(replace(poisson(), a=a), mesh, seed=seed)
+    return seen
+
+
+class TestSpotCheckDraws:
+    @pytest.mark.parametrize("mesh", [generate_structured_2d(3, 4, skew=0.3),
+                                      generate_structured_3d(2, 1, 2)],
+                             ids=["2d", "3d"])
+    def test_each_sample_lies_in_its_cell(self, mesh):
+        draws = spot_check_draws(mesh, seed=5)
+        x = draws["x"]
+        assert x.shape == (SPOT_SAMPLES, mesh.dim)
+        # the first SPOT_SAMPLES uniforms of the stream pick the cells
+        u = np.random.default_rng(5).random(SPOT_SAMPLES)
+        cells = np.floor(u * mesh.num_cells).astype(np.int64)
+        assert len(np.unique(cells)) == mesh.num_cells
+        corners = mesh.vertices[mesh.cells[cells]]  # (S, dim + 1, dim)
+        edges = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+        tail = np.linalg.solve(edges, (x - corners[:, 0])[..., None])[..., 0]
+        bary = np.column_stack([1.0 - tail.sum(axis=1), tail])
+        assert bary.min() >= -1e-12 and bary.max() <= 1.0 + 1e-12
+
+    def test_state_and_gradient_in_range(self):
+        draws = spot_check_draws(generate_structured_3d(1, 1, 1), seed=3)
+        assert draws["eta"].shape == (SPOT_SAMPLES,)
+        assert draws["p"].shape == (SPOT_SAMPLES, 3)
+        for values in (draws["eta"], draws["p"]):
+            assert values.min() >= -SPOT_RANGE and values.max() < SPOT_RANGE
+            assert values.min() < -0.9 * SPOT_RANGE and values.max() > 0.9 * SPOT_RANGE
+
+    def test_seeded_and_wrapped_modulo_two_to_the_64(self):
+        m = generate_structured_2d(4, 4)
+
+        def bits(seed):
+            draws = spot_check_draws(m, seed)
+            return [draws[k].tobytes() for k in ("x", "eta", "p")]
+
+        assert bits(7) == bits(7)
+        assert bits(-1) == bits(2 ** 64 - 1)
+        assert bits(2 ** 64) == bits(0)
+        assert all(b0 != b1 for b0, b1 in zip(bits(0), bits(1)))
+
+    def test_seed_zero_stream_pinned(self):
+        # numpy's PCG64 stream for seed 0 is stable across releases (NEP 19);
+        # a change to it, or to the order of the draws, shows here
+        draws = spot_check_draws(generate_structured_2d(4, 4), seed=0)
+        assert draws["x"][0].tolist() == [0.7486681304835237, 0.5697480475612425]
+        assert draws["eta"][:2].tolist() == [2.0694911645890564, 0.24659964993618821]
+        assert draws["p"][0].tolist() == [7.704084439577098, 3.8129090307936657]
+
+
 class TestNonFiniteSourceAndBoundary:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("entry", ["f", "g"])
@@ -220,15 +280,9 @@ class TestAssembly:
 
     def test_rhs_is_load_vector(self, reference_triangle):
         system = assemble_q(reference_triangle, constant_field(reference_triangle, 0.0),
-                            poisson(f=1.0, g=0.0), quadrature_rule(2, 2))
+                            poisson(f=1.0, g=0.0))
         # integral of each shape function is |T| / 3
         assert system.rhs == pytest.approx(np.full(3, 0.5 / 3.0), rel=1e-14)
-
-    def test_low_degree_warning_for_nonconstant(self):
-        m = generate_structured_2d(2, 2)
-        with pytest.warns(QuadratureDegreeTooLow):
-            assemble_q(m, constant_field(m, 0.0), quasilinear_a(),
-                       quadrature_rule(2, 2))
 
     def test_matrix_independent_of_state_for_linear(self):
         m = generate_structured_2d(3, 3)
