@@ -60,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Reproducibility record embedded in every output file."""
+    """Reproducibility record embedded in every output file.  `seed` is
+    recorded modulo 2**64, the seed the coefficient spot-check draws from."""
 
     command: str
     mesh_source: str
@@ -68,6 +69,9 @@ class RunConfig:
     solver_options: dict = field(default_factory=dict)
     dmp_params: dict = field(default_factory=dict)
     seed: int = 0
+
+    def __post_init__(self):
+        self.seed %= 2 ** 64
 
 
 def _write_json(path, payload: dict) -> None:
@@ -292,6 +296,7 @@ def cmd_dmp_check(args) -> int:
     else:
         coeffs, record = _build_coefficients(args, mesh.dim)
         config.problem = record
+        validate_coefficients(coeffs, mesh, seed=config.seed)
         u_h = field_from_csv(mesh, args.solution)
         solve_info = {"source": args.solution, "converged": True,
                       "picard_iterations": -1, "final_update_norm": float("nan"),

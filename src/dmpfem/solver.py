@@ -301,8 +301,11 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     function n and test shape function m.  Each term is first summed over the
     quadrature points and then multiplied once per cell: the shape gradients
     are constant on a cell.  a, b and c are sampled one `cell_blocks` slice
-    at a time, so no (C, Q, D) coefficient array is held.  `_samples` are the
-    `state_samples` of w when the caller already holds them.
+    at a time, so no (C, Q, D) coefficient array is held.  A block whose b
+    (or c) samples are all zero skips that term's products and writes +0.0,
+    the entries the products give there; a NaN sample is not zero.
+    `_samples` are the `state_samples` of w when the caller already holds
+    them.
     """
     samples = _samples or state_samples(w, rule)
     grads = gradient_table(mesh)
@@ -322,9 +325,15 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
         g, m = grads[cells], meas[cells]
         a_cell = np.einsum("cq,q->c", a, wq) * m
         diffusion[cells] = np.einsum("c,cmd,cnd->cmn", a_cell, g, g)
-        b_cell = np.matmul(b.transpose(0, 2, 1), b_weights).transpose(0, 2, 1)
-        advection[cells] = (b_cell @ g.transpose(0, 2, 1)) * m[:, None, None]
-        reaction[cells] = (c @ mass).reshape(-1, n_local, n_local) * m[:, None, None]
+        if b.any():
+            b_cell = np.matmul(b.transpose(0, 2, 1), b_weights).transpose(0, 2, 1)
+            advection[cells] = (b_cell @ g.transpose(0, 2, 1)) * m[:, None, None]
+        else:
+            advection[cells] = 0.0
+        if c.any():
+            reaction[cells] = (c @ mass).reshape(-1, n_local, n_local) * m[:, None, None]
+        else:
+            reaction[cells] = 0.0
     return diffusion, advection, reaction
 
 
@@ -633,14 +642,19 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
-    step 1e-6 * h inside each cell.  The coefficients are sampled one
-    `cell_blocks` slice at a time into one (C, Q) array of values.
-    `_samples` are the `state_samples` of u_h when the caller already holds
-    them.
+    step 1e-6 * h inside each cell.  A drift formula (see `expressions`)
+    naming no coordinate and not eta is constant on each cell: every shifted
+    evaluation sees the unshifted arguments, so b is evaluated once per block
+    and differenced with itself, which gives the same bits.  The coefficients
+    are sampled one `cell_blocks` slice at a time into one (C, Q) array of
+    values.  `_samples` are the `state_samples` of u_h when the caller already
+    holds them.
     """
     rule = default_rule(mesh, coeffs)
     samples = _samples or state_samples(u_h, rule)
     supplied = coeffs.div_b is not None
+    variables = getattr(coeffs.b, "variables", None)
+    cell_constant = variables is not None and variables.isdisjoint(("x", "y", "z", "eta"))
     step = 1e-6 * mesh.h
     values = np.empty(samples[1].shape)
     for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
@@ -649,15 +663,20 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
             div = np.broadcast_to(np.asarray(coeffs.div_b(x, eta, p), float), eta.shape)
         else:
             div = np.zeros(eta.shape)
+            if cell_constant:
+                b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
             for axis in range(mesh.dim):
-                shift = np.zeros(mesh.dim)
-                shift[axis] = step
-                eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
-                # component `axis` of b, copied so that the rest is freed
-                b_plus = np.broadcast_to(np.asarray(
-                    coeffs.b(x + shift, eta + eta_shift, p), float), x.shape)[..., axis].copy()
-                b_minus = np.broadcast_to(np.asarray(
-                    coeffs.b(x - shift, eta - eta_shift, p), float), x.shape)[..., axis].copy()
+                if cell_constant:
+                    b_plus = b_minus = b[..., axis]
+                else:
+                    shift = np.zeros(mesh.dim)
+                    shift[axis] = step
+                    eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
+                    # component `axis` of b, copied so that the rest is freed
+                    b_plus = np.broadcast_to(np.asarray(
+                        coeffs.b(x + shift, eta + eta_shift, p), float), x.shape)[..., axis].copy()
+                    b_minus = np.broadcast_to(np.asarray(
+                        coeffs.b(x - shift, eta - eta_shift, p), float), x.shape)[..., axis].copy()
                 div = div + (b_plus - b_minus) / (2.0 * step)
         values[cells] = c - 0.5 * div
 

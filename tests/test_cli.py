@@ -10,6 +10,12 @@ from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import load_mesh
 
 
+# a quasi-linear 3D problem with zero drift and reaction
+_COEFFS_3D = {"a": "1 + eta^2/(1+eta^2)", "b": ["0", "0", "0"], "c": "0", "f": "1",
+              "g": "0", "lambda": 1.0, "Lambda": 2.0, "nu": 0.0,
+              "c_mode": "identically-zero"}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -492,6 +498,60 @@ class TestDmpCheckCommand:
             text = (outs[0] / name).read_text()
             assert text.count('"seed": 0') == 1
             assert text.replace('"seed": 0', '"seed": 1') == (outs[1] / name).read_text()
+
+    def test_seed_recorded_modulo_2_64(self, square_mesh, tmp_path):
+        # -1 and 2**64 - 1 draw the same spot-check samples
+        outs = [tmp_path / "neg", tmp_path / "max"]
+        for seed, out in zip((-1, 2 ** 64 - 1), outs):
+            assert run(["dmp-check", "--mesh", square_mesh, "--solve",
+                        "--problem", "quasilinear-a", "--seed", seed, "-o", out]) == 0
+        for name in ("solve.json", "certificate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert json.loads((outs[0] / name).read_text())["run"]["seed"] == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"lambda": 1.5}, "a dips to 1.00001 below declared lam=1.5"),
+        ({"b": ["5", "0", "0"], "nu": 0.0},
+         "lam^-2(|b|^2+c^2) reaches 25 above nu^2=0.0"),
+    ])
+    def test_solution_path_spot_checks_declared_bounds(self, tmp_path, capsys, bounds,
+                                                       message):
+        cube = tmp_path / "cube.json"
+        assert run(["mesh-gen", "--cube", "4x4x4", "-o", cube]) == 0
+        true_bounds, false_bounds = tmp_path / "true.json", tmp_path / "false.json"
+        true_bounds.write_text(json.dumps(_COEFFS_3D))
+        false_bounds.write_text(json.dumps({**_COEFFS_3D, **bounds}))
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", cube, "--coeffs", true_bounds, "-o", solved]) == 0
+        capsys.readouterr()
+        outs = [tmp_path / "solve", tmp_path / "check"]
+        assert run(["solve", "--mesh", cube, "--coeffs", false_bounds, "-o", outs[0]]) == 1
+        assert run(["dmp-check", "--mesh", cube, "--solution", solved / "solution.csv",
+                    "--coeffs", false_bounds, "-o", outs[1]]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1] and message in errors[0]
+        assert not any(out.exists() for out in outs)
+
+    def test_zero_drift_fast_paths_keep_bytes(self, tmp_path):
+        # "0" takes both zero-drift shortcuts; "0*x" names a coordinate, so
+        # its divergence is differenced and only the zero products are skipped
+        cube = tmp_path / "cube.json"
+        assert run(["mesh-gen", "--cube", "4x4x4", "-o", cube]) == 0
+        records = []
+        for name, drift in (("zero", ["0", "0", "0"]), ("coordinate", ["0*x", "0", "0"])):
+            coeffs = tmp_path / f"{name}.json"
+            coeffs.write_text(json.dumps({**_COEFFS_3D, "b": drift}))
+            out = tmp_path / name
+            assert run(["dmp-check", "--mesh", cube, "--solve", "--coeffs", coeffs,
+                        "-o", out]) == 0
+            files = {}
+            for file in ("certificate.json", "solve.json"):
+                files[file] = json.loads((out / file).read_text())
+                files[file].pop("run")
+            for file in ("solution.csv", "level_sets.csv"):
+                files[file] = (out / file).read_bytes()
+            records.append(files)
+        assert records[0] == records[1]
 
     def test_degiorgi_check_embedded(self, square_mesh, tmp_path):
         outdir = tmp_path / "dg"

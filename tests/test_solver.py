@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 import dmpfem.solver
+from dmpfem import expressions
 from dmpfem.errors import (
     CoefficientBoundsViolation,
     LinearSolveDiverged,
@@ -349,6 +350,122 @@ class TestKernelOracles:
                          advection_diffusion([1.0, -2.0, 0.5], c0=0.5),
                          quadrature_rule(3, 4))
         assert operands and max(operands) <= 3
+
+
+def formula_set(dim, b_sources, c_source, wrap=False):
+    """A CoefficientSet of formula closures, each wrapped in a plain lambda
+    (no `variables`) when `wrap`."""
+    a = expressions.state_function("1 + eta^2/(1+eta^2)", dim)
+    b = expressions.vector_state_function(b_sources, dim)
+    c = expressions.state_function(c_source, dim, with_gradient=False)
+    if wrap:
+        a_formula, b_formula, c_formula = a, b, c
+        a = lambda x, e, p: a_formula(x, e, p)
+        b = lambda x, e, p: b_formula(x, e, p)
+        c = lambda x, e: c_formula(x, e)
+    return CoefficientSet(a=a, b=b, c=c, f=0.0, g=0.0, lam=1.0, Lam=2.0, nu=1e9)
+
+
+def counted_drift(coeffs, calls):
+    """`coeffs` with a b that appends to `calls` and keeps b's `variables`."""
+    def b(*args):
+        calls.append(1)
+        return coeffs.b(*args)
+
+    if hasattr(coeffs.b, "variables"):
+        b.variables = coeffs.b.variables
+    return replace(coeffs, b=b)
+
+
+class TestZeroTermSkip:
+    """A block of all-zero b or c samples skips that term's products."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["lambda", "formula"])
+    @pytest.mark.parametrize("zero", ["b", "c", "both"])
+    def test_matrix_bytes_and_positive_zero_parts(self, monkeypatch, dim, kind, zero):
+        monkeypatch.setattr(dmpfem.solver, "BLOCK_POINTS", 64)  # several blocks
+        rng = np.random.default_rng(3)
+        m = perturbed_mesh(generate_structured_2d(6, 5) if dim == 2
+                           else generate_structured_3d(3, 3, 4), rng, 0.1)
+        w = random_nodal_field(m, rng)
+        b_zero, c_zero = zero in ("b", "both"), zero in ("c", "both")
+        if kind == "lambda":
+            coeffs = CoefficientSet(
+                a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+                b=KERNEL_B["zero" if b_zero else "field"],
+                c=KERNEL_C["zero" if c_zero else "field"],
+                f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=1e9)
+        else:
+            b_sources = ["0"] * dim if b_zero else ["eta*p1"] + ["x"] * (dim - 1)
+            coeffs = formula_set(dim, b_sources, "0" if c_zero else "1 + eta^2")
+        rule = quadrature_rule(dim, 4)
+        got = local_form_parts(m, w, coeffs, rule)
+        want = einsum_local_form_parts(m, w, coeffs, rule)
+        # the oracle's zero parts in place of the skipped ones: the same
+        # matrix bits (a nonzero term rounds differently from its oracle)
+        skipped = (False, b_zero, c_zero)
+        oracle_zeros = [oracle if skip else part
+                        for part, oracle, skip in zip(got, want, skipped)]
+        assert assemble_matrix(m, got).data.tobytes() == \
+            assemble_matrix(m, oracle_zeros).data.tobytes()
+        for part, is_zero in zip(got, skipped):
+            if is_zero:
+                assert not part.any() and not np.signbit(part).any()
+
+    def test_nan_sample_takes_the_full_path(self):
+        m = generate_structured_2d(3, 3)
+        coeffs = CoefficientSet(a=lambda x, e, p: np.ones(np.shape(e)),
+                                b=lambda x, e, p: np.full(np.shape(x), np.nan),
+                                c=lambda x, e: np.full(np.shape(e), np.nan),
+                                f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=1.0)
+        with np.errstate(invalid="ignore"):
+            _, advection, reaction = local_form_parts(m, constant_field(m, 0.0), coeffs,
+                                                      quadrature_rule(2, 2))
+        assert np.isnan(advection).all() and np.isnan(reaction).all()
+
+
+class TestCellConstantDivergence:
+    """A drift formula of the state gradient alone has its divergence read
+    from one evaluation per block."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("drift", ["0", "p1*p2", "1e308*10"])
+    def test_same_bits_as_finite_differences(self, dim, drift):
+        rng = np.random.default_rng(7)
+        m = perturbed_mesh(generate_structured_2d(5, 4) if dim == 2
+                           else generate_structured_3d(2, 3, 3), rng, 0.1)
+        u = random_nodal_field(m, rng)
+        sources = [drift] + ["0"] * (dim - 1)
+        with np.errstate(invalid="ignore"):
+            fast = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2"))
+            fd = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2",
+                                                                wrap=True))
+        assert np.float64(fast.min_value).tobytes() == np.float64(fd.min_value).tobytes()
+        assert math.isnan(fast.min_value) == (drift == "1e308*10")
+        assert fast.condition_holds == fd.condition_holds
+        assert not fast.used_supplied_divergence and not fd.used_supplied_divergence
+
+    @pytest.mark.parametrize("drift, per_block", [
+        ("p1 - p2", 1), ("0", 1), ("x*p1", 4), ("eta", 4), ("0*y", 4)])
+    def test_drift_evaluations_per_block(self, monkeypatch, drift, per_block):
+        monkeypatch.setattr(dmpfem.solver, "BLOCK_POINTS", 64)
+        m = generate_structured_2d(6, 6)
+        u = P1Field(m, m.vertices[:, 0] ** 2)
+        calls = []
+        coeffs = counted_drift(formula_set(2, [drift, "0"], "1"), calls)
+        check_zeroth_order_condition(m, u, coeffs)
+        blocks = dmpfem.solver.cell_blocks(m.num_cells, len(quadrature_rule(2, 4).weights))
+        assert len(blocks) > 1
+        assert len(calls) == per_block * len(blocks)
+
+    def test_lambda_keeps_finite_differences(self, monkeypatch):
+        m = generate_structured_2d(4, 4)
+        calls = []
+        coeffs = counted_drift(formula_set(2, ["p1", "0"], "1", wrap=True), calls)
+        check_zeroth_order_condition(m, constant_field(m, 0.0), coeffs)
+        blocks = dmpfem.solver.cell_blocks(m.num_cells, len(quadrature_rule(2, 4).weights))
+        assert len(calls) == 4 * len(blocks)
 
 
 class TestCallCounts:
@@ -767,8 +884,8 @@ class TestGalerkinResidual:
     def test_scale_free(self, exponent):
         # f, g and u_h scaled by a power of two scale the load and A u exactly
         m = generate_structured_2d(8, 8, skew=0.2)
-        f = lambda x: np.sin(3.0 * x[..., 0]) - 0.5  # noqa: E731
-        g = lambda x: x[..., 0] - 2.0 * x[..., 1]  # noqa: E731
+        f = lambda x: np.sin(3.0 * x[..., 0]) - 0.5
+        g = lambda x: x[..., 0] - 2.0 * x[..., 1]
         u_h = picard_solve(m, poisson(f=f, g=g)).u_h
         s = 2.0 ** exponent
         scaled = poisson(f=lambda x: s * f(x), g=lambda x: s * g(x))
