@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import expressions
-from .dmp import DmpParams, dmp_certificate
+from .dmp import DmpParams, dmp_certificate, require_cut_threshold, require_interior_nodes
 from .errors import DmpFemError, InvalidParameters, LinearSolveDiverged, PicardDiverged
 from .mesh import (
     Mesh,
@@ -225,14 +225,17 @@ def cmd_mesh_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_solve(mesh: Mesh, args, config: RunConfig):
-    coeffs, record = _build_coefficients(args, mesh.dim)
-    config.problem = record
+def _problem(mesh: Mesh, args, config: RunConfig) -> CoefficientSet:
+    """Build, record and spot-check the problem of a `solve` or `dmp-check` run."""
+    coeffs, config.problem = _build_coefficients(args, mesh.dim)
+    validate_coefficients(coeffs, mesh, seed=config.seed)
+    return coeffs
+
+
+def _run_solve(mesh: Mesh, coeffs: CoefficientSet, args, config: RunConfig) -> SolveResult:
     opts = _solver_options(args)
     config.solver_options = asdict(opts)
-    validate_coefficients(coeffs, mesh, seed=config.seed)
-    result = picard_solve(mesh, coeffs, opts)
-    return coeffs, result
+    return picard_solve(mesh, coeffs, opts)
 
 
 def _write_solution(outdir: str, mesh: Mesh, result: SolveResult,
@@ -248,8 +251,9 @@ def _write_solution(outdir: str, mesh: Mesh, result: SolveResult,
 
 def cmd_solve(args) -> int:
     mesh = load_mesh(args.mesh)
+    require_interior_nodes(mesh, f"mesh {args.mesh}")
     config = RunConfig(command="solve", mesh_source=args.mesh, seed=args.seed)
-    _, result = _run_solve(mesh, args, config)
+    result = _run_solve(mesh, _problem(mesh, args, config), args, config)
     _write_solution(args.output_dir, mesh, result, config)
     print(f"converged in {result.picard_iterations} iterations "
           f"(update {result.final_update_norm:.3e}, "
@@ -270,15 +274,33 @@ def _gated_verdicts(verdicts: dict, checks: list) -> dict:
     return {name: gate[name] for name in checks}
 
 
-# JSON types accepted for the convergence record of `dmp-check --solve-result`;
-# a record may leave out the two counts, which then read -1 (unknown).
-_SOLVE_INFO_TYPES = {"picard_iterations": (int,), "final_update_norm": (int, float),
-                     "final_linear_residual": (int, float), "converged": (bool,),
-                     "factorizations": (int,), "refinement_steps": (int,)}
+# The convergence record of `dmp-check --solution`: each key, the JSON types
+# `--solve-result` may give it and its value when the record leaves it out or
+# none is given (-1: unknown count).
+_SOLVE_INFO = {"converged": ((bool,), True), "picard_iterations": ((int,), -1),
+               "final_update_norm": ((int, float), float("nan")),
+               "final_linear_residual": ((int, float), float("nan")),
+               "factorizations": ((int,), -1), "refinement_steps": ((int,), -1)}
+
+
+def _read_solution(mesh: Mesh, args) -> SolveResult:
+    u_h = field_from_csv(mesh, args.solution)
+    record = read_json_object(args.solve_result, "solve result") if args.solve_result else {}
+    info = {}
+    for key, (types, default) in _SOLVE_INFO.items():
+        value = record.get(key, default)
+        if type(value) not in types:
+            raise InvalidParameters(
+                f"solve result {args.solve_result}: {key} must be "
+                f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        # the two norms may be JSON integers; the result holds them as floats
+        info[key] = float(value) if float in types else value
+    return SolveResult(u_h=u_h, **info)
 
 
 def cmd_dmp_check(args) -> int:
     mesh = load_mesh(args.mesh)
+    require_interior_nodes(mesh, f"mesh {args.mesh}")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in ALL_CHECKS:
@@ -290,30 +312,13 @@ def cmd_dmp_check(args) -> int:
 
     if bool(args.solution) == bool(args.solve):
         raise DmpFemError("give exactly one of --solution or --solve")
+    coeffs = _problem(mesh, args, config)
+    require_cut_threshold(coeffs.c_mode)
     if args.solve:
-        coeffs, result = _run_solve(mesh, args, config)
+        result = _run_solve(mesh, coeffs, args, config)
         _write_solution(args.output_dir, mesh, result, config)
     else:
-        coeffs, record = _build_coefficients(args, mesh.dim)
-        config.problem = record
-        validate_coefficients(coeffs, mesh, seed=config.seed)
-        u_h = field_from_csv(mesh, args.solution)
-        solve_info = {"source": args.solution, "converged": True,
-                      "picard_iterations": -1, "final_update_norm": float("nan"),
-                      "final_linear_residual": float("nan"),
-                      "factorizations": -1, "refinement_steps": -1}
-        if args.solve_result:
-            solve_info.update(read_json_object(args.solve_result, "solve result"))
-            for key, types in _SOLVE_INFO_TYPES.items():
-                if type(solve_info[key]) not in types:
-                    raise InvalidParameters(
-                        f"solve result {args.solve_result}: {key} must be "
-                        f"{' or '.join(t.__name__ for t in types)}, "
-                        f"got {solve_info[key]!r}")
-        # the two norms may be JSON integers; the result holds them as floats
-        result = SolveResult(u_h=u_h, **{
-            key: float(solve_info[key]) if float in types else solve_info[key]
-            for key, types in _SOLVE_INFO_TYPES.items()})
+        result = _read_solution(mesh, args)
 
     cert = dmp_certificate(mesh, result, coeffs, params=params)
     payload = cert.to_dict()

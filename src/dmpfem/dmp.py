@@ -57,6 +57,8 @@ MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
 TAU_MAX = 40  # steps of the De Giorgi ladder k0 + rho - rho / 2^tau
 DECAY_SLACK = 1e-9  # relative slack of the ladder's geometric decay and tail bounds
 HYPOTHESIS_SLACK = 1e-12  # relative slack of the decay hypothesis
+# c_mode values with a cut threshold k*: those of a nonnegative c
+CUT_C_MODES = ("nonnegative", "identically-zero")
 
 
 @dataclass(frozen=True)
@@ -121,24 +123,26 @@ class DmpParams:
         }
 
 
-def compute_k_star(mesh: Mesh, assignment: dict, c_mode: str) -> float:
-    """Cut threshold from the interpolated boundary data.
+def require_cut_threshold(c_mode: str) -> None:
+    """Raise `UnsupportedCMode` unless c_mode is one of `CUT_C_MODES`."""
+    if c_mode not in CUT_C_MODES:
+        raise UnsupportedCMode(f"no cut threshold defined for c_mode={c_mode!r}")
+
+
+def compute_k_star(boundary_values: np.ndarray, c_mode: str) -> float:
+    """Cut threshold from the `interpolate_boundary` values.
 
     For a piecewise-linear boundary interpolant the supremum over the boundary
-    is attained at boundary vertices, so a nodal max suffices.  With a
-    nonnegative zeroth-order coefficient the threshold is clipped at zero.
+    is attained at boundary vertices, so a nodal max suffices: the first
+    largest value, so a -0.0 ahead of a 0.0 is kept.  With a nonnegative
+    zeroth-order coefficient the threshold is clipped at zero.
     """
-    if c_mode == "nonnegative":
-        clip = True
-    elif c_mode == "identically-zero":
-        clip = False
-    else:
-        raise UnsupportedCMode(f"no cut threshold defined for c_mode={c_mode!r}")
-    values = [assignment[j] for j in mesh.boundary_nodes]
-    if not values:
+    require_cut_threshold(c_mode)
+    values = np.asarray(boundary_values, dtype=float)
+    if not len(values):
         raise InvalidParameters("mesh has no boundary nodes")
-    top = max(values)
-    return float(max(top, 0.0) if clip else top)
+    top = float(values[np.argmax(values)])
+    return max(top, 0.0) if c_mode == "nonnegative" else top
 
 
 @dataclass(frozen=True)
@@ -933,24 +937,32 @@ def _select_element_case(parts, coeffs: CoefficientSet) -> str:
     c_zero = float(np.abs(reaction).max()) <= PAIR_TOL * scale
     if b_zero and c_zero:
         return "poisson-like"
-    if b_zero and coeffs.c_mode in ("nonnegative", "identically-zero"):
+    if b_zero and coeffs.c_mode in CUT_C_MODES:
         return "b-zero-c-nonneg"
     return "general-b"
+
+
+def require_interior_nodes(mesh: Mesh, name: str = "mesh") -> None:
+    """Raise `InvalidParameters` when every node is a boundary node, so that
+    the Dirichlet data fix u_h and no check has a free node to test."""
+    if len(mesh.boundary_nodes) == mesh.num_vertices:
+        raise InvalidParameters(f"{name} has no interior nodes")
 
 
 def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSet,
                     params: DmpParams | None = None) -> DmpCertificate:
     """Run every verification pass on a converged solution and bundle the
-    evidence.  Raises `NotConverged` for unconverged inputs."""
+    evidence.  Raises `NotConverged` for unconverged inputs and
+    `InvalidParameters` for a mesh without interior nodes."""
     if not solve_result.converged:
         raise NotConverged("refusing to certify an unconverged solve")
+    require_interior_nodes(mesh)
     params = params or DmpParams()
     params.check_for_dim(mesh.dim)
     rule = default_rule(mesh, coeffs)
 
     u_h = solve_result.u_h
-    assignment = interpolate_boundary(mesh, coeffs.g)
-    k_star = compute_k_star(mesh, assignment, coeffs.c_mode)
+    k_star = compute_k_star(interpolate_boundary(mesh, coeffs.g), coeffs.c_mode)
     sup_uh = u_h.max_value()
     bound_tol = BOUND_TOL * max(abs(k_star), float(np.abs(u_h.nodal_values).max()))
 

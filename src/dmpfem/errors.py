@@ -26,7 +26,7 @@ class DimensionMismatch(DmpFemError):
 
 
 class MissingBoundaryValue(DmpFemError):
-    """A Dirichlet assignment does not cover every boundary node."""
+    """Dirichlet values do not give exactly one value per boundary node."""
 
 
 class LinearSolveDiverged(DmpFemError):

@@ -118,7 +118,7 @@ class Mesh:
     dim : 2 or 3.
     vertices : (n_vertices, dim) float array.
     cells : (n_cells, dim+1) int array, positively oriented.
-    boundary_nodes : frozenset of vertex indices on the boundary.
+    boundary_nodes : read-only ascending int64 array of the boundary vertices.
     cell_measures : per-cell area/volume, all positive: the edge-vector
         determinant over d!, in closed form (`_signed_measures`).
     cell_diameters : per-cell max pairwise vertex distance.
@@ -137,7 +137,7 @@ class Mesh:
     dim: int
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_nodes: frozenset
+    boundary_nodes: np.ndarray
     cell_measures: np.ndarray
     cell_diameters: np.ndarray
     h: float
@@ -167,7 +167,7 @@ class Mesh:
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[list(self.boundary_nodes)] = True
+        mask[self.boundary_nodes] = True
         return mask
 
 
@@ -281,11 +281,12 @@ def build_mesh(vertices, cells) -> Mesh:
         raise DegenerateCell(f"cell {k} has measure {measures[k]:.3e} below threshold")
 
     boundary, interior_facets, interior_owners = _facet_table(cells, nv)
+    boundary.flags.writeable = False
     return Mesh(
         dim=dim,
         vertices=vertices,
         cells=cells,
-        boundary_nodes=frozenset(boundary.tolist()),
+        boundary_nodes=boundary,
         cell_measures=measures,
         cell_diameters=diameters,
         h=float(diameters.max()) if len(diameters) else 0.0,
@@ -429,7 +430,7 @@ def mesh_to_dict(mesh: Mesh) -> dict:
         "dim": mesh.dim,
         "vertices": mesh.vertices.tolist(),
         "cells": mesh.cells.tolist(),
-        "boundary_nodes": sorted(mesh.boundary_nodes),
+        "boundary_nodes": mesh.boundary_nodes.tolist(),
     }
 
 
@@ -444,9 +445,9 @@ def mesh_from_dict(data: dict, path=None) -> Mesh:
     mesh = build_mesh(json_value(data, "vertices", lambda v: np.asarray(v, dtype=float), source),
                       json_value(data, "cells", lambda c: np.asarray(c, dtype=np.int64), source))
     if "boundary_nodes" in data and data["boundary_nodes"] is not None:
-        stored = json_value(data, "boundary_nodes", lambda b: frozenset(int(i) for i in b),
+        stored = json_value(data, "boundary_nodes", lambda b: sorted({int(i) for i in b}),
                             source)
-        if stored != mesh.boundary_nodes:
+        if stored != mesh.boundary_nodes.tolist():
             raise NonManifold("stored boundary_nodes disagree with facet incidence")
     if mesh.dim != json_value(data, "dim", int, source):
         raise DimensionMismatch("stored dim disagrees with vertex coordinates")

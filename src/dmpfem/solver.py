@@ -250,11 +250,9 @@ class SolveResult:
         }
 
 
-def interpolate_boundary(mesh: Mesh, g) -> dict:
-    """Nodal values of the boundary datum at every boundary vertex."""
-    nodes = sorted(mesh.boundary_nodes)
-    vals = point_values("g", as_point_callable(g), mesh.vertices[nodes])
-    return {int(j): float(v) for j, v in zip(nodes, vals)}
+def interpolate_boundary(mesh: Mesh, g) -> np.ndarray:
+    """The boundary datum at `mesh.boundary_nodes`, in their order."""
+    return point_values("g", as_point_callable(g), mesh.vertices[mesh.boundary_nodes])
 
 
 def default_rule(mesh: Mesh, coeffs: CoefficientSet) -> QuadratureRule:
@@ -426,32 +424,30 @@ def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
     return float(v.nodal_values @ (system.matrix @ u.nodal_values))
 
 
-def apply_dirichlet(system: SparseSystem, assignment: dict, mesh: Mesh) -> SparseSystem:
-    """Constrain nodes to prescribed values by row replacement and symmetric
-    column elimination; the assignment must cover every boundary node.
+def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> SparseSystem:
+    """Pin `mesh.boundary_nodes` to `values`, one each in their order, by row
+    replacement and symmetric column elimination.
 
     The result keeps the matrix's CSR pattern minus the pinned rows and
     columns and the exact zeros, with each pinned diagonal set to one; the
     matrix must store the diagonal of every pinned node, as an assembled one
     does for every vertex of a cell.
     """
-    missing = mesh.boundary_nodes - set(assignment)
-    if missing:
+    pinned = mesh.boundary_nodes
+    if np.shape(values) != pinned.shape:
         raise MissingBoundaryValue(
-            f"{len(missing)} boundary nodes lack values, e.g. {sorted(missing)[:5]}")
+            f"{len(pinned)} boundary nodes need one value each, got {np.shape(values)}")
     n = system.size
-    pinned = np.fromiter(assignment, dtype=np.int64, count=len(assignment))
-    mask = np.zeros(n, dtype=bool)
-    mask[pinned] = True
-    values = np.zeros(n)
-    values[pinned] = np.fromiter(assignment.values(), dtype=float, count=len(assignment))
+    mask = mesh.boundary_mask()
+    lift = np.zeros(n)
+    lift[pinned] = values
 
     a = system.matrix.tocsr()
     if not a.has_canonical_format:
         a = a.copy()
         a.sum_duplicates()
-    rhs = system.rhs - a @ values
-    rhs[mask] = values[mask]
+    rhs = system.rhs - a @ lift
+    rhs[pinned] = values
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     pinned_row = mask[rows]
     diagonal = pinned_row & (a.indices == rows)
@@ -571,17 +567,17 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     solution.
     """
     opts = opts or SolveOptions()
-    assignment = interpolate_boundary(mesh, coeffs.g)
+    values = interpolate_boundary(mesh, coeffs.g)
     form = _FrozenFormAssembly(mesh, coeffs)
     u = np.zeros(mesh.num_vertices)
-    u[list(assignment)] = list(assignment.values())
+    u[mesh.boundary_nodes] = values
 
     applied = 0
     sol = None
     kept = KeptFactor()
     while True:
         if sol is None or not coeffs.constant_coefficients:
-            system = apply_dirichlet(form.system(P1Field(mesh, u)), assignment, mesh)
+            system = apply_dirichlet(form.system(P1Field(mesh, u)), values, mesh)
             sol = linear_solve(system, opts, kept, u)
         diff = sol - u
         denom = max(float(np.linalg.norm(sol)), 1e-30)

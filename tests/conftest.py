@@ -568,6 +568,42 @@ def coo_assemble_matrix(mesh: Mesh, parts):
                              shape=(n, n)).tocsr()
 
 
+def dict_apply_dirichlet(system, assignment: dict, mesh: Mesh):
+    """`apply_dirichlet` with the Dirichlet data as a {node: value} dict that
+    must cover every boundary node (`loop_boundary_nodes`)."""
+    from scipy import sparse
+
+    from dmpfem.errors import MissingBoundaryValue
+    from dmpfem.solver import SparseSystem
+
+    missing = loop_boundary_nodes(mesh.cells) - set(assignment)
+    if missing:
+        raise MissingBoundaryValue(
+            f"{len(missing)} boundary nodes lack values, e.g. {sorted(missing)[:5]}")
+    n = system.size
+    pinned = np.fromiter(assignment, dtype=np.int64, count=len(assignment))
+    mask = np.zeros(n, dtype=bool)
+    mask[pinned] = True
+    values = np.zeros(n)
+    values[pinned] = np.fromiter(assignment.values(), dtype=float, count=len(assignment))
+
+    a = system.matrix.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    rhs = system.rhs - a @ values
+    rhs[mask] = values[mask]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    pinned_row = mask[rows]
+    diagonal = pinned_row & (a.indices == rows)
+    keep = diagonal | ((a.data != 0.0) & ~pinned_row & ~mask[a.indices])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    constrained = sparse.csr_matrix(
+        (np.where(diagonal, 1.0, a.data)[keep], a.indices[keep], indptr), shape=(n, n))
+    return SparseSystem(matrix=constrained, rhs=rhs)
+
+
 def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
     """`picard_solve` from a zero interior guess that assembles and factors
     the system on every pass."""
@@ -577,13 +613,13 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
                                linear_solve)
 
     opts = opts or SolveOptions()
-    assignment = interpolate_boundary(mesh, coeffs.g)
+    values = interpolate_boundary(mesh, coeffs.g)
     u = np.zeros(mesh.num_vertices)
-    u[list(assignment)] = list(assignment.values())
+    u[mesh.boundary_nodes] = values
     applied = passes = 0
     while True:
         system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs),
-                                 assignment, mesh)
+                                 values, mesh)
         sol = linear_solve(system, opts)
         passes += 1
         lin_res = _relative_residual(system.matrix, system.rhs, sol)

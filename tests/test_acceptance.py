@@ -182,7 +182,7 @@ def test_05_element_condition_sufficiency():
                 f=lambda x, fc=fc: fc[0] + fc[1] * x[..., 0] + fc[2] * x[..., 1],
                 g=lambda x, gc=gc: gc[0] + gc[1] * x[..., 0] + gc[2] * x[..., 1])
             result = picard_solve(mesh, coeffs)
-            k_star = compute_k_star(mesh, interpolate_boundary(mesh, coeffs.g),
+            k_star = compute_k_star(interpolate_boundary(mesh, coeffs.g),
                                     coeffs.c_mode)
             sweep = assumption_a_sweep(result.u_h, frozen_form(mesh, coeffs, result.u_h)[1],
                                        k_star=k_star)
@@ -226,7 +226,7 @@ def test_07_decay_chain():
     coeffs = poisson(f=1.0, g=0.0)
     result = picard_solve(mesh, coeffs)
     params = DmpParams(p=4.0, r=2.0)
-    k_star = compute_k_star(mesh, interpolate_boundary(mesh, coeffs.g),
+    k_star = compute_k_star(interpolate_boundary(mesh, coeffs.g),
                             coeffs.c_mode)
     grid = np.unique(np.concatenate([[k_star],
                                      np.unique(result.u_h.nodal_values)]))

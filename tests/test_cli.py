@@ -8,6 +8,7 @@ from dmpfem import cli, expressions, solver
 from dmpfem.cli import main
 from dmpfem.errors import InvalidParameters
 from dmpfem.mesh import load_mesh
+from dmpfem.p1 import P1Field, field_to_csv
 
 
 # a quasi-linear 3D problem with zero drift and reaction
@@ -561,6 +562,47 @@ class TestDmpCheckCommand:
         cert = json.loads((outdir / "certificate.json").read_text())
         assert cert["de_giorgi"]["verdict"] == "pass"
         assert cert["de_giorgi"]["rho"] > 0
+
+
+class TestRefusedBeforeOutput:
+    """Runs that `solve` or `dmp-check` refuse with exit code 1 before they
+    write a file."""
+
+    @pytest.mark.parametrize("grid", [["--square", "1x1"], ["--cube", "1x1x1"]])
+    def test_mesh_without_interior_nodes(self, tmp_path, capsys, grid):
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", *grid, "-o", mesh]) == 0
+        m = load_mesh(mesh)
+        solution = tmp_path / "solution.csv"
+        field_to_csv(P1Field(m, np.zeros(m.num_vertices)), solution)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["solve"], ["dmp-check", "--solve"],
+                     ["dmp-check", "--solution", solution]):
+            assert run([*argv, "--mesh", mesh, "-o", out]) == 1
+            assert list(out.iterdir()) == []
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3
+        assert all(e.startswith(f"error: mesh {mesh} has no interior nodes") for e in errors)
+
+    def test_general_c_mode_in_dmp_check(self, tmp_path, capsys):
+        cube = tmp_path / "cube.json"
+        assert run(["mesh-gen", "--cube", "3x3x3", "-o", cube]) == 0
+        coeffs = tmp_path / "general.json"
+        coeffs.write_text(json.dumps({**_COEFFS_3D, "c_mode": "general"}))
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", cube, "--coeffs", coeffs, "-o", solved]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["--solve"], ["--solution", solved / "solution.csv"]):
+            assert run(["dmp-check", "--mesh", cube, "--coeffs", coeffs, *argv,
+                        "-o", out]) == 1
+            assert list(out.iterdir()) == []
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert "'general'" in errors[0] and "no cut threshold" in errors[0]
 
 
 class TestSolutionFile:

@@ -134,24 +134,40 @@ class TestKStar:
     def test_negative_data_clipped_when_c_nonneg(self):
         m = generate_structured_2d(2, 2)
         assignment = interpolate_boundary(m, -2.0)
-        assert compute_k_star(m, assignment, "nonnegative") == 0.0
+        assert compute_k_star(assignment, "nonnegative") == 0.0
 
     def test_negative_data_kept_when_c_zero(self):
         m = generate_structured_2d(2, 2)
         assignment = interpolate_boundary(m, -2.0)
-        assert compute_k_star(m, assignment, "identically-zero") == -2.0
+        assert compute_k_star(assignment, "identically-zero") == -2.0
 
     def test_linear_data_attains_max_at_corner(self):
         m = generate_structured_2d(3, 3)
         assignment = interpolate_boundary(m, lambda x: x[..., 0])
         for mode in ("nonnegative", "identically-zero"):
-            assert compute_k_star(m, assignment, mode) == pytest.approx(1.0)
+            assert compute_k_star(assignment, mode) == pytest.approx(1.0)
 
     def test_general_mode_unsupported(self):
         m = generate_structured_2d(2, 2)
         assignment = interpolate_boundary(m, 0.0)
         with pytest.raises(UnsupportedCMode):
-            compute_k_star(m, assignment, "general")
+            compute_k_star(assignment, "general")
+
+    def test_negative_zero_maximum_kept(self):
+        # g = -x is -0.0 on the edge x = 0 and negative elsewhere
+        for m in (generate_structured_2d(4, 4), generate_structured_3d(2, 2, 2)):
+            values = interpolate_boundary(m, point_function("-x", m.dim))
+            for mode in ("nonnegative", "identically-zero"):
+                k_star = compute_k_star(values, mode)
+                assert k_star == 0.0 and math.copysign(1.0, k_star) == -1.0
+
+    def test_first_of_equal_maxima(self):
+        assert math.copysign(1.0, compute_k_star([-1.0, -0.0, 0.0], "identically-zero")) == -1.0
+        assert math.copysign(1.0, compute_k_star([0.0, -0.0], "nonnegative")) == 1.0
+
+    def test_no_boundary_values(self):
+        with pytest.raises(InvalidParameters):
+            compute_k_star(np.zeros(0), "nonnegative")
 
     def test_mode_ordering(self):
         m = generate_structured_2d(2, 2)
@@ -160,8 +176,8 @@ class TestKStar:
             shift = float(rng.uniform(-3, 3))
             assignment = interpolate_boundary(
                 m, lambda x, s=shift: np.sin(5 * x[..., 0]) + s)
-            assert compute_k_star(m, assignment, "nonnegative") >= \
-                compute_k_star(m, assignment, "identically-zero")
+            assert compute_k_star(assignment, "nonnegative") >= \
+                compute_k_star(assignment, "identically-zero")
 
 
 class TestAssumptionSweep:
@@ -182,7 +198,7 @@ class TestAssumptionSweep:
         m = generate_structured_2d(8, 8)
         coeffs = poisson(f=1.0, g=lambda x: x[..., 0])
         result = picard_solve(m, coeffs)
-        k_star = compute_k_star(m, interpolate_boundary(m, coeffs.g),
+        k_star = compute_k_star(interpolate_boundary(m, coeffs.g),
                                 coeffs.c_mode)
         sweep = _sweep(m, coeffs, result.u_h, k_star=k_star)
         assert sweep.satisfied
@@ -800,8 +816,8 @@ class TestCertificate:
         # 1e-6 of the field's size, not rounding
         m = generate_structured_2d(8, 8)
         values = -1e-6 * np.ones(m.num_vertices)
-        values[sorted(m.boundary_nodes)] = 0.0
-        interior = sorted(set(range(m.num_vertices)) - m.boundary_nodes)
+        values[m.boundary_nodes] = 0.0
+        interior = np.flatnonzero(~m.boundary_mask())
         values[interior[0]] = 1e-12
         fake = SolveResult(u_h=P1Field(m, values), picard_iterations=1,
                            final_update_norm=0.0, final_linear_residual=0.0,
@@ -837,6 +853,14 @@ class TestCertificate:
         with pytest.raises(NotConverged):
             dmp_certificate(m, fake, coeffs)
 
+    def test_mesh_without_interior_nodes_rejected(self):
+        # every node of one lattice square or cube is a boundary node; the
+        # solver still solves it, the certificate refuses it
+        for m in (generate_structured_2d(1, 1), generate_structured_3d(1, 1, 1)):
+            result = picard_solve(m, poisson())
+            with pytest.raises(InvalidParameters, match="no interior nodes"):
+                dmp_certificate(m, result, poisson())
+
     def test_refinement_family_bound_holds(self):
         for n in (4, 8, 16):
             m = generate_structured_2d(n, n)
@@ -863,7 +887,7 @@ class TestCertificate:
                     f=lambda x, fc=fc: np.full(x.shape[:-1], fc),
                     g=lambda x, gc=gc: gc[0] + gc[1] * x[..., 0] + gc[2] * x[..., 1])
                 result = picard_solve(m, coeffs)
-                k_star = compute_k_star(m, interpolate_boundary(m, coeffs.g),
+                k_star = compute_k_star(interpolate_boundary(m, coeffs.g),
                                         coeffs.c_mode)
                 sweep = _sweep(m, coeffs, result.u_h, k_star=k_star)
                 assert sweep.satisfied

@@ -55,7 +55,7 @@ class TestBuildMesh:
         assert m.dim == 2
         assert m.cell_measures[0] == pytest.approx(0.5, abs=1e-15)
         assert m.h == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert m.boundary_nodes == frozenset({0, 1, 2})
+        assert m.boundary_nodes.tolist() == [0, 1, 2]
 
     def test_reference_tet(self, reference_tet):
         m = reference_tet
@@ -354,8 +354,15 @@ class TestInteriorEdges:
             interior_edges_2d(generate_structured_3d(1, 1, 1))
 
 
+def _assert_boundary_matches_loops(m):
+    """Ascending, read-only int64 boundary nodes equal to the loop oracle's."""
+    assert m.boundary_nodes.dtype == np.int64
+    assert not m.boundary_nodes.flags.writeable
+    assert m.boundary_nodes.tolist() == sorted(loop_boundary_nodes(m.cells))
+
+
 def _assert_topology_matches_loops(m):
-    assert m.boundary_nodes == loop_boundary_nodes(m.cells)
+    _assert_boundary_matches_loops(m)
     oracle = loop_interior_edges_2d(m)
     edges = interior_edges_2d(m)
     assert edges.nodes.tolist() == [[e[0], e[1]] for e in oracle]
@@ -380,7 +387,7 @@ class TestFacetTable:
         rng = np.random.default_rng(5)
         for m in (generate_structured_3d(3, 2, 4),
                   perturbed_mesh(generate_structured_3d(3, 3, 3), rng, 0.1)):
-            assert m.boundary_nodes == loop_boundary_nodes(m.cells)
+            _assert_boundary_matches_loops(m)
             owners = loop_facet_owners(m.cells)
             shared = sorted((f, ts) for f, ts in owners.items() if len(ts) == 2)
             assert m.interior_facets.tolist() == [list(f) for f, _ in shared]
@@ -439,7 +446,7 @@ class TestSerialization:
         assert back.dim == m.dim
         assert np.array_equal(back.vertices, m.vertices)
         assert np.array_equal(back.cells, m.cells)
-        assert back.boundary_nodes == m.boundary_nodes
+        assert np.array_equal(back.boundary_nodes, m.boundary_nodes)
         assert np.array_equal(back.cell_measures, m.cell_measures)
         assert back.h == m.h
 
@@ -459,7 +466,7 @@ class TestSerialization:
         m = generate_structured_2d(2, 2)
         data = mesh_to_dict(m)
         del data["boundary_nodes"]
-        assert mesh_from_dict(data).boundary_nodes == m.boundary_nodes
+        assert np.array_equal(mesh_from_dict(data).boundary_nodes, m.boundary_nodes)
 
     def test_stored_boundary_mismatch_rejected(self):
         m = generate_structured_2d(2, 2)
@@ -467,6 +474,20 @@ class TestSerialization:
         data["boundary_nodes"] = [0]
         with pytest.raises(NonManifold):
             mesh_from_dict(data)
+
+    def test_stored_boundary_any_order_and_repeats(self):
+        m = generate_structured_2d(3, 2)
+        stored = m.boundary_nodes.tolist()
+        for variant in (stored[::-1], stored + stored[:3], [str(j) for j in stored],
+                        [float(j) for j in reversed(stored)]):
+            data = {**mesh_to_dict(m), "boundary_nodes": variant}
+            assert np.array_equal(mesh_from_dict(data).boundary_nodes, m.boundary_nodes)
+        interior = np.flatnonzero(~m.boundary_mask()).tolist()
+        for variant in (stored[1:] + stored[1:2], stored + interior, stored[:-1],
+                        stored + [10 ** 30], []):
+            data = {**mesh_to_dict(m), "boundary_nodes": variant}
+            with pytest.raises(NonManifold):
+                mesh_from_dict(data)
 
     def test_vtk_writer(self, tmp_path):
         m = generate_structured_2d(2, 2)

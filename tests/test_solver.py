@@ -53,9 +53,11 @@ from conftest import (
     KERNEL_C,
     assemble_every_pass_picard,
     coo_assemble_matrix,
+    dict_apply_dirichlet,
     drift_field,
     einsum_local_form_parts,
     einsum_physical_points,
+    loop_boundary_nodes,
     perturbed_mesh,
     random_nodal_field,
     random_triangle,
@@ -208,12 +210,13 @@ class TestBoundaryInterpolation:
     def test_constant(self):
         m = generate_structured_2d(3, 3)
         values = interpolate_boundary(m, 1.0)
-        assert set(values) == m.boundary_nodes
-        assert all(v == 1.0 for v in values.values())
+        assert values.shape == m.boundary_nodes.shape
+        assert all(v == 1.0 for v in values)
 
     def test_linear_in_x(self):
         m = generate_structured_2d(2, 2)
-        values = interpolate_boundary(m, lambda x: x[..., 0])
+        values = dict(zip(m.boundary_nodes.tolist(),
+                          interpolate_boundary(m, lambda x: x[..., 0])))
         corner_11 = next(j for j in m.boundary_nodes
                          if np.allclose(m.vertices[j], [1, 1]))
         corner_00 = next(j for j in m.boundary_nodes
@@ -225,7 +228,8 @@ class TestBoundaryInterpolation:
         # nodal interpolant of x^2 along a boundary edge differs from x^2 at
         # the edge midpoint
         m = generate_structured_2d(2, 2)
-        values = interpolate_boundary(m, lambda x: x[..., 0] ** 2)
+        values = dict(zip(m.boundary_nodes.tolist(),
+                          interpolate_boundary(m, lambda x: x[..., 0] ** 2)))
         j0 = next(j for j in m.boundary_nodes if np.allclose(m.vertices[j], [0, 0]))
         j1 = next(j for j in m.boundary_nodes if np.allclose(m.vertices[j], [0.5, 0]))
         midpoint_interp = 0.5 * (values[j0] + values[j1])
@@ -746,22 +750,42 @@ class TestDirichlet:
         m = generate_structured_2d(3, 3)
         coeffs = advection_diffusion([0.3, 0.9], f=-1.0, g=lambda x: x[..., 1])
         system = assemble_q(m, constant_field(m, 0.0), coeffs)
-        assignment = interpolate_boundary(m, coeffs.g)
-        constrained = apply_dirichlet(system, assignment, m)
+        values = interpolate_boundary(m, coeffs.g)
+        constrained = apply_dirichlet(system, values, m)
         probe = np.sin(np.arange(m.num_vertices, dtype=float))
         image = constrained.matrix @ probe
-        pinned = list(assignment)
+        pinned = m.boundary_nodes
         assert image[pinned] == pytest.approx(probe[pinned], abs=0.0)
-        assert constrained.rhs[pinned] == pytest.approx(
-            list(assignment.values()), abs=0.0)
+        assert constrained.rhs[pinned] == pytest.approx(values, abs=0.0)
 
     def test_missing_value_rejected(self):
         m = generate_structured_2d(2, 2)
         system = assemble_q(m, constant_field(m, 0.0), poisson())
-        assignment = interpolate_boundary(m, 0.0)
-        assignment.pop(next(iter(assignment)))
-        with pytest.raises(MissingBoundaryValue):
-            apply_dirichlet(system, assignment, m)
+        values = interpolate_boundary(m, 0.0)
+        for bad in (values[:-1], np.append(values, 0.0), values[:, None], []):
+            with pytest.raises(MissingBoundaryValue):
+                apply_dirichlet(system, bad, m)
+
+    @pytest.mark.parametrize("mesh", ["2d", "skewed", "kuhn"])
+    @pytest.mark.parametrize("g", ["-x", "1 + x*y", "x - y"])
+    def test_matches_dict_oracle_bytes(self, mesh, g):
+        # The data as a {node: value} dict over the loop oracle's boundary,
+        # each value from g at one vertex; "-x" has the boundary maximum -0.0.
+        m = {"2d": lambda: generate_structured_2d(6, 5),
+             "skewed": lambda: generate_structured_2d(5, 5, skew=0.6),
+             "kuhn": lambda: generate_structured_3d(3, 3, 3)}[mesh]()
+        fn = expressions.point_function(g, m.dim)
+        coeffs = advection_diffusion([0.7, -0.4, 0.2][:m.dim], f=-1.0, c0=0.3, g=fn)
+        system = assemble_q(m, constant_field(m, 0.0), coeffs)
+        assignment = {j: float(fn(m.vertices[j])) for j in sorted(loop_boundary_nodes(m.cells))}
+        values = interpolate_boundary(m, fn)
+        assert values.tobytes() == np.array(list(assignment.values())).tobytes()
+        new = apply_dirichlet(system, values, m)
+        old = dict_apply_dirichlet(system, assignment, m)
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(new.matrix, attr), getattr(old.matrix, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert new.rhs.tobytes() == old.rhs.tobytes()
 
     def test_affine_exactness(self):
         m = generate_structured_2d(5, 4, skew=0.2)
@@ -785,11 +809,11 @@ class TestDirichlet:
         coeffs = advection_diffusion([0.7, -0.4], f=-1.0, c0=0.2,
                                      g=lambda x: 1.0 + x[..., 0])
         system = assemble_q(m, constant_field(m, 0.0), coeffs)
-        assignment = interpolate_boundary(m, coeffs.g)
-        constrained = apply_dirichlet(system, assignment, m)
+        values = interpolate_boundary(m, coeffs.g)
+        constrained = apply_dirichlet(system, values, m)
         mask = np.zeros(m.num_vertices, dtype=bool)
         lift = np.zeros(m.num_vertices)
-        for j, v in assignment.items():
+        for j, v in zip(m.boundary_nodes, values):
             mask[j], lift[j] = True, v
         free = np.diag((~mask).astype(float))
         a = system.matrix.toarray()
