@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import expressions
 from .dmp import DmpParams, dmp_certificate, require_cut_threshold, require_interior_nodes
@@ -172,25 +172,23 @@ def _build_coefficients(args, dim: int) -> tuple:
     return quasilinear_a(f=f, g=g), record
 
 
-def _solver_options(args) -> SolveOptions:
-    return SolveOptions(
-        picard_max_iter=args.picard_max_iter,
-        picard_tol=args.picard_tol,
-        linear_tol=args.linear_tol,
-        damping=args.damping,
-    )
+def _given_solver_options(args) -> dict:
+    """The `SolveOptions` fields given as flags.  argparse leaves a solver flag
+    unset when it is not given, so that `dmp-check --solution`, which runs no
+    solve, can refuse it."""
+    return {f.name: getattr(args, f.name) for f in fields(SolveOptions) if f.name in vars(args)}
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("solver")
-    group.add_argument("--picard-max-iter", type=int, default=SolveOptions.picard_max_iter)
-    group.add_argument("--picard-tol", type=float, default=SolveOptions.picard_tol)
-    group.add_argument("--linear-tol", type=float, default=SolveOptions.linear_tol,
+    group = parser.add_argument_group("solver", argument_default=argparse.SUPPRESS)
+    group.add_argument("--picard-max-iter", type=int)
+    group.add_argument("--picard-tol", type=float)
+    group.add_argument("--linear-tol", type=float,
                        help="each linear solve must reach a relative residual of at "
                             "most 10x this; a Picard pass refined with an earlier LU "
                             "factor is accepted at this residual, else it refactors "
-                            "(default %(default)s)")
-    group.add_argument("--damping", type=float, default=SolveOptions.damping)
+                            f"(default {SolveOptions.linear_tol})")
+    group.add_argument("--damping", type=float)
 
 
 def _add_dmp_args(parser: argparse.ArgumentParser) -> None:
@@ -233,7 +231,7 @@ def _problem(mesh: Mesh, args, config: RunConfig) -> CoefficientSet:
 
 
 def _run_solve(mesh: Mesh, coeffs: CoefficientSet, args, config: RunConfig) -> SolveResult:
-    opts = _solver_options(args)
+    opts = SolveOptions(**_given_solver_options(args))
     config.solver_options = asdict(opts)
     return picard_solve(mesh, coeffs, opts)
 
@@ -312,6 +310,14 @@ def cmd_dmp_check(args) -> int:
 
     if bool(args.solution) == bool(args.solve):
         raise DmpFemError("give exactly one of --solution or --solve")
+    if args.solve:
+        route = "--solve solves the problem itself"
+        unused = [] if args.solve_result is None else ["--solve-result"]
+    else:
+        route = "--solution reads a solved field"
+        unused = [f"--{name.replace('_', '-')}" for name in _given_solver_options(args)]
+    if unused:
+        raise DmpFemError(f"{route}; {', '.join(unused)} would be ignored")
     coeffs = _problem(mesh, args, config)
     require_cut_threshold(coeffs.c_mode)
     if args.solve:

@@ -204,6 +204,19 @@ class AngleReport:
 _SORT_NETWORKS = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)]}  # facet widths 2 and 3
 
 
+def key_runs(keys: np.ndarray) -> tuple:
+    """Group equal keys by one stable sort, the faster sort on partly ordered
+    keys.  Returns `order`, the positions of `keys` by ascending key (equal
+    keys in their original order), and `first`, a mask over `keys[order]`
+    marking where each run of equal keys starts."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, first
+
+
 def _facet_table(cells: np.ndarray, nv: int):
     """Facet incidence from one sort of packed facet keys.
 
@@ -226,15 +239,15 @@ def _facet_table(cells: np.ndarray, nv: int):
     keys = cols[0].ravel()
     for col in cols[1:]:
         keys = keys * nv + col.ravel()
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse, kind="stable")  # slots grouped by facet
-    first = np.cumsum(counts) - counts
+    order, first = key_runs(keys)  # slots grouped by facet, facets in key order
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
     if (counts > 2).any():
         f = int(np.argmax(counts > 2))
-        raise NonManifold(f"facet {tuple(rows[order[first[f]]].tolist())} "
+        raise NonManifold(f"facet {tuple(rows[order[starts[f]]].tolist())} "
                           f"shared by {counts[f]} cells")
-    boundary = np.unique(rows[order[first[counts == 1]]])
-    owners = order[first[counts == 2, None] + np.arange(2)]
+    boundary = np.unique(rows[order[starts[counts == 1]]])
+    owners = order[starts[counts == 2, None] + np.arange(2)]
     return boundary, rows[owners[:, 0]], owners
 
 
@@ -434,6 +447,14 @@ def mesh_to_dict(mesh: Mesh) -> dict:
     }
 
 
+def _node_index(value) -> int:
+    """A stored node index: an integer, an integer string or an integral
+    float.  A fraction or a boolean is refused, not truncated to an index."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"node index {value!r} is not an integer")
+    return int(value)
+
+
 def mesh_from_dict(data: dict, path=None) -> Mesh:
     """Build a `Mesh` from its JSON form; `path` names the file it came from
     in the `InvalidParameters` raised for missing or wrongly typed keys."""
@@ -445,8 +466,8 @@ def mesh_from_dict(data: dict, path=None) -> Mesh:
     mesh = build_mesh(json_value(data, "vertices", lambda v: np.asarray(v, dtype=float), source),
                       json_value(data, "cells", lambda c: np.asarray(c, dtype=np.int64), source))
     if "boundary_nodes" in data and data["boundary_nodes"] is not None:
-        stored = json_value(data, "boundary_nodes", lambda b: sorted({int(i) for i in b}),
-                            source)
+        stored = json_value(data, "boundary_nodes",
+                            lambda b: sorted({_node_index(i) for i in b}), source)
         if stored != mesh.boundary_nodes.tolist():
             raise NonManifold("stored boundary_nodes disagree with facet incidence")
     if mesh.dim != json_value(data, "dim", int, source):
@@ -455,10 +476,20 @@ def mesh_from_dict(data: dict, path=None) -> Mesh:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    # json.dumps runs the C encoder; json.dump always takes the pure-Python one.
+    """Write the bytes of `json.dumps(mesh_to_dict(mesh))` and a newline, the
+    vertex and cell rows formatted in blocks by `write_rows`: `%r` prints a
+    float as the JSON encoder does, and `build_mesh` admits finite vertices
+    only."""
+    coords = "[" + ", ".join(["%r"] * mesh.dim) + "]"
+    nodes = "[" + ", ".join(["%d"] * (mesh.dim + 1)) + "]"
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(json.dumps(mesh_to_dict(mesh)))
-        fp.write("\n")
+        fp.write(f'{{"dim": {mesh.dim}, "vertices": ')
+        _write_json_rows(fp, coords, mesh.vertices)
+        fp.write(', "cells": ')
+        _write_json_rows(fp, nodes, mesh.cells)
+        fp.write(', "boundary_nodes": ')
+        _write_json_rows(fp, "%d", mesh.boundary_nodes[:, None])
+        fp.write("}\n")
 
 
 def read_json_object(path, what: str) -> dict:
@@ -496,6 +527,15 @@ def write_rows(fp, row_format: str, rows: np.ndarray) -> None:
     for lo in range(0, len(rows), ROW_BLOCK):
         block = rows[lo:lo + ROW_BLOCK]
         fp.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_json_rows(fp, row_format: str, rows: np.ndarray) -> None:
+    """Write the rows of a 2D array as one JSON array, `row_format % row` for
+    each, joined by ", " as `json.dumps` joins them."""
+    fp.write("[")
+    write_rows(fp, row_format + ", ", rows[:-1])
+    write_rows(fp, row_format, rows[-1:])
+    fp.write("]")
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,

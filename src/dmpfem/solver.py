@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteValue,
     PicardDiverged,
 )
-from .mesh import Mesh
+from .mesh import Mesh, key_runs
 from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadrature_rule
 
 C_MODES = ("nonnegative", "identically-zero", "general")
@@ -358,19 +358,15 @@ class AssemblyMap:
 
 def assembly_map(mesh: Mesh) -> AssemblyMap:
     """Group the (row, col) pairs of all local entries, packed as int64 keys
-    row * n + col, by one sort: ascending keys are the CSR order.  The stable
-    sort is the faster one on these partly ordered keys."""
+    row * n + col, by the one stable sort of `key_runs`: ascending keys are
+    the CSR order."""
     n = mesh.num_vertices
     cells = mesh.cells
     keys = (cells[:, :, None] * n + cells[:, None, :]).ravel()
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.empty(ordered.shape[0], dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    order, first = key_runs(keys)
     slots = np.empty_like(order)
     slots[order] = np.cumsum(first) - 1
-    pattern = ordered[first]
+    pattern = keys[order[first]]
     rows = pattern // n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

@@ -604,6 +604,45 @@ class TestRefusedBeforeOutput:
         assert len(errors) == 2 and errors[0] == errors[1]
         assert "'general'" in errors[0] and "no cut threshold" in errors[0]
 
+    @pytest.mark.parametrize("route, flags, message", [
+        ("--solve", ["--solve-result", "BAD"],
+         "--solve solves the problem itself; --solve-result would be ignored"),
+        ("--solution", ["--picard-tol", "-5"],
+         "--solution reads a solved field; --picard-tol would be ignored"),
+        ("--solution", ["--picard-max-iter", "3"],
+         "--solution reads a solved field; --picard-max-iter would be ignored"),
+    ], ids=["solve-result-with-solve", "picard-tol-with-solution",
+            "picard-max-iter-with-solution"])
+    def test_flag_unread_by_dmp_check_route(self, square_mesh, tmp_path, capsys,
+                                            route, flags, message):
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", solved]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"converged": "nope"}')
+        source = ["--solve"] if route == "--solve" else ["--solution", solved / "solution.csv"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["dmp-check", "--mesh", square_mesh, *source,
+                    *[bad if f == "BAD" else f for f in flags], "-o", out]) == 1
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fractional_stored_boundary_nodes(self, tmp_path, capsys):
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", "--square", "2x2", "-o", mesh]) == 0
+        data = json.loads(mesh.read_text())
+        data["boundary_nodes"] = [j + 0.9 for j in data["boundary_nodes"]]
+        mesh.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["dmp-check", "--mesh", mesh, "--solve", "-o", out]) == 1
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "key 'boundary_nodes' has the wrong type: node index 0.9 is not an integer" \
+            in err and str(mesh) in err
+
 
 class TestSolutionFile:
     """`dmp-check --solution` rejects a malformed solution CSV with exit 1."""

@@ -21,6 +21,7 @@ from dmpfem.mesh import (
     generate_structured_2d,
     generate_structured_3d,
     interior_edges_2d,
+    key_runs,
     load_mesh,
     macro_measures,
     mesh_from_dict,
@@ -401,6 +402,33 @@ class TestFacetTable:
         with pytest.raises(NonManifold, match=r"facet \(0, 1, 2\) shared by 3"):
             build_mesh(verts, cells)
 
+    def test_non_manifold_names_first_facet(self):
+        # edge (5, 6) of four cells comes first in the cell table, edge (0, 1)
+        # of three cells first in lexicographic order
+        verts = [[0, 0], [1, 0], [0, 1], [0, -1], [0.5, 2],
+                 [10, 0], [11, 0], [10, 1], [10, -1], [10.5, 2], [10.5, -2]]
+        cells = [[5, 6, 7], [5, 6, 8], [5, 6, 9], [5, 6, 10],
+                 [0, 1, 2], [0, 1, 3], [0, 1, 4]]
+        with pytest.raises(NonManifold, match=r"^facet \(0, 1\) shared by 3 cells$"):
+            build_mesh(verts, cells)
+        with pytest.raises(NonManifold, match=r"^facet \(5, 6\) shared by 4 cells$"):
+            build_mesh(verts, cells[:4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_key_runs_match_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 300)) if seed else 0
+        # runs of one to four equal keys, in shuffled and in sorted order
+        for keys in (np.repeat(rng.integers(-40, 40, size), rng.integers(1, 5, size)),
+                     np.sort(rng.integers(0, 2 ** 62, size)).repeat(2)):
+            order, first = key_runs(keys)
+            unique, inverse = np.unique(keys, return_inverse=True)
+            assert np.array_equal(keys[order[first]], unique)
+            slots = np.empty_like(order)
+            slots[order] = np.cumsum(first) - 1
+            assert np.array_equal(slots, inverse.ravel())
+            assert np.array_equal(order, np.lexsort((np.arange(len(keys)), keys)))
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(nx=st.integers(1, 6), ny=st.integers(1, 6),
            pattern=st.sampled_from(["right-diagonal", "crisscross"]),
@@ -462,6 +490,35 @@ class TestSerialization:
             fp.write("\n")
         assert (tmp_path / "mesh.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
 
+    @staticmethod
+    def _assert_json_bytes(tmp_path, m):
+        save_mesh(m, tmp_path / "mesh.json")
+        expected = json.dumps(mesh_to_dict(m)) + "\n"
+        assert (tmp_path / "mesh.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_json_bytes_at_every_block_size(self, tmp_path, monkeypatch, dim):
+        # blocks of one row, of two, and at each edge of the vertex and cell counts
+        m = generate_structured_2d(4, 3, skew=0.3) if dim == 2 \
+            else generate_structured_3d(2, 1, 2)
+        nv, nc = m.num_vertices, m.num_cells
+        for block in sorted({1, 2, nv - 1, nv, nv + 1, nc - 1, nc, nc + 1}):
+            monkeypatch.setattr(dmpfem.mesh, "ROW_BLOCK", block)
+            self._assert_json_bytes(tmp_path, m)
+
+    def test_json_bytes_one_cell(self, tmp_path, reference_triangle, reference_tet):
+        self._assert_json_bytes(tmp_path, reference_triangle)
+        self._assert_json_bytes(tmp_path, reference_tet)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_json_bytes_float_reprs(self, tmp_path, dim):
+        corner = [-0.0, 5e-324, 1 / 3][:dim]
+        verts = np.vstack([corner, 1e22 * np.eye(dim) + 1 / 3])
+        m = build_mesh(verts, [list(range(dim + 1))])
+        self._assert_json_bytes(tmp_path, m)
+        back = load_mesh(tmp_path / "mesh.json")
+        assert back.vertices.tobytes() == m.vertices.tobytes()
+
     def test_boundary_recomputed_when_absent(self):
         m = generate_structured_2d(2, 2)
         data = mesh_to_dict(m)
@@ -488,6 +545,18 @@ class TestSerialization:
             data = {**mesh_to_dict(m), "boundary_nodes": variant}
             with pytest.raises(NonManifold):
                 mesh_from_dict(data)
+
+    def test_stored_boundary_fraction_or_boolean_rejected(self):
+        m = generate_structured_2d(3, 2)
+        stored = m.boundary_nodes.tolist()
+        for bad in (2.9, True, float("inf"), float("nan")):
+            data = {**mesh_to_dict(m), "boundary_nodes": [bad] + stored}
+            with pytest.raises(InvalidParameters, match="key 'boundary_nodes' has the wrong "
+                                                        "type: node index .* is not an integer"):
+                mesh_from_dict(data)
+        shifted = {**mesh_to_dict(m), "boundary_nodes": [j + 0.9 for j in stored]}
+        with pytest.raises(InvalidParameters):
+            mesh_from_dict(shifted)
 
     def test_vtk_writer(self, tmp_path):
         m = generate_structured_2d(2, 2)
