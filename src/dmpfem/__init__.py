@@ -51,6 +51,7 @@ from .solver import (
     advection_diffusion,
     apply_dirichlet,
     assemble_q,
+    backward_error,
     check_zeroth_order_condition,
     galerkin_residual,
     interpolate_boundary,

@@ -184,10 +184,9 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--picard-max-iter", type=int)
     group.add_argument("--picard-tol", type=float)
     group.add_argument("--linear-tol", type=float,
-                       help="each linear solve must reach a relative residual of at "
-                            "most 10x this; a Picard pass refined with an earlier LU "
-                            "factor is accepted at this residual, else it refactors "
-                            f"(default {SolveOptions.linear_tol})")
+                       help="bound on the componentwise backward error of every linear "
+                            "solve; a Picard pass refined with an earlier LU factor that "
+                            f"misses it refactors (default {SolveOptions.linear_tol})")
     group.add_argument("--damping", type=float)
 
 
@@ -255,7 +254,7 @@ def cmd_solve(args) -> int:
     _write_solution(args.output_dir, mesh, result, config)
     print(f"converged in {result.picard_iterations} iterations "
           f"(update {result.final_update_norm:.3e}, "
-          f"linear residual {result.final_linear_residual:.3e})")
+          f"linear backward error {result.final_linear_residual:.3e})")
     print(f"wrote {args.output_dir}/solution.csv, solution.vtk, solve.json")
     return EXIT_OK
 
@@ -353,6 +352,9 @@ def cmd_report(args) -> int:
     for path in args.certificates:
         try:
             cert = read_json_object(path, "certificate")
+            empirical_c = cert["theorem_3_2"]["empirical_c"]
+            if empirical_c is not None and type(empirical_c) not in (int, float):
+                raise ValueError(f"empirical_c must be a number or null, got {empirical_c!r}")
             verdicts = {
                 "angles": "pass" if cert["mesh"]["classification"] != "obtuse"
                 else "fail",
@@ -369,7 +371,7 @@ def cmd_report(args) -> int:
                 "k_star": float(cert["k_star"]),
                 "sup_uh": float(cert["sup_uh"]),
                 "assumption_min": float(cert["assumption_a"]["min_value"]),
-                "empirical_c": cert["theorem_3_2"]["empirical_c"],
+                "empirical_c": empirical_c,
                 "verdicts": verdicts,
             })
         except (OSError, KeyError, TypeError, ValueError, DmpFemError) as exc:

@@ -19,7 +19,7 @@ shape (...) and state gradients of shape (..., dim); `c(x, eta)`, `f(x)` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sparse
@@ -174,7 +174,7 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> 
                 f"coefficient {name} is {values[k].tolist()} at x={x[k].tolist()}, "
                 f"eta={float(eta[k])!r}")
 
-    slack = 1e-12 * max(1.0, coeffs.Lam)
+    slack = 1e-12 * coeffs.Lam  # relative: the bounds on a keep their verdict under scaling
     if a.min() < coeffs.lam - slack:
         raise CoefficientBoundsViolation(
             f"a dips to {a.min():.6g} below declared lam={coeffs.lam}")
@@ -182,7 +182,7 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> 
         raise CoefficientBoundsViolation(
             f"|a| reaches {np.abs(a).max():.6g} above declared Lam={coeffs.Lam}")
     lower_order = ((b ** 2).sum(axis=-1) + c ** 2) / coeffs.lam ** 2
-    if lower_order.max() > coeffs.nu ** 2 + slack:
+    if lower_order.max() > coeffs.nu ** 2 + 1e-12 * max(1.0, coeffs.Lam):
         raise CoefficientBoundsViolation(
             f"lam^-2(|b|^2+c^2) reaches {lower_order.max():.6g} above nu^2={coeffs.nu ** 2}")
     if coeffs.c_mode == "identically-zero" and np.abs(c).max() > 1e-14:
@@ -227,9 +227,10 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The outcome of `picard_solve`.  `factorizations` counts the sparse LU
-    factorizations it ran and `refinement_steps` the solves with a kept factor
-    (see `linear_solve`)."""
+    """The outcome of `picard_solve`.  `final_linear_residual` is the
+    `backward_error` of its last linear solve, `factorizations` counts the
+    sparse LU factorizations it ran and `refinement_steps` the solves with a
+    kept factor (see `linear_solve`)."""
 
     u_h: P1Field
     picard_iterations: int
@@ -240,14 +241,8 @@ class SolveResult:
     refinement_steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "picard_iterations": self.picard_iterations,
-            "final_update_norm": self.final_update_norm,
-            "final_linear_residual": self.final_linear_residual,
-            "converged": self.converged,
-            "factorizations": self.factorizations,
-            "refinement_steps": self.refinement_steps,
-        }
+        """Every field but `u_h`, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u_h"}
 
 
 def interpolate_boundary(mesh: Mesh, g) -> np.ndarray:
@@ -457,18 +452,23 @@ def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> Spa
     return SparseSystem(matrix=constrained, rhs=rhs)
 
 
-def _relative_residual(matrix, rhs, x) -> float:
-    denom = np.linalg.norm(rhs)
-    if denom == 0.0:
-        denom = 1.0
-    return float(np.linalg.norm(rhs - matrix @ x) / denom)
+def backward_error(matrix, rhs, x, *, _parts=None) -> float:
+    """The componentwise backward error max_i |b - A x|_i / (|A| |x| + |b|)_i
+    of x (Oettli & Prager): the least relative change of the entries of A and
+    b that x solves exactly.  A row whose residual and scale both vanish counts
+    0; NaN propagates.  Scaling A and b, or one row of both, by a power of two
+    keeps its bits.  `_parts` are |A| and b - A x when the caller holds them."""
+    abs_matrix, r = _parts or (abs(matrix), rhs - matrix @ x)
+    scale = abs_matrix @ np.abs(x) + np.abs(rhs)
+    ratio = np.divide(np.abs(r), scale, out=np.zeros_like(scale), where=scale != 0.0)
+    return float(ratio.max(initial=0.0))
 
 
 @dataclass
 class KeptFactor:
     """The sparse LU factor that `linear_solve` keeps across the calls of one
     solve (None before the first), how often it factored and refined, and the
-    relative residual of the last solution it returned."""
+    `backward_error` of the last solution it returned."""
 
     lu: object = None
     factorizations: int = 0
@@ -476,31 +476,31 @@ class KeptFactor:
     residual: float = float("nan")
 
 
-def _refine(kept: KeptFactor, system: SparseSystem, x: np.ndarray, linear_tol: float):
+def _refine(kept: KeptFactor, system: SparseSystem, abs_matrix, x: np.ndarray, linear_tol):
     """Iterative refinement x <- x + LU^-1 (b - A x) with the kept, older factor,
-    for as long as each step at least halves the relative residual and for at
+    for as long as each step at least halves the `backward_error` and for at
     most `REFINE_STEPS` steps; a step that does not lower it is dropped.  So it
     stops at the rounding floor, not at `linear_tol`, which keeps the last
-    Picard update a true one.  Returns the refined x and its relative
-    residual, or None unless some step was kept and the residual ended at or
-    below `linear_tol`."""
+    Picard update a true one.  `abs_matrix` is |A|, and the residual of a step
+    is the right-hand side of the next.  Returns the refined x and its
+    backward error, or None unless some step was kept and the error ended at
+    or below `linear_tol`."""
     matrix, rhs = system.matrix, system.rhs
-    denom = float(np.linalg.norm(rhs)) or 1.0
     r = rhs - matrix @ x
-    residual = float(np.linalg.norm(r)) / denom
+    error = backward_error(matrix, rhs, x, _parts=(abs_matrix, r))
     kept_steps = 0
     for _ in range(REFINE_STEPS):
         trial = x + kept.lu.solve(r)
         kept.refinement_steps += 1
         r_trial = rhs - matrix @ trial
-        trial_residual = float(np.linalg.norm(r_trial)) / denom
-        if not trial_residual < residual:  # at the floor, not contracting, or NaN
+        trial_error = backward_error(matrix, rhs, trial, _parts=(abs_matrix, r_trial))
+        if not trial_error < error:  # at the floor, not contracting, or NaN
             break
-        halved = trial_residual <= 0.5 * residual
-        x, r, residual, kept_steps = trial, r_trial, trial_residual, kept_steps + 1
+        halved = trial_error <= 0.5 * error
+        x, r, error, kept_steps = trial, r_trial, trial_error, kept_steps + 1
         if not halved:
             break
-    return (x, residual) if kept_steps and residual <= linear_tol else None
+    return (x, error) if kept_steps and error <= linear_tol else None
 
 
 def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
@@ -511,36 +511,32 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
     symmetric, so SuperLU's symmetric mode builds the elimination tree of
     A^T + A; pivoting stays partial (threshold 1).
 
-    With `kept`, the factor outlives the call: when it holds one (of an earlier
-    matrix), the solve first refines the start x0 with it (`_refine`), and only
-    if that misses `linear_tol` does it factor this matrix, keeping the new
-    factor in its place; either way `kept.residual` records the relative
-    residual of the returned solution.  A singular or non-finite matrix, or a
-    relative residual above `10 * linear_tol`, raises `LinearSolveDiverged`."""
+    The solve works through `kept` (a fresh `KeptFactor` when not given), whose
+    factor outlives the call: when it holds one (of an earlier matrix), the
+    solve first refines the start x0 with it (`_refine`), and only if that
+    misses `linear_tol` does it factor this matrix, keeping the new factor in
+    its place; `kept.residual` records the `backward_error` of the returned
+    solution.  A singular or non-finite matrix, or a backward error above
+    `linear_tol`, raises `LinearSolveDiverged`."""
     opts = opts or SolveOptions()
-    refined = None
-    if kept is not None and kept.lu is not None:
-        refined = _refine(kept, system, x0, opts.linear_tol)
-    if refined is not None:
-        x, residual = refined
-    else:
+    kept = kept or KeptFactor()
+    matrix, rhs = system.matrix, system.rhs
+    abs_matrix = abs(matrix)
+    refined = None if kept.lu is None else _refine(kept, system, abs_matrix, x0, opts.linear_tol)
+    if refined is None:
         try:
-            lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            options={"SymmetricMode": True})
-            x = lu.solve(system.rhs)
+            x = lu.solve(rhs)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise LinearSolveDiverged(f"sparse LU factorization failed: {exc}",
                                       residual=float("nan")) from exc
-        if kept is not None:
-            kept.lu = lu
-            kept.factorizations += 1
-        residual = _relative_residual(system.matrix, system.rhs, x)
-    if kept is not None:
-        kept.residual = residual
-    if not np.isfinite(residual) or residual > 10.0 * opts.linear_tol:
-        raise LinearSolveDiverged(
-            f"relative residual {residual:.3e} above tolerance {opts.linear_tol:.1e}",
-            residual=residual)
+        kept.lu, kept.factorizations = lu, kept.factorizations + 1
+        refined = x, backward_error(matrix, rhs, x, _parts=(abs_matrix, rhs - matrix @ x))
+    x, kept.residual = refined
+    if not kept.residual <= opts.linear_tol:
+        raise LinearSolveDiverged(f"backward error {kept.residual:.3e} above tolerance "
+                                  f"{opts.linear_tol:.1e}", residual=kept.residual)
     return x
 
 

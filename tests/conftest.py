@@ -608,9 +608,8 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
     """`picard_solve` from a zero interior guess that assembles and factors
     the system on every pass."""
     from dmpfem.p1 import P1Field
-    from dmpfem.solver import (SolveOptions, SolveResult, _relative_residual,
-                               apply_dirichlet, assemble_q, interpolate_boundary,
-                               linear_solve)
+    from dmpfem.solver import (SolveOptions, SolveResult, apply_dirichlet, assemble_q,
+                               backward_error, interpolate_boundary, linear_solve)
 
     opts = opts or SolveOptions()
     values = interpolate_boundary(mesh, coeffs.g)
@@ -622,7 +621,7 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
                                  values, mesh)
         sol = linear_solve(system, opts)
         passes += 1
-        lin_res = _relative_residual(system.matrix, system.rhs, sol)
+        lin_res = backward_error(system.matrix, system.rhs, sol)
         diff = sol - u
         update = opts.damping * float(np.linalg.norm(diff)) \
             / max(float(np.linalg.norm(sol)), 1e-30)

@@ -829,6 +829,18 @@ class TestReportCommand:
         bad.write_text("{}")
         assert run(["report", bad]) == 1
 
+    @pytest.mark.parametrize("bad", ["abc", True], ids=["string", "bool"])
+    def test_malformed_empirical_c_refused(self, tmp_path, capsys, bad):
+        # a JSON number or null only; nothing is written before every row is read
+        paths = self._make_certs(tmp_path)
+        cert = json.loads(paths[1].read_text())
+        cert["theorem_3_2"]["empirical_c"] = bad
+        paths[1].write_text(json.dumps(cert))
+        csv_path = tmp_path / "ratios.csv"
+        assert run(["report", *paths, "--csv", csv_path]) == 1
+        assert f"cannot read certificate {paths[1]}" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_empty_input_usage_error(self):
         assert run(["report"]) == 1
 

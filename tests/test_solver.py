@@ -36,6 +36,7 @@ from dmpfem.solver import (
     assemble_matrix,
     assemble_q,
     assembly_map,
+    backward_error,
     check_zeroth_order_condition,
     galerkin_residual,
     interpolate_boundary,
@@ -112,6 +113,23 @@ class TestCoefficientValidation:
         with pytest.raises(CoefficientBoundsViolation):
             validate_coefficients(bad, m)
 
+    @pytest.mark.parametrize("value, holds", [(1.0 - 1e-13, True), (2.0 + 1e-13, True),
+                                              (0.1, False), (2.5, False)])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -45])
+    def test_bounds_on_a_keep_their_verdict_under_scaling(self, value, holds, scale):
+        # lam = 1, Lam = 2 and a constant, all scaled together: at 2^-45 an
+        # absolute slack of 1e-12 would exceed lam and pass a = 0.1 lam
+        m = generate_structured_2d(2, 2)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: np.full(np.shape(e), value * scale),
+            b=lambda x, e, p: np.zeros(np.shape(x)),
+            c=lambda x, e: np.zeros(np.shape(e)),
+            f=0.0, g=0.0, lam=scale, Lam=2.0 * scale, nu=0.0, c_mode="identically-zero")
+        if holds:
+            assert validate_coefficients(coeffs, m)["a_min"] == value * scale
+        else:
+            with pytest.raises(CoefficientBoundsViolation):
+                validate_coefficients(coeffs, m)
 
     @pytest.mark.parametrize("entry", ["a", "b", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -665,35 +683,39 @@ class TestKeptFactor:
         assert galerkin_residual(m, result.u_h, coeffs) <= 1e-10
 
     def test_counts_recorded(self):
-        # passes 2-5 refine in 7, 5, 4 and 3 steps with the first pass's factor
+        # passes 2-5 refine in 7, 5, 5 and 3 steps with the first pass's factor
         m, coeffs = self.CASES["quasilinear-6"]()
         record = picard_solve(m, coeffs).to_dict()
         assert (record["picard_iterations"], record["factorizations"],
-                record["refinement_steps"]) == (4, 1, 19)
+                record["refinement_steps"]) == (4, 1, 20)
 
     def test_one_residual_per_pass(self, monkeypatch):
-        # a refined pass records the residual its refinement computed, with
-        # the bits of the residual formula
+        # a pass forms |A| once and takes one backward error per solution it
+        # tries (the start and each refinement step, or the factored one),
+        # from the residual it already holds; the recorded one has the bits
+        # of the backward error formula
         m, coeffs = self.CASES["quasilinear-6"]()
-        residual, solve = dmpfem.solver._relative_residual, dmpfem.solver.linear_solve
-        residual_calls, solves = [], []
+        error, solve = dmpfem.solver.backward_error, dmpfem.solver.linear_solve
+        abs_matrices, solves = [], []
 
-        def counted_residual(*args):
-            residual_calls.append(args)
-            return residual(*args)
+        def counted_error(*args, _parts):
+            abs_matrices.append(_parts[0])
+            return error(*args, _parts=_parts)
 
         def recorded_solve(system, *args):
             x = solve(system, *args)
             solves.append((system, x))
             return x
 
-        monkeypatch.setattr(dmpfem.solver, "_relative_residual", counted_residual)
+        monkeypatch.setattr(dmpfem.solver, "backward_error", counted_error)
         monkeypatch.setattr(dmpfem.solver, "linear_solve", recorded_solve)
         result = picard_solve(m, coeffs)
-        assert len(residual_calls) == result.factorizations == 1
+        assert result.factorizations == 1
         assert len(solves) == result.picard_iterations + 1
+        assert len(abs_matrices) == len(solves) + result.refinement_steps
+        assert len({id(abs_matrix) for abs_matrix in abs_matrices}) == len(solves)
         system, x = solves[-1]
-        assert result.final_linear_residual == residual(system.matrix, system.rhs, x)
+        assert result.final_linear_residual == error(system.matrix, system.rhs, x)
 
     def test_zero_refine_budget_factors_every_pass(self, monkeypatch):
         m, coeffs = self.CASES["quasilinear-6"]()
@@ -867,6 +889,100 @@ class TestLinearSolve:
             system = SparseSystem(matrix.tocsr(), np.ones(n))
             with pytest.raises(LinearSolveDiverged):
                 linear_solve(system)
+
+
+def dense_backward_error(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """max_i |b - a x|_i / (|a| |x| + |b|)_i from dense products, row by row,
+    with 0 for a row whose residual and scale both vanish."""
+    residual = np.abs(b - a @ x)
+    scale = np.abs(a) @ np.abs(x) + np.abs(b)
+    return max(r / s if s else 0.0 for r, s in zip(residual, scale))
+
+
+class TestBackwardError:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 7
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5) + np.diag(rng.random(n) + 1)
+        b = rng.normal(size=n)
+        a[2], b[2] = 0.0, 0.0  # 0 / 0 counts 0
+        matrix = sparse.csr_matrix(a)
+        x = rng.normal(size=n)
+        want = dense_backward_error(a, b, x)
+        assert backward_error(matrix, b, x) == pytest.approx(want, rel=1e-12)
+        # a least-squares solution: both read rounding level, in different bits
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert max(backward_error(matrix, b, x), dense_backward_error(a, b, x)) < 1e-14
+
+    def test_zero_system_and_nan(self):
+        zero = sparse.csr_matrix((3, 3))
+        assert backward_error(zero, np.zeros(3), np.ones(3)) == 0.0
+        matrix = sparse.identity(3, format="csr")
+        assert np.isnan(backward_error(matrix, np.ones(3), np.array([1.0, np.nan, 1.0])))
+        assert np.isnan(backward_error(matrix, np.array([1.0, 1.0, np.nan]), np.ones(3)))
+
+    @pytest.mark.parametrize("power", [-40, -1, 3, 60])
+    def test_power_of_two_scaling_keeps_bits(self, power):
+        m = generate_structured_2d(8, 8)
+        coeffs = advection_diffusion([3.0, -2.0], f=-1.0, g=0.5, c0=0.5)
+        system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
+                                 interpolate_boundary(m, coeffs.g), m)
+        x = linear_solve(system)
+        rough = x + 1e-9 * np.sin(np.arange(x.shape[0]))
+        factor = 2.0 ** power
+        row = np.ones(system.size)
+        row[27] = factor
+        for y in (x, rough):
+            want = backward_error(system.matrix, system.rhs, y)
+            assert want > 0.0
+            assert backward_error(factor * system.matrix, factor * system.rhs, y) == want
+            assert backward_error(sparse.diags(row) @ system.matrix, row * system.rhs, y) == want
+
+    def test_high_contrast_perturbation_seen(self):
+        # a = e^(40 x) spans 17 orders of magnitude; where a is small, u_h is
+        # large and its rows are tiny: the normwise backward error
+        # ||r|| / (||A|| ||x|| + ||b||) reads a one-node perturbation of 1e-6
+        # as 1e-23, the componentwise one as 5e-7
+        m = generate_structured_2d(32, 32)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: np.exp(40.0 * x[..., 0]),
+            b=lambda x, e, p: np.zeros(np.shape(x)),
+            c=lambda x, e: np.zeros(np.shape(e)),
+            f=1.0, g=0.0, lam=1.0, Lam=float(np.exp(40.0)), nu=0.0,
+            c_mode="identically-zero")
+        u_h = picard_solve(m, coeffs).u_h
+        system = apply_dirichlet(assemble_q(m, u_h, coeffs), interpolate_boundary(m, coeffs.g), m)
+        matrix, rhs, x = system.matrix, system.rhs, u_h.nodal_values
+        assert backward_error(matrix, rhs, x) < 1e-15
+        k = int(np.argmax(np.abs(x)))
+        assert m.vertices[k, 0] < 0.1
+        y = x.copy()
+        y[k] *= 1.0 + 1e-6
+        normwise = np.abs(rhs - matrix @ y).max() / (
+            abs(matrix).sum(axis=1).max() * np.abs(y).max() + np.abs(rhs).max())
+        assert normwise < 1e-20
+        assert backward_error(matrix, rhs, y) > 1e-8
+
+    def test_tolerance_between_the_floors(self):
+        # at 64x64 the LU solution's relative residual ||b - A x|| / ||b||
+        # (7.7e-14) is above 10 * 1e-15 and its backward error (3.6e-16) below
+        m, coeffs = generate_structured_2d(64, 64), poisson(f=1.0)
+        opts = SolveOptions(linear_tol=1e-15)
+        system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
+                                 interpolate_boundary(m, coeffs.g), m)
+        x = linear_solve(system, opts)
+        relative = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+        assert relative > 10.0 * opts.linear_tol
+        result = picard_solve(m, coeffs, opts)
+        assert result.converged
+        assert result.final_linear_residual == backward_error(system.matrix, system.rhs, x)
+        assert result.final_linear_residual <= opts.linear_tol
+
+    def test_unreachable_tolerance_raises(self):
+        m = generate_structured_2d(16, 16)
+        with pytest.raises(LinearSolveDiverged, match="^backward error .* above tolerance"):
+            picard_solve(m, poisson(f=1.0), SolveOptions(linear_tol=1e-20))
 
 
 class TestPicard:
