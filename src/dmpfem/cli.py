@@ -8,7 +8,9 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -46,7 +48,10 @@ EXIT_PICARD = 2
 EXIT_LINEAR = 3
 EXIT_VERDICT = 4
 
-ALL_CHECKS = ("angles", "element", "edge", "assumption", "bounds", "degiorgi")
+# each `--checks` name and the certificate verdicts it gates
+CHECKS = {"angles": ("angles",), "element": ("element",), "edge": ("edge",),
+          "assumption": ("assumption",), "bounds": ("theorem_3_2", "theorem_3_3"),
+          "degiorgi": ("de_giorgi",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,6 +177,10 @@ def _build_coefficients(args, dim: int) -> tuple:
     return quasilinear_a(f=f, g=g), record
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _given_solver_options(args) -> dict:
     """The `SolveOptions` fields given as flags.  argparse leaves a solver flag
     unset when it is not given, so that `dmp-check --solution`, which runs no
@@ -192,10 +201,8 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_dmp_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("certificate")
-    group.add_argument("--p", type=float, default=DmpParams.p)
-    group.add_argument("--r", type=float, default=DmpParams.r)
-    group.add_argument("--lambda-star", type=float, default=DmpParams.lambda_star)
-    group.add_argument("--alpha-exponent", type=float, default=DmpParams.alpha_exponent)
+    for f in fields(DmpParams):
+        group.add_argument(_flag(f.name), type=float, default=f.default)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -259,18 +266,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _gated_verdicts(verdicts: dict, checks: list) -> dict:
-    gate = {
-        "angles": [verdicts["angles"]],
-        "element": [verdicts["element"]],
-        "edge": [verdicts["edge"]],
-        "assumption": [verdicts["assumption"]],
-        "bounds": [verdicts["theorem_3_2"], verdicts["theorem_3_3"]],
-        "degiorgi": [verdicts["de_giorgi"]],
-    }
-    return {name: gate[name] for name in checks}
-
-
 # The convergence record of `dmp-check --solution`: each key, the JSON types
 # `--solve-result` may give it and its value when the record leaves it out or
 # none is given (-1: unknown count).
@@ -300,11 +295,10 @@ def cmd_dmp_check(args) -> int:
     require_interior_nodes(mesh, f"mesh {args.mesh}")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
-        if c not in ALL_CHECKS:
-            raise DmpFemError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
+        if c not in CHECKS:
+            raise DmpFemError(f"unknown check {c!r}; choose from {tuple(CHECKS)}")
     config = RunConfig(command="dmp-check", mesh_source=args.mesh, seed=args.seed)
-    params = DmpParams(p=args.p, r=args.r, lambda_star=args.lambda_star,
-                       alpha_exponent=args.alpha_exponent)
+    params = DmpParams(**{f.name: getattr(args, f.name) for f in fields(DmpParams)})
     config.dmp_params = params.to_dict()
 
     if bool(args.solution) == bool(args.solve):
@@ -314,7 +308,7 @@ def cmd_dmp_check(args) -> int:
         unused = [] if args.solve_result is None else ["--solve-result"]
     else:
         route = "--solution reads a solved field"
-        unused = [f"--{name.replace('_', '-')}" for name in _given_solver_options(args)]
+        unused = [_flag(name) for name in _given_solver_options(args)]
     if unused:
         raise DmpFemError(f"{route}; {', '.join(unused)} would be ignored")
     coeffs = _problem(mesh, args, config)
@@ -336,7 +330,8 @@ def cmd_dmp_check(args) -> int:
         fp.write("k,measure\n")
         write_rows(fp, "%.17g,%.17g\n", cert.levelset_profile)
 
-    gated = _gated_verdicts(cert.verdicts(), checks)
+    verdicts = cert.verdicts()
+    gated = {name: [verdicts[v] for v in CHECKS[name]] for name in checks}
     failed = sorted(name for name, vs in gated.items() if "fail" in vs)
     for name in checks:
         print(f"check {name}: {'/'.join(gated[name])}")
@@ -345,6 +340,19 @@ def cmd_dmp_check(args) -> int:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VERDICT
     return EXIT_OK
+
+
+# the numeric columns of `report` and their paths in certificate.json
+_REPORT_NUMBERS = {"h": ("mesh", "h"), "max_angle": ("mesh", "max_angle"),
+                   "k_star": ("k_star",), "sup_uh": ("sup_uh",),
+                   "assumption_min": ("assumption_a", "min_value")}
+
+
+def _report_number(cert: dict, path: tuple) -> float:
+    value = functools.reduce(operator.getitem, path, cert)
+    if type(value) not in (int, float):
+        raise ValueError(f"{'.'.join(path)} must be a number, got {value!r}")
+    return float(value)
 
 
 def cmd_report(args) -> int:
@@ -364,16 +372,9 @@ def cmd_report(args) -> int:
                 "thm3.2": cert["theorem_3_2"]["verdict"],
                 "thm3.3": cert["theorem_3_3"]["verdict"],
             }
-            rows.append({
-                "path": path,
-                "h": float(cert["mesh"]["h"]),
-                "max_angle": float(cert["mesh"]["max_angle"]),
-                "k_star": float(cert["k_star"]),
-                "sup_uh": float(cert["sup_uh"]),
-                "assumption_min": float(cert["assumption_a"]["min_value"]),
-                "empirical_c": empirical_c,
-                "verdicts": verdicts,
-            })
+            rows.append({"path": path, "empirical_c": empirical_c, "verdicts": verdicts,
+                         **{key: _report_number(cert, keys)
+                            for key, keys in _REPORT_NUMBERS.items()}})
         except (OSError, KeyError, TypeError, ValueError, DmpFemError) as exc:
             print(f"cannot read certificate {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve.json with convergence info for --solution")
     check.add_argument("--solve", action="store_true",
                        help="solve inline instead of reading a solution")
-    check.add_argument("--checks", default=",".join(ALL_CHECKS))
+    check.add_argument("--checks", default=",".join(CHECKS))
     check.add_argument("-o", "--output-dir", default=".")
     check.add_argument("--seed", type=int, default=0)
     _add_problem_args(check)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NotConverged,
     UnsupportedCMode,
 )
-from .mesh import Mesh, acuteness_audit, interior_edges_2d, row_norms
+from .mesh import Mesh, acuteness_audit, interior_edges_2d, json_record, row_norms
 from .p1 import (
     P1Field,
     QuadratureRule,
@@ -113,14 +113,12 @@ class DmpParams:
         return (self.p - 1.0) / self.r
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p, "r": self.r, "q": self.q,
-            "s": None if math.isinf(self.s) else self.s,
-            "f_norm_exponent": (None if math.isinf(self.f_norm_exponent)
-                                else self.f_norm_exponent),
-            "lambda_star": self.lambda_star,
-            "alpha_exponent": self.alpha_exponent,
-        }
+        return json_record(self, q=self.q, s=_finite_or_none(self.s),
+                           f_norm_exponent=_finite_or_none(self.f_norm_exponent))
+
+
+def _finite_or_none(value: float) -> float | None:
+    return None if math.isinf(value) else value
 
 
 def require_cut_threshold(c_mode: str) -> None:
@@ -169,14 +167,7 @@ class AssumptionSweep:
     scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.satisfied else "fail",
-            "min_value": self.min_value,
-            "min_ratio": self.min_ratio,
-            "scale": self.scale,
-            "k_values": self.k_values.tolist(),
-            "q_values": self.q_values.tolist(),
-        }
+        return json_record(self, "satisfied")
 
 
 def _cut_level_grid(u_h: P1Field, k_star: float) -> np.ndarray:
@@ -299,19 +290,11 @@ class ElementConditionReport:
     all_pass: bool
     min_margin: float
     num_pairs: int
-    num_failing_pairs: int
+    num_failing_pairs: int = field(metadata={"json": "num_failures"})
     failures: list  # the first MAX_FAILURE_RECORDS failing pairs
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.all_pass else "fail",
-            "case": self.case,
-            "lambda_star": self.lambda_star,
-            "min_margin": self.min_margin,
-            "num_pairs": self.num_pairs,
-            "num_failures": self.num_failing_pairs,
-            "failures": self.failures,
-        }
+        return json_record(self, "all_pass")
 
 
 def element_condition_check(mesh: Mesh, coeffs: CoefficientSet, parts,
@@ -399,14 +382,7 @@ class EdgeConditionReport:
     identity_max_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.all_pass else "fail",
-            "max_sum": self.max_sum,
-            "num_edges": self.num_edges,
-            "poisson_identity_checked": self.poisson_identity_checked,
-            "identity_max_error": self.identity_max_error,
-            "edges": self.edges[:MAX_EDGE_RECORDS],
-        }
+        return json_record(self, "all_pass", edges=self.edges[:MAX_EDGE_RECORDS])
 
 
 def _is_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
@@ -689,18 +665,7 @@ class DeGiorgiReport:
         return self.hypothesis_ok and self.decay_ok and self.tail_ok
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.all_pass else "fail",
-            "rho": self.rho,
-            "rho_convention": RHO_CONVENTION,
-            "decay_ratio": self.decay_ratio,
-            "hypothesis_ok": self.hypothesis_ok,
-            "decay_ok": self.decay_ok,
-            "first_decay_failure": self.first_decay_failure,
-            "tail_ok": self.tail_ok,
-            "tail_value": self.tail_value,
-            "tau_max": self.tau_max,
-        }
+        return json_record(self, "all_pass", rho_convention=RHO_CONVENTION)
 
 
 def _first_violation(levels: np.ndarray, logphi: np.ndarray, alpha: float,

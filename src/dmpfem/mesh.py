@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -512,6 +512,21 @@ def json_value(data: dict, key: str, convert, source: str):
         return convert(data[key])
     except (TypeError, ValueError) as exc:
         raise InvalidParameters(f"{source}: key {key!r} has the wrong type: {exc}") from exc
+
+
+def json_record(obj, passed: str | None = None, **keys) -> dict:
+    """The fields of dataclass `obj` as a JSON record, numpy arrays as lists;
+    a field's `metadata["json"]` renames its key.  The boolean attribute named
+    by `passed` is written as `"verdict": "pass"/"fail"`, and `keys` are
+    written in place of the fields of their names or next to them."""
+    record = {} if passed is None else {"verdict": "pass" if getattr(obj, passed) else "fail"}
+    for f in fields(obj):
+        if f.name != passed and f.name not in keys:
+            value = getattr(obj, f.name)
+            record[f.metadata.get("json", f.name)] = \
+                value.tolist() if isinstance(value, np.ndarray) else value
+    record.update(keys)
+    return record
 
 
 def load_mesh(path) -> Mesh:

@@ -5,7 +5,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,13 +27,12 @@ def gradient_table(mesh: Mesh) -> np.ndarray:
 # Symmetric rules with positive weights; points are barycentric, weights sum
 # to 1 and are scaled by |T| at use.
 
-def _orbit1(a: float) -> list:
-    # all placements of the odd coordinate
-    n = 3
+def _orbit1(a: float, n: int) -> list:
+    # all placements of the odd coordinate among n barycentric coordinates
     pts = []
     for k in range(n):
         p = [a] * n
-        p[k] = 1.0 - 2.0 * a
+        p[k] = 1.0 - (n - 1) * a
         pts.append(p)
     return pts
 
@@ -44,24 +43,15 @@ _TRI_RULES = {
                   [1 / 6, 2 / 3, 1 / 6],
                   [1 / 6, 1 / 6, 2 / 3]]),
         np.array([1 / 3, 1 / 3, 1 / 3])),
-    4: (np.array(_orbit1(0.445948490915965) + _orbit1(0.091576213509771)),
+    4: (np.array(_orbit1(0.445948490915965, 3) + _orbit1(0.091576213509771, 3)),
         np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)),
-    6: (np.array(_orbit1(0.063089014491502) + _orbit1(0.249286745170910)
+    6: (np.array(_orbit1(0.063089014491502, 3) + _orbit1(0.249286745170910, 3)
                  + [[a, b, 1.0 - a - b]
                     for a, b in itertools.permutations(
                         (0.636502499121399, 0.310352451033785, 0.053145049844816), 2)]),
         np.array([0.050844906370207] * 3 + [0.116786275726379] * 3
                  + [0.082851075618374] * 6)),
 }
-
-
-def _tet_orbit1(a: float) -> list:
-    pts = []
-    for k in range(4):
-        p = [a] * 4
-        p[k] = 1.0 - 3.0 * a
-        pts.append(p)
-    return pts
 
 
 def _tet_orbit2(a: float) -> list:
@@ -78,10 +68,10 @@ def _tet_orbit2(a: float) -> list:
 
 _TET_RULES = {
     1: (np.array([[0.25, 0.25, 0.25, 0.25]]), np.array([1.0])),
-    2: (np.array(_tet_orbit1((5.0 - math.sqrt(5.0)) / 20.0)),
+    2: (np.array(_orbit1((5.0 - math.sqrt(5.0)) / 20.0, 4)),
         np.array([0.25] * 4)),
-    4: (np.array(_tet_orbit2(0.0) + _tet_orbit1(0.1005267652252045)
-                 + _tet_orbit1(0.3143728734931922)),
+    4: (np.array(_tet_orbit2(0.0) + _orbit1(0.1005267652252045, 4)
+                 + _orbit1(0.3143728734931922, 4)),
         np.array([0.0190476190476190] * 6 + [0.0885898247429807] * 4
                  + [0.1328387466855907] * 4)),
 }
@@ -98,30 +88,16 @@ def _collapsed_rule(dim: int, degree: int):
     from scipy.special import roots_jacobi, roots_legendre
 
     n = degree // 2 + 1
-    xg, wg = roots_legendre(n)
-    tg, vg = 0.5 * (xg + 1.0), 0.5 * wg  # weight 1 on [0,1]
-    xj1, wj1 = roots_jacobi(n, 1.0, 0.0)
-    tj1, vj1 = 0.5 * (xj1 + 1.0), 0.25 * wj1  # weight (1-t) on [0,1]
-    if dim == 2:
-        pts, wts = [], []
-        for a, wa in zip(tg, vg):
-            for b, wb in zip(tj1, vj1):
-                x, y = a * (1.0 - b), b
-                pts.append((1.0 - x - y, x, y))
-                wts.append(wa * wb)
-        w = np.array(wts)
-        return np.array(pts), w / w.sum()
-    xj2, wj2 = roots_jacobi(n, 2.0, 0.0)
-    tj2, vj2 = 0.5 * (xj2 + 1.0), 0.125 * wj2  # weight (1-t)^2 on [0,1]
+    # factor k: Gauss nodes and weights on [0, 1] for the weight (1 - t)^k
+    roots = [roots_legendre(n)] + [roots_jacobi(n, float(k), 0.0) for k in range(1, dim)]
+    factors = [zip(0.5 * (x + 1.0), 0.5 ** (k + 1) * w) for k, (x, w) in enumerate(roots)]
     pts, wts = [], []
-    for a, wa in zip(tg, vg):
-        for b, wb in zip(tj1, vj1):
-            for c, wc in zip(tj2, vj2):
-                x = a * (1.0 - b) * (1.0 - c)
-                y = b * (1.0 - c)
-                z = c
-                pts.append((1.0 - x - y - z, x, y, z))
-                wts.append(wa * wb * wc)
+    for nodes in itertools.product(*factors):
+        t = [node for node, _ in nodes]
+        # collapsed map: x_i = t_i (1 - t_{i+1}) ... (1 - t_{d-1})
+        x = [reduce(operator.mul, [1.0 - s for s in t[i + 1:]], t[i]) for i in range(dim)]
+        pts.append([reduce(operator.sub, x, 1.0)] + x)
+        wts.append(math.prod(weight for _, weight in nodes))
     w = np.array(wts)
     return np.array(pts), w / w.sum()
 

@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteValue,
     PicardDiverged,
 )
-from .mesh import Mesh, key_runs
+from .mesh import Mesh, json_record, key_runs
 from .p1 import P1Field, QuadratureRule, gradient_table, physical_points, quadrature_rule
 
 C_MODES = ("nonnegative", "identically-zero", "general")
@@ -182,7 +182,7 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> 
         raise CoefficientBoundsViolation(
             f"|a| reaches {np.abs(a).max():.6g} above declared Lam={coeffs.Lam}")
     lower_order = ((b ** 2).sum(axis=-1) + c ** 2) / coeffs.lam ** 2
-    if lower_order.max() > coeffs.nu ** 2 + 1e-12 * max(1.0, coeffs.Lam):
+    if lower_order.max() > coeffs.nu ** 2 * (1.0 + 1e-12):
         raise CoefficientBoundsViolation(
             f"lam^-2(|b|^2+c^2) reaches {lower_order.max():.6g} above nu^2={coeffs.nu ** 2}")
     if coeffs.c_mode == "identically-zero" and np.abs(c).max() > 1e-14:
@@ -617,11 +617,7 @@ class ZerothOrderReport:
     used_supplied_divergence: bool
 
     def to_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "condition_holds": self.condition_holds,
-            "used_supplied_divergence": self.used_supplied_divergence,
-        }
+        return json_record(self)
 
 
 def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet, *,

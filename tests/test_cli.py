@@ -859,3 +859,88 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "element=pass" in out
         assert "element=fail" in out
+
+
+@pytest.fixture(scope="module")
+def report_certificates(tmp_path_factory):
+    """Two certificate records, of the 4x4 and 8x8 Poisson f=+1 runs."""
+    tmp = tmp_path_factory.mktemp("report")
+    records = []
+    for n in (4, 8):
+        mesh_path = tmp / f"m{n}.json"
+        assert run(["mesh-gen", "--square", f"{n}x{n}", "-o", mesh_path]) == 0
+        assert run(["dmp-check", "--mesh", mesh_path, "--solve", "--f", "1",
+                    "-o", tmp / f"cert{n}"]) == 0
+        records.append(json.loads((tmp / f"cert{n}" / "certificate.json").read_text()))
+    return records
+
+
+class TestReportNumericColumns:
+    """Each numeric column of `report` must be a JSON number, not a bool or a
+    string; a bad value exits 1 before the CSV is written."""
+
+    @pytest.mark.parametrize("keys", [("mesh", "h"), ("mesh", "max_angle"), ("k_star",),
+                                      ("sup_uh",), ("assumption_a", "min_value")],
+                             ids=lambda keys: ".".join(keys))
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+    def test_non_number_refused(self, tmp_path, capsys, report_certificates, keys, bad):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        good, spoiled = (json.loads(json.dumps(record)) for record in report_certificates)
+        block = spoiled
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = bad
+        paths[0].write_text(json.dumps(good))
+        paths[1].write_text(json.dumps(spoiled))
+        csv_path = tmp_path / "ratios.csv"
+        assert run(["report", *paths, "--csv", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read certificate {paths[1]}" in err
+        assert f"{'.'.join(keys)} must be a number, got {bad!r}" in err
+        assert not csv_path.exists()
+
+    def test_integer_values_read(self, tmp_path, capsys, report_certificates):
+        record = json.loads(json.dumps(report_certificates[0]))
+        record["k_star"] = 0
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(record))
+        assert run(["report", path]) == 0
+
+
+class TestErrorExits:
+    """Each refused input exits 1 with its message, not a traceback, and
+    writes no output."""
+
+    def _check(self, argv, out, capsys, message):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_coefficient_file_lacking_keys(self, square_mesh, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({k: v for k, v in _COEFFS_2D.items()
+                                      if k not in ("nu", "c_mode")}))
+        out = tmp_path / "out"
+        self._check(["solve", "--mesh", square_mesh, "--coeffs", coeffs, "-o", out], out,
+                    capsys, f"coefficient file {coeffs} lacks keys ['nu', 'c_mode']")
+
+    def test_drift_of_the_wrong_length(self, square_mesh, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._check(["solve", "--mesh", square_mesh, "--problem", "advection-diffusion",
+                     "--b", "1,0,0", "-o", out], out, capsys, "--b needs 2 components, got 3")
+
+    def test_dmp_check_without_a_field(self, square_mesh, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._check(["dmp-check", "--mesh", square_mesh, "-o", out], out, capsys,
+                    "give exactly one of --solution or --solve")
+
+    @pytest.mark.parametrize("command", ["solve", "dmp-check"])
+    def test_missing_mesh_file(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--mesh", tmp_path / "missing.json", "-o", out]
+        if command == "dmp-check":
+            argv.append("--solve")
+        self._check(argv, out, capsys, "i/o error: ")

@@ -1098,3 +1098,57 @@ class TestMemoryBudget:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["theorem_3_2"]["f_norm_exponent"] == pytest.approx(4.0 * 1.01 / (3.0 * 0.01))
         assert cert["theorem_3_2"]["f_norm"] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestZeroDriftReactionCertificate:
+    """b = 0 with c0 > 0: the certificate checks the `b-zero-c-nonneg` element
+    case, and the reaction term lifts the diagonal edges' sums above zero."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        m = generate_structured_2d(16, 16)
+        coeffs = advection_diffusion([0.0, 0.0], c0=0.5)
+        result = picard_solve(m, coeffs)
+        return m, coeffs, result, dmp_certificate(m, result, coeffs)
+
+    def test_element_block_matches_full_table_oracle(self, solved):
+        m, coeffs, result, cert = solved
+        parts, _ = frozen_form(m, coeffs, result.u_h)
+        assert cert.element_condition.case == "b-zero-c-nonneg"
+        assert _dumps(cert.element_condition) == _dumps(
+            full_element_condition_check(m, coeffs, "b-zero-c-nonneg", None, parts))
+
+    def test_verdicts(self, solved):
+        verdicts = solved[3].verdicts()
+        assert (verdicts["element"], verdicts["edge"], verdicts["assumption"]) == \
+            ("fail", "fail", "pass")
+
+    def test_edge_check_fails_on_the_diagonals(self, solved):
+        m, _, _, cert = solved
+        failing = {(e["node_m"], e["node_n"]) for e in cert.edge_condition.edges
+                   if e["verdict"] == "fail"}
+        v = m.vertices
+        diagonal = {(e["node_m"], e["node_n"]) for e in cert.edge_condition.edges
+                    if np.all(v[e["node_m"]] != v[e["node_n"]])}
+        assert len(diagonal) == 16 * 16
+        assert failing == diagonal
+        assert all(e["sum"] > 0 for e in cert.edge_condition.edges if e["verdict"] == "fail")
+
+
+class TestSupNormSource:
+    """r = 1 gives an infinite f-norm exponent: the certificate's f_norm is
+    the largest |f| over the degree-4 quadrature points, and its exponent is
+    written as null."""
+
+    @pytest.mark.parametrize("problem", [poisson, quasilinear_a])
+    def test_f_norm_is_max_over_degree_4_points(self, problem):
+        # poisson certifies with the degree-2 rule, quasilinear-a with degree 4
+        m = generate_structured_2d(6, 5, skew=0.2)
+        coeffs = problem(f=lambda x: np.sin(3.0 * x[..., 0]) - x[..., 0] * x[..., 1])
+        cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs,
+                               params=DmpParams(p=3.0, r=1.0))
+        points = dmpfem.p1.physical_points(m, quadrature_rule(2, 4))
+        assert cert.f_norm == float(np.abs(coeffs.f(points)).max())
+        written = cert.to_dict()
+        assert written["theorem_3_2"]["f_norm_exponent"] is None
+        assert written["params"]["s"] is None

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from dmpfem.mesh import (
     generate_structured_2d,
     generate_structured_3d,
     interior_edges_2d,
+    json_record,
     key_runs,
     load_mesh,
     macro_measures,
@@ -602,3 +604,29 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         cell_type_at = lines.index(f"CELL_TYPES {m.num_cells}")
         assert lines[cell_type_at + 1] == "10"
+
+
+class TestJsonRecord:
+    @dataclasses.dataclass(frozen=True)
+    class Report:
+        ok: bool
+        values: np.ndarray
+        count: int = dataclasses.field(metadata={"json": "num"})
+        items: tuple = ()
+
+        @property
+        def good(self) -> bool:
+            return not self.ok
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_fields_verdict_and_keys(self, ok):
+        report = self.Report(ok=ok, values=np.array([0.5, -0.0]), count=3, items=(1, 2))
+        verdict = "pass" if ok else "fail"
+        assert json_record(report) == {"ok": ok, "values": [0.5, -0.0], "num": 3,
+                                       "items": (1, 2)}
+        assert json_record(report, "ok", items=[1], extra=None) == \
+            {"verdict": verdict, "values": [0.5, -0.0], "num": 3, "items": [1], "extra": None}
+        # a property may give the verdict; the fields are all written then
+        assert json_record(report, "good")["verdict"] == ("fail" if ok else "pass")
+        assert json_record(report, "good")["ok"] is ok
+        assert json.dumps(json_record(report)["values"]) == "[0.5, -0.0]"

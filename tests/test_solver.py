@@ -1169,3 +1169,55 @@ class TestZerothOrderCondition:
             f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=20.0, c_mode="identically-zero")
         report = check_zeroth_order_condition(m, u, coeffs)
         assert report.min_value == pytest.approx(-1.5, rel=1e-6)
+
+
+class TestLowerOrderBoundScale:
+    @pytest.mark.parametrize("nu", [1.0, 1e-7])
+    @pytest.mark.parametrize("ratio, holds", [(1.0, True), (10.0, False)])
+    def test_slack_is_relative_to_nu(self, nu, ratio, holds):
+        # lam = Lam = 1: a drift of 10 nu breaks lam^-2 |b|^2 <= nu^2 at any
+        # scale of nu (an absolute slack of 1e-12 passed it at nu = 1e-7)
+        m = generate_structured_2d(2, 2)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: np.ones(np.shape(e)),
+            b=lambda x, e, p: np.broadcast_to(np.array([ratio * nu, 0.0]), np.shape(x)),
+            c=lambda x, e: np.zeros(np.shape(e)),
+            f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=nu, c_mode="identically-zero")
+        if holds:
+            assert validate_coefficients(coeffs, m)["lower_order_max"] == nu ** 2
+        else:
+            with pytest.raises(CoefficientBoundsViolation, match="above nu"):
+                validate_coefficients(coeffs, m)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_drift_preset_passes_at_every_scale(self, scale):
+        m = generate_structured_2d(3, 3)
+        coeffs = advection_diffusion([0.3 * scale, -0.9 * scale], c0=0.7 * scale)
+        validate_coefficients(coeffs, m)
+
+
+class TestNonCanonicalDirichlet:
+    @pytest.mark.parametrize("mesh", ["2d", "kuhn"])
+    def test_duplicates_and_unsorted_indices_give_the_canonical_system(self, mesh):
+        m = generate_structured_2d(4, 3, skew=0.3) if mesh == "2d" \
+            else generate_structured_3d(2, 2, 2)
+        coeffs = advection_diffusion([0.7, -0.4, 0.2][:m.dim], f=-1.0, c0=0.3,
+                                     g=lambda x: 1.0 + x[..., 0])
+        system = assemble_q(m, constant_field(m, 0.0), coeffs)
+        a = system.matrix.tocsr()
+        assert a.has_canonical_format
+        # each entry split into two exact halves, each row's entries reversed
+        counts = np.diff(a.indptr)
+        order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                                for lo, hi in zip(a.indptr[:-1], a.indptr[1:])])
+        doubled = np.repeat(order, 2)
+        indptr = np.concatenate([[0], np.cumsum(2 * counts)])
+        messy = sparse.csr_matrix((a.data[doubled] / 2.0, a.indices[doubled], indptr),
+                                  shape=a.shape)
+        assert not messy.has_canonical_format
+        values = interpolate_boundary(m, coeffs.g)
+        want = apply_dirichlet(system, values, m)
+        got = apply_dirichlet(replace(system, matrix=messy), values, m)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
