@@ -416,40 +416,21 @@ def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
 
 
 def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> SparseSystem:
-    """Pin `mesh.boundary_nodes` to `values`, one each in their order, by row
-    replacement and symmetric column elimination.
-
-    The result keeps the matrix's CSR pattern minus the pinned rows and
-    columns and the exact zeros, with each pinned diagonal set to one; the
-    matrix must store the diagonal of every pinned node, as an assembled one
-    does for every vertex of a cell.
-    """
+    """The system of the free nodes (those not in `mesh.boundary_nodes`, in
+    ascending order) once the boundary nodes take `values`, one each in their
+    order: the free rows and columns of the matrix, duplicates summed and exact
+    zeros dropped, and the load rhs[free] - A[free, boundary] values."""
     pinned = mesh.boundary_nodes
     if np.shape(values) != pinned.shape:
         raise MissingBoundaryValue(
             f"{len(pinned)} boundary nodes need one value each, got {np.shape(values)}")
-    n = system.size
-    mask = mesh.boundary_mask()
-    lift = np.zeros(n)
-    lift[pinned] = values
-
-    a = system.matrix.tocsr()
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()
-    rhs = system.rhs - a @ lift
-    rhs[pinned] = values
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    pinned_row = mask[rows]
-    diagonal = pinned_row & (a.indices == rows)
-    # Exact zeros go too: right-angled and Kuhn meshes have many, and as stored
-    # entries they raise the LU fill ~1.7x.
-    keep = diagonal | ((a.data != 0.0) & ~pinned_row & ~mask[a.indices])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    constrained = sparse.csr_matrix(
-        (np.where(diagonal, 1.0, a.data)[keep], a.indices[keep], indptr), shape=(n, n))
-    return SparseSystem(matrix=constrained, rhs=rhs)
+    free = np.flatnonzero(~mesh.boundary_mask())
+    rows = system.matrix.tocsr()[free]
+    rows.sum_duplicates()
+    matrix = rows[:, free]
+    # exact zeros, many on right-angled and Kuhn meshes, would raise the LU fill ~1.7x
+    matrix.eliminate_zeros()
+    return SparseSystem(matrix=matrix, rhs=system.rhs[free] - rows[:, pinned] @ values)
 
 
 def backward_error(matrix, rhs, x, *, _parts=None) -> float:
@@ -505,11 +486,11 @@ def _refine(kept: KeptFactor, system: SparseSystem, abs_matrix, x: np.ndarray, l
 
 def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
                  kept: KeptFactor | None = None, x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve the constrained system (symmetric or not, pinned rows are identity
-    rows) by one SuperLU factorization; minimum degree on A^T + A halves the
-    COLAMD fill on the 2D and 3D ladders.  The pattern of every such system is
-    symmetric, so SuperLU's symmetric mode builds the elimination tree of
-    A^T + A; pivoting stays partial (threshold 1).
+    """Solve the free-node system of `apply_dirichlet` (symmetric or not) by one
+    SuperLU factorization; minimum degree on A^T + A halves the COLAMD fill on
+    the 2D and 3D ladders.  The pattern of every such system is symmetric, so
+    SuperLU's symmetric mode builds the elimination tree of A^T + A; pivoting
+    stays partial (threshold 1).
 
     The solve works through `kept` (a fresh `KeptFactor` when not given), whose
     factor outlives the call: when it holds one (of an earlier matrix), the
@@ -545,7 +526,9 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     """Frozen-coefficient fixed-point iteration for the Galerkin system.
 
     Each pass assembles the `default_rule` form at the current iterate,
-    solves the linear system, and applies a damped update; iteration stops
+    solves the free-node system of `apply_dirichlet` for the free nodal values
+    (the boundary nodes keep the Dirichlet data), and applies a damped update
+    of the nodal vector; iteration stops
     once the relative nodal update falls below `picard_tol`.
     `picard_iterations` counts the updates actually applied, so a
     state-independent problem converges after exactly one.  The quadrature
@@ -561,6 +544,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     opts = opts or SolveOptions()
     values = interpolate_boundary(mesh, coeffs.g)
     form = _FrozenFormAssembly(mesh, coeffs)
+    free = ~mesh.boundary_mask()
     u = np.zeros(mesh.num_vertices)
     u[mesh.boundary_nodes] = values
 
@@ -570,7 +554,8 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     while True:
         if sol is None or not coeffs.constant_coefficients:
             system = apply_dirichlet(form.system(P1Field(mesh, u)), values, mesh)
-            sol = linear_solve(system, opts, kept, u)
+            sol = u.copy()
+            sol[free] = linear_solve(system, opts, kept, u[free])
         diff = sol - u
         denom = max(float(np.linalg.norm(sol)), 1e-30)
         update = opts.damping * float(np.linalg.norm(diff)) / denom

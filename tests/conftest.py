@@ -613,15 +613,17 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
 
     opts = opts or SolveOptions()
     values = interpolate_boundary(mesh, coeffs.g)
+    free = ~mesh.boundary_mask()
     u = np.zeros(mesh.num_vertices)
     u[mesh.boundary_nodes] = values
     applied = passes = 0
     while True:
         system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs),
                                  values, mesh)
-        sol = linear_solve(system, opts)
+        sol = u.copy()
+        sol[free] = linear_solve(system, opts)
         passes += 1
-        lin_res = backward_error(system.matrix, system.rhs, sol)
+        lin_res = backward_error(system.matrix, system.rhs, sol[free])
         diff = sol - u
         update = opts.damping * float(np.linalg.norm(diff)) \
             / max(float(np.linalg.norm(sol)), 1e-30)

@@ -765,20 +765,41 @@ class TestDirichlet:
         system = assemble_q(m, constant_field(m, 0.0), coeffs)
         constrained = apply_dirichlet(system, interpolate_boundary(m, 0.0), m)
         interior = ~m.boundary_mask()
-        assert constrained.rhs[interior] == pytest.approx(system.rhs[interior],
-                                                          abs=0.0)
+        assert constrained.size == int(interior.sum())
+        assert constrained.rhs == pytest.approx(system.rhs[interior], abs=0.0)
 
-    def test_constrained_rows_act_as_identity(self):
-        m = generate_structured_2d(3, 3)
-        coeffs = advection_diffusion([0.3, 0.9], f=-1.0, g=lambda x: x[..., 1])
-        system = assemble_q(m, constant_field(m, 0.0), coeffs)
+    @pytest.mark.parametrize("case", ["drift-2d", "poisson-kuhn", "quasilinear-refined"])
+    def test_free_solve_matches_pinned_solve_bits(self, case):
+        # the n x n system with an identity row per boundary node (the dict
+        # oracle) solved as before: its free part has the bits of the free
+        # solve, a pass refined with the first pass's kept factor included
+        m, coeffs = {
+            "drift-2d": lambda: (generate_structured_2d(12, 10, skew=0.3),
+                                 advection_diffusion([3.0, -2.0], f=-1.0, c0=0.5,
+                                                     g=lambda x: x[..., 1])),
+            "poisson-kuhn": lambda: (generate_structured_3d(5, 4, 4),
+                                     poisson(f=1.0, g=lambda x: x[..., 0] - x[..., 2])),
+            "quasilinear-refined": lambda: (generate_structured_2d(16, 16),
+                                            quasilinear_a(f=-1.0, g=lambda x: 0.1 * x[..., 0])),
+        }[case]()
+        free = ~m.boundary_mask()
         values = interpolate_boundary(m, coeffs.g)
-        constrained = apply_dirichlet(system, values, m)
-        probe = np.sin(np.arange(m.num_vertices, dtype=float))
-        image = constrained.matrix @ probe
-        pinned = m.boundary_nodes
-        assert image[pinned] == pytest.approx(probe[pinned], abs=0.0)
-        assert constrained.rhs[pinned] == pytest.approx(values, abs=0.0)
+        assignment = dict(zip(m.boundary_nodes.tolist(), values.tolist()))
+        u = np.zeros(m.num_vertices)
+        u[m.boundary_nodes] = values
+        kept_new, kept_old = dmpfem.solver.KeptFactor(), dmpfem.solver.KeptFactor()
+        for _ in range(2 if case == "quasilinear-refined" else 1):
+            system = assemble_q(m, P1Field(m, u), coeffs)
+            new = linear_solve(apply_dirichlet(system, values, m), kept=kept_new, x0=u[free])
+            old = linear_solve(dict_apply_dirichlet(system, assignment, m), kept=kept_old, x0=u)
+            assert new.tobytes() == old[free].tobytes()
+            assert old[~free].tobytes() == u[~free].tobytes()
+            assert kept_new.residual == kept_old.residual
+            u = old
+        assert (kept_new.factorizations, kept_new.refinement_steps) == \
+            (kept_old.factorizations, kept_old.refinement_steps)
+        if case == "quasilinear-refined":
+            assert kept_new.factorizations == 1 and kept_new.refinement_steps > 0
 
     def test_missing_value_rejected(self):
         m = generate_structured_2d(2, 2)
@@ -802,12 +823,18 @@ class TestDirichlet:
         assignment = {j: float(fn(m.vertices[j])) for j in sorted(loop_boundary_nodes(m.cells))}
         values = interpolate_boundary(m, fn)
         assert values.tobytes() == np.array(list(assignment.values())).tobytes()
+        # the free system is the free block of the n x n system with identity
+        # rows of the dict oracle, zeros dropped, byte for byte
         new = apply_dirichlet(system, values, m)
         old = dict_apply_dirichlet(system, assignment, m)
+        free = ~m.boundary_mask()
+        block = old.matrix[free][:, free]
+        block.eliminate_zeros()
+        assert new.size == int(free.sum())
         for attr in ("data", "indices", "indptr"):
-            got, want = getattr(new.matrix, attr), getattr(old.matrix, attr)
+            got, want = getattr(new.matrix, attr), getattr(block, attr)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert new.rhs.tobytes() == old.rhs.tobytes()
+        assert new.rhs.tobytes() == old.rhs[free].tobytes()
 
     def test_affine_exactness(self):
         m = generate_structured_2d(5, 4, skew=0.2)
@@ -826,7 +853,8 @@ class TestDirichlet:
         assert np.abs(result.u_h.nodal_values - exact).max() <= 1e-10
 
     def test_matches_diagonal_projection(self):
-        # Oracle: diag(free) A diag(free) + diag(pinned), b - A lift on free rows.
+        # Oracle: A projected onto the free nodes (its free rows and columns),
+        # and b - A lift on the free rows.
         m = generate_structured_2d(4, 3, skew=0.3)
         coeffs = advection_diffusion([0.7, -0.4], f=-1.0, c0=0.2,
                                      g=lambda x: 1.0 + x[..., 0])
@@ -837,13 +865,11 @@ class TestDirichlet:
         lift = np.zeros(m.num_vertices)
         for j, v in zip(m.boundary_nodes, values):
             mask[j], lift[j] = True, v
-        free = np.diag((~mask).astype(float))
         a = system.matrix.toarray()
-        expected = free @ a @ free + np.diag(mask.astype(float))
+        expected = a[~mask][:, ~mask]
         assert constrained.matrix.toarray() == pytest.approx(expected, abs=0.0)
-        rhs = np.where(mask, lift, system.rhs - a @ lift)
+        rhs = (system.rhs - a @ lift)[~mask]
         assert constrained.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-15)
-        assert constrained.rhs[mask] == pytest.approx(lift[mask], abs=0.0)
 
 
 class TestLinearSolve:
@@ -953,10 +979,11 @@ class TestBackwardError:
             c_mode="identically-zero")
         u_h = picard_solve(m, coeffs).u_h
         system = apply_dirichlet(assemble_q(m, u_h, coeffs), interpolate_boundary(m, coeffs.g), m)
-        matrix, rhs, x = system.matrix, system.rhs, u_h.nodal_values
+        free = ~m.boundary_mask()
+        matrix, rhs, x = system.matrix, system.rhs, u_h.nodal_values[free]
         assert backward_error(matrix, rhs, x) < 1e-15
         k = int(np.argmax(np.abs(x)))
-        assert m.vertices[k, 0] < 0.1
+        assert m.vertices[free][k, 0] < 0.1
         y = x.copy()
         y[k] *= 1.0 + 1e-6
         normwise = np.abs(rhs - matrix @ y).max() / (
