@@ -28,6 +28,7 @@ from .p1 import (
     norm_degree,
     physical_points,
     quadrature_rule,
+    scaled_lp,
 )
 from .solver import (
     CoefficientSet,
@@ -877,22 +878,17 @@ class DmpCertificate:
 def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
                  rule: QuadratureRule, fvals: np.ndarray) -> float:
     """L^exponent norm of f by quadrature (the maximum over the degree-4
-    points for an infinite exponent).  The rule has degree
-    `norm_degree(exponent)`.  `fvals` are f at the points of `rule`, reused
-    when the norm's rule is that one; any other rule is evaluated one
+    points for an infinite exponent), through `scaled_lp`.  The rule has
+    degree `norm_degree(exponent)`.  `fvals` are f at the points of `rule`,
+    reused when the norm's rule is that one; any other rule is evaluated one
     `cell_blocks` slice at a time."""
-    norm_rule = quadrature_rule(mesh.dim, 4 if math.isinf(exponent) else norm_degree(exponent))
-    if norm_rule is rule:
-        fvals = np.abs(fvals)
-    else:
+    norm_rule = quadrature_rule(mesh.dim, norm_degree(exponent))
+    if norm_rule is not rule:
         fvals = np.empty((mesh.num_cells, len(norm_rule.weights)))
         for cells in cell_blocks(*fvals.shape):
-            xq = physical_points(mesh, norm_rule, cells)
-            fvals[cells] = np.abs(point_values("f", coeffs.f, xq))
-    if math.isinf(exponent):
-        return float(fvals.max())
-    total = np.einsum("cq,q,c->", fvals ** exponent, norm_rule.weights, mesh.cell_measures)
-    return float(total ** (1.0 / exponent))
+            fvals[cells] = point_values("f", coeffs.f, physical_points(mesh, norm_rule, cells))
+    return scaled_lp(fvals, exponent, lambda v: np.einsum(
+        "cq,q,c->", v, norm_rule.weights, mesh.cell_measures))
 
 
 def _select_element_case(parts, coeffs: CoefficientSet) -> str:

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import InvalidParameters
 from .mesh import Mesh, macro_measures, write_rows
 
-MAX_LP_EXPONENT = 64.0
 MAX_NORM_DEGREE = 12  # quadrature degree cap of the L^p norms: 343 points per tetrahedron
 
 
@@ -214,28 +213,42 @@ def cut_minus(field: P1Field, k: float) -> P1Field:
 def norm_degree(p: float) -> int:
     """Quadrature degree of an L^p norm: ceil(p) + 1, at least 4 and at most
     `MAX_NORM_DEGREE`, since a large exponent would otherwise ask for tens of
-    thousands of points per cell."""
+    thousands of points per cell; 4 for an infinite p, a maximum."""
+    if math.isinf(p):
+        return 4
     return min(max(4, int(math.ceil(p)) + 1), MAX_NORM_DEGREE)
 
 
+def scaled_lp(values: np.ndarray, p: float, total) -> float:
+    """total(|values|^p)^(1/p), `total` the weighted sum of an array shaped like
+    `values`, and max |values| for an infinite p.  |values| is divided by its
+    maximum m before the power and the result multiplied by m, so the powers
+    neither overflow nor underflow all together at a large p, and scaling the
+    values by 2^k scales the norm by exactly 2^k.  0 for all-zero values; an
+    infinite or NaN value gives m."""
+    values = np.abs(values)
+    top = float(values.max(initial=0.0))
+    if math.isinf(p) or not 0.0 < top < math.inf:
+        return top
+    return top * float(total((values / top) ** p) ** (1.0 / p))
+
+
 def lp_norm(field: P1Field, p: float) -> float:
-    """Continuous L^p norm by per-cell quadrature of |v|^p, of `norm_degree(p)`."""
+    """Continuous L^p norm by per-cell quadrature of |v|^p, of `norm_degree(p)`
+    (the maximum over the degree-4 points for an infinite p)."""
     if p < 1:
         raise InvalidParameters("p must be >= 1")
-    p = min(p, MAX_LP_EXPONENT)
     rule = quadrature_rule(field.mesh.dim, norm_degree(p))
-    vals = np.abs(field.values_in_cells(rule)) ** p
-    total = np.einsum("cq,q,c->", vals, rule.weights, field.mesh.cell_measures)
-    return float(total ** (1.0 / p))
+    return scaled_lp(field.values_in_cells(rule), p, lambda v: np.einsum(
+        "cq,q,c->", v, rule.weights, field.mesh.cell_measures))
 
 
 def discrete_lp(field: P1Field, p: float) -> float:
     """Macro-element-weighted nodal l^p norm, (sum |v_j|^p |Omega_j|)^(1/p)."""
     if p < 1:
         raise InvalidParameters("p must be >= 1")
-    p = min(p, MAX_LP_EXPONENT)
     weights = macro_measures(field.mesh)
-    return float((np.abs(field.nodal_values) ** p @ weights) ** (1.0 / p))
+    return scaled_lp(field.nodal_values, p, lambda v: v @ weights)
 
 
 def field_to_csv(field: P1Field, path) -> None:

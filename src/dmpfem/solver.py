@@ -41,6 +41,8 @@ SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
 REFINE_STEPS = 10  # refinement steps with a kept LU factor before a solve refactors
+ZEROTH_ORDER_SLACK = 4.0  # multiple of the rounding bound that c - div b/2 may dip below 0
+EPS = float(np.finfo(float).eps)
 
 
 def as_point_callable(value):
@@ -590,7 +592,8 @@ def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet) -> float
 
 @dataclass(frozen=True)
 class ZerothOrderReport:
-    """Minimum over quadrature points of c - div(b)/2 and the resulting flag.
+    """Minimum over quadrature points of c - div(b)/2 and the resulting flag:
+    whether no point dips below 0 by more than its rounding bound.
 
     Only the smooth per-cell part of the composite divergence is probed: the
     state is piecewise linear, so its gradient is frozen per cell and facet
@@ -611,7 +614,12 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
-    step 1e-6 * h inside each cell.  A drift formula (see `expressions`)
+    step 1e-6 * h inside each cell.  The condition holds where c - div b/2 is
+    at least -`ZEROTH_ORDER_SLACK` eps (|c| + |div b|/2 + e/2), e the rounding
+    bound of the differences in units of eps: (|b+| + |b-| + |b+ - b-| |x| / 2s)
+    / 2s summed over the axes, b+ and b- the shifted samples and s the step
+    (e = 0 for a supplied divergence).  The slack is relative, so scaling b and
+    c by a power of two keeps the verdict.  A drift formula (see `expressions`)
     naming no coordinate and not eta is constant on each cell: every shifted
     evaluation sees the unshifted arguments, so b is evaluated once per block
     and differenced with itself, which gives the same bits.  The coefficients
@@ -626,8 +634,10 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     cell_constant = variables is not None and variables.isdisjoint(("x", "y", "z", "eta"))
     step = 1e-6 * mesh.h
     values = np.empty(samples[1].shape)
+    holds = True
     for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
         c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+        noise = np.zeros(eta.shape)
         if supplied:
             div = np.broadcast_to(np.asarray(coeffs.div_b(x, eta, p), float), eta.shape)
         else:
@@ -646,10 +656,12 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
                         coeffs.b(x + shift, eta + eta_shift, p), float), x.shape)[..., axis].copy()
                     b_minus = np.broadcast_to(np.asarray(
                         coeffs.b(x - shift, eta - eta_shift, p), float), x.shape)[..., axis].copy()
+                    noise += (np.abs(b_plus) + np.abs(b_minus) + np.abs(b_plus - b_minus)
+                              * np.abs(x[..., axis]) / (2.0 * step)) / (2.0 * step)
                 div = div + (b_plus - b_minus) / (2.0 * step)
         values[cells] = c - 0.5 * div
+        bound = np.abs(c) + 0.5 * (np.abs(div) + noise)
+        holds = holds and bool((values[cells] >= -ZEROTH_ORDER_SLACK * EPS * bound).all())
 
-    min_value = float(values.min())
-    return ZerothOrderReport(min_value=min_value,
-                             condition_holds=min_value >= -1e-10,
+    return ZerothOrderReport(min_value=float(values.min()), condition_holds=holds,
                              used_supplied_divergence=supplied)

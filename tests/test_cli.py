@@ -368,6 +368,33 @@ class TestDmpCheckCommand:
         assert cert["element_condition"]["verdict"] == "fail"
         assert cert["element_condition"]["failures"]
 
+    @pytest.mark.parametrize("div_b", [None, "0"])
+    def test_divergence_free_formula_drift_keeps_theorem_3_2(self, tmp_path, div_b):
+        # b = (x, -y) without div_b: the finite-difference noise of div b on
+        # 32^2 (-6.3e-10) lies within its rounding bound
+        mesh = tmp_path / "m32.json"
+        assert run(["mesh-gen", "--square", "32x32", "-o", mesh]) == 0
+        spec = {**_COEFFS_2D, "b": ["x", "-y"], "nu": 1.5}
+        if div_b is not None:
+            spec["div_b"] = div_b
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(spec))
+        out = tmp_path / "check"
+        assert run(["dmp-check", "--mesh", mesh, "--solve", "--coeffs", coeffs,
+                    "--checks", "bounds", "-o", out]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["theorem_3_2"]["verdict"] == "pass"
+
+    def test_huge_source_norm_exponent(self, square_mesh, tmp_path):
+        # r = 1.0001 asks for the L^13334.7 norm of f = 0.5, once read as 0
+        out = tmp_path / "check"
+        assert run(["dmp-check", "--mesh", square_mesh, "--solve", "--f", "0.5",
+                    "--r", "1.0001", "-o", out]) == 0
+        theorem = json.loads((out / "certificate.json").read_text())["theorem_3_2"]
+        assert theorem["verdict"] == "pass"
+        assert theorem["f_norm"] == pytest.approx(0.5, rel=1e-12)
+        assert 0.0 < theorem["empirical_c"] < math.inf
+
     def test_check_subset_ignores_other_failures(self, tmp_path):
         obtuse = tmp_path / "obtuse.json"
         assert run(["mesh-gen", "--square", "4x4", "--skew", "0.6",
@@ -844,6 +871,26 @@ class TestReportCommand:
     def test_empty_input_usage_error(self):
         assert run(["report"]) == 1
 
+    @pytest.mark.parametrize("keys, bad", [
+        (("element_condition", "verdict"), 5), (("edge_condition", "verdict"), "passed"),
+        (("assumption_a", "verdict"), None), (("theorem_3_2", "verdict"), True),
+        (("theorem_3_3", "verdict"), "PASS"), (("mesh", "classification"), 7)],
+        ids=lambda value: ".".join(value) if isinstance(value, tuple) else None)
+    def test_bad_verdict_refused(self, tmp_path, capsys, report_certificates, keys, bad):
+        # a verdict is pass, fail or not-applicable, a classification acute,
+        # non-obtuse or obtuse; nothing is written before every row is read
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        good, spoiled = (json.loads(json.dumps(record)) for record in report_certificates)
+        spoiled[keys[0]][keys[1]] = bad
+        paths[0].write_text(json.dumps(good))
+        paths[1].write_text(json.dumps(spoiled))
+        csv_path = tmp_path / "ratios.csv"
+        assert run(["report", *paths, "--csv", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read certificate {paths[1]}" in err
+        assert f"{'.'.join(keys)} must be one of" in err
+        assert not csv_path.exists()
+
     def test_mixed_verdicts_reflected(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         run(["mesh-gen", "--square", "4x4", "-o", good])
@@ -936,6 +983,15 @@ class TestErrorExits:
         out = tmp_path / "out"
         self._check(["dmp-check", "--mesh", square_mesh, "-o", out], out, capsys,
                     "give exactly one of --solution or --solve")
+
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_checks_naming_no_check(self, tmp_path, capsys, checks):
+        # on the skew-0.5 mesh with f = +1 the default checks exit 4
+        mesh = tmp_path / "skew.json"
+        assert run(["mesh-gen", "--square", "8x8", "--skew", "0.5", "-o", mesh]) == 0
+        out = tmp_path / "out"
+        self._check(["dmp-check", "--mesh", mesh, "--solve", "--f", "1", "--checks", checks,
+                     "-o", out], out, capsys, "--checks names no check")
 
     @pytest.mark.parametrize("command", ["solve", "dmp-check"])
     def test_missing_mesh_file(self, tmp_path, capsys, command):

@@ -1152,3 +1152,21 @@ class TestSupNormSource:
         written = cert.to_dict()
         assert written["theorem_3_2"]["f_norm_exponent"] is None
         assert written["params"]["s"] is None
+
+
+class TestSourceNormScale:
+    """The certificate's f_norm divides |f| by its maximum before the power,
+    so a large exponent neither over- nor underflows it."""
+
+    @pytest.mark.parametrize("r", [1.0001, 1.2, 1.0])
+    def test_power_of_two_scaling_is_exact(self, r):
+        # r = 1.0001 gives the exponent 13,334.7, under which |f|^exponent is
+        # 0 or inf at every point
+        m = generate_structured_2d(8, 8)
+        norms = {}
+        for k in (-40, 0, 3):
+            coeffs = poisson(f=lambda x, k=k: 2.0 ** k * (0.5 + x[..., 0] * x[..., 1]))
+            cert = dmp_certificate(m, picard_solve(m, coeffs), coeffs, params=DmpParams(r=r))
+            norms[k] = cert.f_norm
+        assert 0.5 < norms[0] <= 1.5
+        assert norms[-40] == norms[0] * 2.0 ** -40 and norms[3] == norms[0] * 8.0

@@ -306,6 +306,27 @@ class TestNorms:
         with pytest.raises(InvalidParameters):
             lp_norm(v, 0.5)
 
+    @pytest.mark.parametrize("value", [1e-300, 1e-10, 0.5, 1e10, 1e300])
+    @pytest.mark.parametrize("p", [2.0, 64.0, 1000.0, 13334.666666668136, math.inf])
+    def test_large_exponents_and_extreme_values_stay_finite(self, value, p):
+        # |v|^p over- or underflows here for every value but 0.5 and every
+        # p but 2; the norms divide by max |v| before the power
+        m = generate_structured_2d(3, 3)
+        v = constant_field(m, -value)
+        assert lp_norm(v, p) == pytest.approx(value, rel=1e-12)
+        assert discrete_lp(v, p) == pytest.approx(
+            value * (3.0 * m.total_measure) ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-600, -3, 5, 600])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 64.0, 1e4, math.inf])
+    def test_power_of_two_scaling_is_exact(self, k, p):
+        rng = np.random.default_rng(11)
+        m = generate_structured_2d(4, 3)
+        v = random_nodal_field(m, rng)
+        scaled = dmpfem.p1.P1Field(m, v.nodal_values * 2.0 ** k)
+        assert lp_norm(scaled, p) == lp_norm(v, p) * 2.0 ** k
+        assert discrete_lp(scaled, p) == discrete_lp(v, p) * 2.0 ** k
+
     def test_equivalence_ratio_bounded_across_refinement(self):
         # the L2/weighted-nodal ratio must stay in the interval measured on
         # the coarse mesh (with margin) as the mesh refines

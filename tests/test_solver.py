@@ -1198,6 +1198,68 @@ class TestZerothOrderCondition:
         assert report.min_value == pytest.approx(-1.5, rel=1e-6)
 
 
+def drift_set(dim, drift, c="0", div_b=None):
+    """Unit diffusion with drift and reaction formulas, as a coefficient file
+    gives them (no `div_b` unless named)."""
+    return CoefficientSet(
+        a=lambda x, e, p: np.ones(np.shape(e)),
+        b=expressions.vector_state_function(drift, dim),
+        c=expressions.state_function(c, dim), f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=1e20,
+        div_b=None if div_b is None else expressions.state_function(div_b, dim))
+
+
+class TestZerothOrderRoundingSlack:
+    """c - div b/2 may dip below 0 by its rounding bound only: without
+    `div_b`, that of the finite differences, which grows like |b| / h."""
+
+    DIVERGENCE_FREE = {
+        "linear": ["x", "-y"], "quadratic": ["x*y", "-y^2/2"],
+        "exponential": ["exp(x)*y", "-exp(x)*y^2/2"], "scaled": ["10*x", "-10*y"],
+        "centred": ["x - 0.5", "0.5 - y"], "3d-linear": ["x", "y", "-2*z"],
+        "3d-quadratic": ["x*z", "y*z", "-z^2"],
+    }
+
+    @staticmethod
+    def _mesh(dim, n):
+        return generate_structured_2d(n, n) if dim == 2 else generate_structured_3d(n, n, n)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("drift", sorted(DIVERGENCE_FREE))
+    def test_divergence_free_drift_passes(self, drift, n):
+        sources = self.DIVERGENCE_FREE[drift]
+        dim = len(sources)
+        m = self._mesh(dim, n if dim == 2 else n // 4)
+        u = P1Field(m, np.sin(3.0 * m.vertices[:, 0]) * m.vertices[:, 1])
+        report = check_zeroth_order_condition(m, u, drift_set(dim, sources))
+        assert report.min_value < 0.0  # the noise the slack must absorb
+        assert report.condition_holds
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-2])
+    def test_positive_divergence_fails(self, delta, n):
+        m = generate_structured_2d(n, n)
+        coeffs = drift_set(2, [f"(1 + {delta})*x", "-y"])
+        report = check_zeroth_order_condition(m, constant_field(m, 0.0), coeffs)
+        assert not report.condition_holds
+        assert report.min_value == pytest.approx(-delta / 2, rel=1e-2)
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_power_of_two_scaling_keeps_the_verdict(self, k):
+        # an absolute slack would pass the failing cases at 2^-60
+        m = generate_structured_2d(16, 16)
+        scale = f"2^{k}"
+        cases = {
+            (True, "supplied"): drift_set(2, ["0", "0"], f"{scale}*0.3", f"{scale}*0.6"),
+            (False, "supplied"): drift_set(2, ["0", "0"], f"{scale}*0.3",
+                                           f"{scale}*0.6*(1 + 1e-9)"),
+            (True, "differences"): drift_set(2, [f"{scale}*x", f"-{scale}*y"]),
+            (False, "differences"): drift_set(2, [f"{scale}*(1 + 1e-5)*x", f"-{scale}*y"]),
+        }
+        for (holds, _), coeffs in cases.items():
+            report = check_zeroth_order_condition(m, constant_field(m, 0.0), coeffs)
+            assert report.condition_holds == holds
+
+
 class TestLowerOrderBoundScale:
     @pytest.mark.parametrize("nu", [1.0, 1e-7])
     @pytest.mark.parametrize("ratio, holds", [(1.0, True), (10.0, False)])
