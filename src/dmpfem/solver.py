@@ -41,8 +41,8 @@ SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
 REFINE_STEPS = 10  # refinement steps with a kept LU factor before a solve refactors
-ZEROTH_ORDER_SLACK = 4.0  # multiple of the rounding bound that c - div b/2 may dip below 0
-EPS = float(np.finfo(float).eps)
+# 4 eps: how far below 0 c - div b/2 may read, relative to the bound of its rounding
+ZEROTH_ORDER_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
 def as_point_callable(value):
@@ -615,10 +615,10 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
     step 1e-6 * h inside each cell.  The condition holds where c - div b/2 is
-    at least -`ZEROTH_ORDER_SLACK` eps (|c| + |div b|/2 + e/2), e the rounding
-    bound of the differences in units of eps: (|b+| + |b-| + |b+ - b-| |x| / 2s)
-    / 2s summed over the axes, b+ and b- the shifted samples and s the step
-    (e = 0 for a supplied divergence).  The slack is relative, so scaling b and
+    at least -`ZEROTH_ORDER_SLACK` (|c| + |div b|/2 + e/2), e the rounding bound
+    of the differences in units of eps: (|b+| + |b-| + |b+ - b-| |x| / 2s) / 2s
+    summed over the axes, b+ and b- the shifted samples and s the step (e = 0
+    for a supplied divergence).  The slack is relative, so scaling b and
     c by a power of two keeps the verdict.  A drift formula (see `expressions`)
     naming no coordinate and not eta is constant on each cell: every shifted
     evaluation sees the unshifted arguments, so b is evaluated once per block
@@ -661,7 +661,7 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
                 div = div + (b_plus - b_minus) / (2.0 * step)
         values[cells] = c - 0.5 * div
         bound = np.abs(c) + 0.5 * (np.abs(div) + noise)
-        holds = holds and bool((values[cells] >= -ZEROTH_ORDER_SLACK * EPS * bound).all())
+        holds = holds and bool((values[cells] >= -ZEROTH_ORDER_SLACK * bound).all())
 
     return ZerothOrderReport(min_value=float(values.min()), condition_holds=holds,
                              used_supplied_divergence=supplied)
