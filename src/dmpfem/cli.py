@@ -294,9 +294,7 @@ def cmd_dmp_check(args) -> int:
     mesh = load_mesh(args.mesh)
     require_interior_nodes(mesh, f"mesh {args.mesh}")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    if not checks:
-        raise DmpFemError(f"--checks names no check; choose from {tuple(CHECKS)}")
-    for c in checks:
+    for c in checks or [""]:  # a value naming no check is refused too
         if c not in CHECKS:
             raise DmpFemError(f"unknown check {c!r}; choose from {tuple(CHECKS)}")
     config = RunConfig(command="dmp-check", mesh_source=args.mesh, seed=args.seed)
@@ -350,23 +348,17 @@ _REPORT_NUMBERS = {"h": ("mesh", "h"), "max_angle": ("mesh", "max_angle"),
                    "assumption_min": ("assumption_a", "min_value")}
 # the verdict columns of `report` but `angles`, and the records holding them
 _REPORT_VERDICTS = {"element": "element_condition", "edge": "edge_condition",
-                    "assumption": "assumption_a", "thm3.2": "theorem_3_2",
-                    "thm3.3": "theorem_3_3"}
-_VERDICTS = ("pass", "fail", "not-applicable")
-_CLASSIFICATIONS = ("acute", "non-obtuse", "obtuse")
+                    "assumption": "assumption_a", "thm3.2": "theorem_3_2", "thm3.3": "theorem_3_3"}
 
 
-def _report_entry(cert: dict, path: tuple, choices: tuple | None = None):
-    """The certificate's value at `path`: a JSON int or float (not a bool),
-    as a float, or with `choices` one of them."""
+def _report_entry(cert: dict, path: tuple, choices=None):
+    """The value at `path`: one of `choices`, or else a JSON int or float, not a bool."""
     value = functools.reduce(operator.getitem, path, cert)
-    if choices is not None:
-        if value not in choices:
-            raise ValueError(f"{'.'.join(path)} must be one of {choices}, got {value!r}")
-        return value
-    if type(value) not in (int, float):
+    if choices and value not in choices:
+        raise ValueError(f"{'.'.join(path)} must be one of {choices}, got {value!r}")
+    if not choices and type(value) not in (int, float):
         raise ValueError(f"{'.'.join(path)} must be a number, got {value!r}")
-    return float(value)
+    return value if choices else float(value)
 
 
 def cmd_report(args) -> int:
@@ -377,11 +369,11 @@ def cmd_report(args) -> int:
             empirical_c = cert["theorem_3_2"]["empirical_c"]
             if empirical_c is not None and type(empirical_c) not in (int, float):
                 raise ValueError(f"empirical_c must be a number or null, got {empirical_c!r}")
-            obtuse = _report_entry(cert, ("mesh", "classification"),
-                                   _CLASSIFICATIONS) == "obtuse"
-            verdicts = {"angles": "fail" if obtuse else "pass",
-                        **{key: _report_entry(cert, (record, "verdict"), _VERDICTS)
-                           for key, record in _REPORT_VERDICTS.items()}}
+            classification = _report_entry(cert, ("mesh", "classification"),
+                                           ("acute", "non-obtuse", "obtuse"))
+            verdicts = {"angles": "fail" if classification == "obtuse" else "pass", **{
+                key: _report_entry(cert, (record, "verdict"), ("pass", "fail", "not-applicable"))
+                for key, record in _REPORT_VERDICTS.items()}}
             rows.append({"path": path, "empirical_c": empirical_c, "verdicts": verdicts,
                          **{key: _report_entry(cert, keys)
                             for key, keys in _REPORT_NUMBERS.items()}})

@@ -882,7 +882,7 @@ def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
     degree `norm_degree(exponent)`.  `fvals` are f at the points of `rule`,
     reused when the norm's rule is that one; any other rule is evaluated one
     `cell_blocks` slice at a time."""
-    norm_rule = quadrature_rule(mesh.dim, norm_degree(exponent))
+    norm_rule = quadrature_rule(mesh.dim, 4 if math.isinf(exponent) else norm_degree(exponent))
     if norm_rule is not rule:
         fvals = np.empty((mesh.num_cells, len(norm_rule.weights)))
         for cells in cell_blocks(*fvals.shape):

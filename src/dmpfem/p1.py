@@ -213,19 +213,16 @@ def cut_minus(field: P1Field, k: float) -> P1Field:
 def norm_degree(p: float) -> int:
     """Quadrature degree of an L^p norm: ceil(p) + 1, at least 4 and at most
     `MAX_NORM_DEGREE`, since a large exponent would otherwise ask for tens of
-    thousands of points per cell; 4 for an infinite p, a maximum."""
-    if math.isinf(p):
-        return 4
-    return min(max(4, int(math.ceil(p)) + 1), MAX_NORM_DEGREE)
+    thousands of points per cell; an infinite p gets the cap too."""
+    return min(max(4, int(math.ceil(min(p, MAX_NORM_DEGREE))) + 1), MAX_NORM_DEGREE)
 
 
 def scaled_lp(values: np.ndarray, p: float, total) -> float:
-    """total(|values|^p)^(1/p), `total` the weighted sum of an array shaped like
-    `values`, and max |values| for an infinite p.  |values| is divided by its
-    maximum m before the power and the result multiplied by m, so the powers
-    neither overflow nor underflow all together at a large p, and scaling the
-    values by 2^k scales the norm by exactly 2^k.  0 for all-zero values; an
-    infinite or NaN value gives m."""
+    """total(|values|^p)^(1/p) (max |values| for p = inf), `total` a weighted sum;
+    |values| is divided by its maximum m before the power and m multiplied back,
+    so no power over- or underflows whole and 2^k values give exactly 2^k times."""
+    if p < 1:
+        raise InvalidParameters("p must be >= 1")
     values = np.abs(values)
     top = float(values.max(initial=0.0))
     if math.isinf(p) or not 0.0 < top < math.inf:
@@ -234,10 +231,7 @@ def scaled_lp(values: np.ndarray, p: float, total) -> float:
 
 
 def lp_norm(field: P1Field, p: float) -> float:
-    """Continuous L^p norm by per-cell quadrature of |v|^p, of `norm_degree(p)`
-    (the maximum over the degree-4 points for an infinite p)."""
-    if p < 1:
-        raise InvalidParameters("p must be >= 1")
+    """Continuous L^p norm by per-cell quadrature of |v|^p, of `norm_degree(p)`."""
     rule = quadrature_rule(field.mesh.dim, norm_degree(p))
     return scaled_lp(field.values_in_cells(rule), p, lambda v: np.einsum(
         "cq,q,c->", v, rule.weights, field.mesh.cell_measures))
@@ -245,8 +239,6 @@ def lp_norm(field: P1Field, p: float) -> float:
 
 def discrete_lp(field: P1Field, p: float) -> float:
     """Macro-element-weighted nodal l^p norm, (sum |v_j|^p |Omega_j|)^(1/p)."""
-    if p < 1:
-        raise InvalidParameters("p must be >= 1")
     weights = macro_measures(field.mesh)
     return scaled_lp(field.nodal_values, p, lambda v: v @ weights)
 

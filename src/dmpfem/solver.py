@@ -41,8 +41,7 @@ SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
 REFINE_STEPS = 10  # refinement steps with a kept LU factor before a solve refactors
-# 4 eps: how far below 0 c - div b/2 may read, relative to the bound of its rounding
-ZEROTH_ORDER_SLACK = 4.0 * float(np.finfo(float).eps)
+ZEROTH_ORDER_SLACK = 4.0 * float(np.finfo(float).eps)  # per unit of c - div b/2's rounding
 
 
 def as_point_callable(value):
@@ -418,10 +417,10 @@ def q_apply(mesh: Mesh, w: P1Field, u: P1Field, v: P1Field,
 
 
 def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> SparseSystem:
-    """The system of the free nodes (those not in `mesh.boundary_nodes`, in
-    ascending order) once the boundary nodes take `values`, one each in their
-    order: the free rows and columns of the matrix, duplicates summed and exact
-    zeros dropped, and the load rhs[free] - A[free, boundary] values."""
+    """The system of the free nodes (not in `mesh.boundary_nodes`, ascending) once
+    the boundary nodes take `values`, one each in their order: the free rows and
+    columns of A, duplicates summed and exact zeros dropped, and the load
+    rhs[free] - A[free, boundary] values."""
     pinned = mesh.boundary_nodes
     if np.shape(values) != pinned.shape:
         raise MissingBoundaryValue(
@@ -430,8 +429,7 @@ def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> Spa
     rows = system.matrix.tocsr()[free]
     rows.sum_duplicates()
     matrix = rows[:, free]
-    # exact zeros, many on right-angled and Kuhn meshes, would raise the LU fill ~1.7x
-    matrix.eliminate_zeros()
+    matrix.eliminate_zeros()  # kept, the many exact zeros raise the LU fill ~1.7x
     return SparseSystem(matrix=matrix, rhs=system.rhs[free] - rows[:, pinned] @ values)
 
 
@@ -527,10 +525,9 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
                  opts: SolveOptions | None = None) -> SolveResult:
     """Frozen-coefficient fixed-point iteration for the Galerkin system.
 
-    Each pass assembles the `default_rule` form at the current iterate,
-    solves the free-node system of `apply_dirichlet` for the free nodal values
-    (the boundary nodes keep the Dirichlet data), and applies a damped update
-    of the nodal vector; iteration stops
+    Each pass assembles the `default_rule` form at the current iterate, solves
+    `apply_dirichlet`'s system for the free nodal values (the boundary nodes keep
+    their data), and applies a damped update; iteration stops
     once the relative nodal update falls below `picard_tol`.
     `picard_iterations` counts the updates actually applied, so a
     state-independent problem converges after exactly one.  The quadrature
@@ -592,8 +589,7 @@ def galerkin_residual(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSet) -> float
 
 @dataclass(frozen=True)
 class ZerothOrderReport:
-    """Minimum over quadrature points of c - div(b)/2 and the resulting flag:
-    whether no point dips below 0 by more than its rounding bound.
+    """Minimum over quadrature points of c - div(b)/2 and the resulting flag.
 
     Only the smooth per-cell part of the composite divergence is probed: the
     state is piecewise linear, so its gradient is frozen per cell and facet
@@ -614,12 +610,10 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
 
     Uses the supplied divergence callback when present, otherwise central
     finite differences of the composite map x -> b(x, u_h(x), grad u_h) with
-    step 1e-6 * h inside each cell.  The condition holds where c - div b/2 is
-    at least -`ZEROTH_ORDER_SLACK` (|c| + |div b|/2 + e/2), e the rounding bound
-    of the differences in units of eps: (|b+| + |b-| + |b+ - b-| |x| / 2s) / 2s
-    summed over the axes, b+ and b- the shifted samples and s the step (e = 0
-    for a supplied divergence).  The slack is relative, so scaling b and
-    c by a power of two keeps the verdict.  A drift formula (see `expressions`)
+    step s = 1e-6 * h inside each cell.  The condition holds where c - div b/2 >=
+    -`ZEROTH_ORDER_SLACK` (|c| + |div b|/2 + e/2), e the sum over the axes of
+    (|b+| + |b-| + |b+ - b-| |x| / 2s) / 2s for the shifted b samples b+ and b-
+    (0 for a supplied divergence), so 2^k b and c keep the verdict.  A drift formula
     naming no coordinate and not eta is constant on each cell: every shifted
     evaluation sees the unshifted arguments, so b is evaluated once per block
     and differenced with itself, which gives the same bits.  The coefficients

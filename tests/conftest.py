@@ -569,8 +569,11 @@ def coo_assemble_matrix(mesh: Mesh, parts):
 
 
 def dict_apply_dirichlet(system, assignment: dict, mesh: Mesh):
-    """`apply_dirichlet` with the Dirichlet data as a {node: value} dict that
-    must cover every boundary node (`loop_boundary_nodes`)."""
+    """The n x n Dirichlet system that `apply_dirichlet` once returned, with the
+    data as a {node: value} dict that must cover every boundary node
+    (`loop_boundary_nodes`): row replacement and symmetric column elimination,
+    an identity row per boundary node, and the exact zeros of the free block
+    dropped.  `apply_dirichlet` returns its free block."""
     from scipy import sparse
 
     from dmpfem.errors import MissingBoundaryValue

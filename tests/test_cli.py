@@ -991,7 +991,7 @@ class TestErrorExits:
         assert run(["mesh-gen", "--square", "8x8", "--skew", "0.5", "-o", mesh]) == 0
         out = tmp_path / "out"
         self._check(["dmp-check", "--mesh", mesh, "--solve", "--f", "1", "--checks", checks,
-                     "-o", out], out, capsys, "--checks names no check")
+                     "-o", out], out, capsys, "unknown check ''; choose from")
 
     @pytest.mark.parametrize("command", ["solve", "dmp-check"])
     def test_missing_mesh_file(self, tmp_path, capsys, command):
