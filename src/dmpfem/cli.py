@@ -80,9 +80,13 @@ class RunConfig:
 
 
 def _write_json(path, payload: dict) -> None:
+    """Write `payload` as strict JSON: a NaN or infinity raises `DmpFemError`."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise DmpFemError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, sort_keys=True, indent=1)
-        fp.write("\n")
+        fp.write(text + "\n")
 
 
 def _parse_grid(spec: str, want: int) -> tuple:
@@ -268,10 +272,10 @@ def cmd_solve(args) -> int:
 
 # The convergence record of `dmp-check --solution`: each key, the JSON types
 # `--solve-result` may give it and its value when the record leaves it out or
-# none is given (-1: unknown count).
+# none is given (-1: unknown count, None: unknown norm).
 _SOLVE_INFO = {"converged": ((bool,), True), "picard_iterations": ((int,), -1),
-               "final_update_norm": ((int, float), float("nan")),
-               "final_linear_residual": ((int, float), float("nan")),
+               "final_update_norm": ((int, float), None),
+               "final_linear_residual": ((int, float), None),
                "factorizations": ((int,), -1), "refinement_steps": ((int,), -1)}
 
 
@@ -281,12 +285,12 @@ def _read_solution(mesh: Mesh, args) -> SolveResult:
     info = {}
     for key, (types, default) in _SOLVE_INFO.items():
         value = record.get(key, default)
-        if type(value) not in types:
+        if key in record and type(value) not in types:
             raise InvalidParameters(
                 f"solve result {args.solve_result}: {key} must be "
                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         # the two norms may be JSON integers; the result holds them as floats
-        info[key] = float(value) if float in types else value
+        info[key] = float(value) if float in types and key in record else value
     return SolveResult(u_h=u_h, **info)
 
 

@@ -708,10 +708,10 @@ def de_giorgi_verify(inp: DeGiorgiInput) -> DeGiorgiReport:
 
     Verifies (a) the decay hypothesis on every sampled level pair above k0 and
     on the geometric ladder k0 + rho - rho/2^tau, tau <= `TAU_MAX`, with rho
-    from `de_giorgi_rho`, (b) the induced geometric decay bound at each ladder
-    level, and (c) that the value at k0 + rho has dropped below the chain's
-    tail.  Raises `HypothesisViolated` if (a) fails, since the conclusions are
-    then unsupported.
+    from `de_giorgi_rho`, (b) the decay bound phi(k0) / ratio^tau at each
+    ladder level, and (c) that phi(k0 + rho) is within the bound at `TAU_MAX`.
+    Raises `HypothesisViolated` if (a) fails, since the conclusions are then
+    unsupported.
     """
     rho = de_giorgi_rho(inp)
     ks = inp.samples[:, 0]
@@ -729,42 +729,27 @@ def de_giorgi_verify(inp: DeGiorgiInput) -> DeGiorgiReport:
 
     taus = np.arange(TAU_MAX + 1)
     ladder = inp.k0 + rho - rho / 2.0 ** taus
-    if rho > 0:
-        k, s = ladder[:-1], ladder[1:]
-        step = s > k  # a step collapsed by rounding is skipped
-        bad = step & (_log_phi(inp.phi(s)) > _decay_bound(
-            np.where(step, s - k, 1.0), _log_phi(inp.phi(k)), inp.alpha, inp.beta, log_m))
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise HypothesisViolated(
-                f"decay hypothesis fails on the ladder pair tau={t}",
-                pair=(float(ladder[t]), float(ladder[t + 1])))
+    # phi at k0, at the ladder levels and at k0 + rho, in one evaluation
+    values = inp.phi(np.concatenate([[inp.k0], ladder, [inp.k0 + rho]]))
+    logphi = _log_phi(values)
+    step = np.diff(ladder) > 0.0  # a step collapsed by rounding is skipped
+    bad = step & (logphi[2:-1] > _decay_bound(
+        np.where(step, np.diff(ladder), 1.0), logphi[1:-2], inp.alpha, inp.beta, log_m))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise HypothesisViolated(
+            f"decay hypothesis fails on the ladder pair tau={t}",
+            pair=(float(ladder[t]), float(ladder[t + 1])))
 
-    phi0 = inp.phi_k0()
     ratio = 2.0 ** (inp.alpha / (inp.beta - 1.0))
-    decay_ok = True
-    first_failure = None
-    log_phi0 = math.log(phi0) if phi0 > 0 else -math.inf
-    for t in taus:
-        val = float(inp.phi(ladder[t]))
-        if val <= 0.0:
-            continue
-        if phi0 <= 0.0 or math.log(val) > log_phi0 - t * math.log(ratio) \
-                + math.log1p(DECAY_SLACK):
-            decay_ok = False
-            first_failure = int(t)
-            break
-
-    tail_value = float(inp.phi(inp.k0 + rho))
-    if phi0 <= 0.0:
-        tail_ok = tail_value <= 0.0
-    else:
-        log_tail_bound = log_phi0 - TAU_MAX * math.log(ratio) + math.log1p(DECAY_SLACK)
-        tail_ok = tail_value <= 0.0 or math.log(tail_value) <= log_tail_bound
-
-    return DeGiorgiReport(rho=rho, decay_ratio=ratio, hypothesis_ok=True,
-                          decay_ok=decay_ok, first_decay_failure=first_failure,
-                          tail_ok=tail_ok, tail_value=tail_value, tau_max=TAU_MAX)
+    # -inf where phi(k0) = 0, so that any positive value fails
+    bound = logphi[0] - np.append(taus, TAU_MAX) * math.log(ratio) + math.log1p(DECAY_SLACK)
+    over = logphi[1:] > bound
+    decay_ok = not over[:-1].any()
+    return DeGiorgiReport(rho=rho, decay_ratio=ratio, hypothesis_ok=True, decay_ok=decay_ok,
+                          first_decay_failure=None if decay_ok else int(np.argmax(over)),
+                          tail_ok=not over[-1], tail_value=float(values[-1]),
+                          tau_max=TAU_MAX)
 
 
 # -- certificate ---------------------------------------------------------------
@@ -785,8 +770,7 @@ class DmpCertificate:
     element_condition: ElementConditionReport
     edge_condition: EdgeConditionReport | None
     levelset_profile: np.ndarray  # (n, 2) columns (k, measure)
-    de_giorgi: DeGiorgiReport | None
-    de_giorgi_hypothesis_failure: tuple | None
+    de_giorgi: DeGiorgiReport
     zeroth_order: object
     params: DmpParams
     mesh_info: dict
@@ -794,7 +778,7 @@ class DmpCertificate:
 
     @property
     def theorem_3_3_verdict(self) -> str:
-        if not (all(self.theorem_3_3_applicable.values()) and self.assumption.satisfied):
+        if self.theorem_3_3_holds is None:
             return "not-applicable"
         return "pass" if self.theorem_3_3_holds else "fail"
 
@@ -816,8 +800,6 @@ class DmpCertificate:
 
     @property
     def de_giorgi_verdict(self) -> str:
-        if self.de_giorgi is None:
-            return "not-applicable"
         return "pass" if self.de_giorgi.all_pass else "fail"
 
     def verdicts(self) -> dict:
@@ -835,10 +817,6 @@ class DmpCertificate:
         return out
 
     def to_dict(self) -> dict:
-        de_giorgi = {"verdict": "not-applicable",
-                     "hypothesis_failure": self.de_giorgi_hypothesis_failure}
-        if self.de_giorgi is not None:
-            de_giorgi = self.de_giorgi.to_dict()
         overshoot = max(self.sup_uh - self.k_star, 0.0)
         params = self.params.to_dict()
         return {
@@ -868,7 +846,7 @@ class DmpCertificate:
                 "verdict": self.level_sets_verdict,
                 "profile": self.levelset_profile.tolist(),
             },
-            "de_giorgi": de_giorgi,
+            "de_giorgi": self.de_giorgi.to_dict(),
             "params": params,
             "mesh": self.mesh_info,
             "solve": self.solve_info,
@@ -913,8 +891,9 @@ def require_interior_nodes(mesh: Mesh, name: str = "mesh") -> None:
 def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSet,
                     params: DmpParams | None = None) -> DmpCertificate:
     """Run every verification pass on a converged solution and bundle the
-    evidence.  Raises `NotConverged` for unconverged inputs and
-    `InvalidParameters` for a mesh without interior nodes."""
+    evidence.  Raises `NotConverged` for unconverged inputs, `InvalidParameters`
+    for a mesh without interior nodes, and `HypothesisViolated` if the fitted
+    De Giorgi constant fails its own hypothesis (an internal inconsistency)."""
     if not solve_result.converged:
         raise NotConverged("refusing to certify an unconverged solve")
     require_interior_nodes(mesh)
@@ -966,17 +945,12 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     grid = np.unique(np.concatenate([[k_star], np.unique(u_h.nodal_values)]))
     profile = np.column_stack([grid, level_set_profile(mesh, u_h, grid)])
 
-    dg_report = None
-    dg_failure = None
     dg_samples = profile[profile[:, 0] >= k_star]
     alpha, beta = params.decay_alpha, params.decay_beta
     fitted = fit_decay_constant(dg_samples, alpha, beta, k_star)
     inp = DeGiorgiInput(M=max(fitted, 1e-30), alpha=alpha, beta=beta,
                         k0=k_star, samples=dg_samples)
-    try:
-        dg_report = de_giorgi_verify(inp)
-    except HypothesisViolated as exc:
-        dg_failure = exc.pair
+    dg_report = de_giorgi_verify(inp)
 
     audit = acuteness_audit(mesh, params.alpha_exponent)
     mesh_info = {
@@ -994,7 +968,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
         empirical_c=empirical_c,
         assumption=sweep, element_condition=element, edge_condition=edge,
         levelset_profile=profile,
-        de_giorgi=dg_report, de_giorgi_hypothesis_failure=dg_failure,
+        de_giorgi=dg_report,
         zeroth_order=zeroth, params=params, mesh_info=mesh_info,
         solve_info=solve_result.to_dict(),
     )

@@ -256,7 +256,8 @@ def build_mesh(vertices, cells) -> Mesh:
 
     Cells with negative orientation are silently repaired by swapping their
     last two vertices.  Raises `NonFiniteValue`, `IndexOutOfRange`,
-    `DegenerateCell` or `NonManifold` on malformed input.
+    `DegenerateCell` or `NonManifold` on malformed input, and
+    `InvalidParameters` for a vertex in no cell.
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
@@ -294,6 +295,9 @@ def build_mesh(vertices, cells) -> Mesh:
         raise DegenerateCell(f"cell {k} has measure {measures[k]:.3e} below threshold")
 
     boundary, interior_facets, interior_owners = _facet_table(cells, nv)
+    unused = np.bincount(cells.ravel(), minlength=nv) == 0
+    if unused.any():
+        raise InvalidParameters(f"vertex {int(np.argmax(unused))} is in no cell")
     boundary.flags.writeable = False
     return Mesh(
         dim=dim,
@@ -447,12 +451,21 @@ def mesh_to_dict(mesh: Mesh) -> dict:
     }
 
 
-def _node_index(value) -> int:
+def _node_index(value, what: str = "node index") -> int:
     """A stored node index: an integer, an integer string or an integral
     float.  A fraction or a boolean is refused, not truncated to an index."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"node index {value!r} is not an integer")
+        raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _node_indices(value) -> np.ndarray:
+    """Stored node indices as int64 by the rule of `_node_index`, with no
+    Python loop per entry: a fraction or a value outside int64 is refused."""
+    raw = np.asarray(value)
+    if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (np.abs(raw) < 2.0 ** 63)):
+        raise ValueError("node indices must be integers within int64")
+    return raw.astype(np.int64, copy=False)  # beyond 64 bits: OverflowError
 
 
 def mesh_from_dict(data: dict, path=None) -> Mesh:
@@ -464,13 +477,13 @@ def mesh_from_dict(data: dict, path=None) -> Mesh:
         raise InvalidParameters(f"mesh data lacks keys {missing}{where}")
     source = "mesh data" + where
     mesh = build_mesh(json_value(data, "vertices", lambda v: np.asarray(v, dtype=float), source),
-                      json_value(data, "cells", lambda c: np.asarray(c, dtype=np.int64), source))
+                      json_value(data, "cells", _node_indices, source))
     if "boundary_nodes" in data and data["boundary_nodes"] is not None:
         stored = json_value(data, "boundary_nodes",
                             lambda b: sorted({_node_index(i) for i in b}), source)
         if stored != mesh.boundary_nodes.tolist():
             raise NonManifold("stored boundary_nodes disagree with facet incidence")
-    if mesh.dim != json_value(data, "dim", int, source):
+    if mesh.dim != json_value(data, "dim", lambda d: _node_index(d, "dim"), source):
         raise DimensionMismatch("stored dim disagrees with vertex coordinates")
     return mesh
 
@@ -510,7 +523,7 @@ def json_value(data: dict, key: str, convert, source: str):
     the key when the value has the wrong type."""
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameters(f"{source}: key {key!r} has the wrong type: {exc}") from exc
 
 

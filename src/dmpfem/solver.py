@@ -229,14 +229,14 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveResult:
     """The outcome of `picard_solve`.  `final_linear_residual` is the
-    `backward_error` of its last linear solve, `factorizations` counts the
-    sparse LU factorizations it ran and `refinement_steps` the solves with a
-    kept factor (see `linear_solve`)."""
+    `backward_error` of its last linear solve (None, as the update norm, when
+    unknown), `factorizations` counts the sparse LU factorizations it ran and
+    `refinement_steps` the solves with a kept factor (see `linear_solve`)."""
 
     u_h: P1Field
     picard_iterations: int
-    final_update_norm: float
-    final_linear_residual: float
+    final_update_norm: float | None
+    final_linear_residual: float | None
     converged: bool
     factorizations: int
     refinement_steps: int

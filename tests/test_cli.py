@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dmpfem.dmp
 from dmpfem import cli, expressions, solver
 from dmpfem.cli import main
 from dmpfem.errors import InvalidParameters
@@ -590,6 +591,45 @@ class TestDmpCheckCommand:
         assert cert["de_giorgi"]["verdict"] == "pass"
         assert cert["de_giorgi"]["rho"] > 0
 
+    def test_degiorgi_hypothesis_failure_exits_one(self, square_mesh, tmp_path, capsys,
+                                                   monkeypatch):
+        fit = dmpfem.dmp.fit_decay_constant
+        monkeypatch.setattr(dmpfem.dmp, "fit_decay_constant", lambda *a: fit(*a) / 10.0)
+        outdir = tmp_path / "dg"
+        capsys.readouterr()
+        assert run(["dmp-check", "--mesh", square_mesh, "--solve", "--f", "1",
+                    "--checks", "degiorgi", "-o", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: decay hypothesis fails")
+        assert not (outdir / "certificate.json").exists()
+
+    def test_solution_without_record_writes_null_norms(self, square_mesh, tmp_path):
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", solved]) == 0
+        out = tmp_path / "out"
+        assert run(["dmp-check", "--mesh", square_mesh, "--solution", solved / "solution.csv",
+                    "-o", out]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        cert = json.loads((out / "certificate.json").read_text(), parse_constant=refuse)
+        assert [cert["solve"][key] for key in ("final_update_norm", "final_linear_residual",
+                                               "picard_iterations")] == [None, None, -1]
+
+    def test_non_finite_solve_result_norm_not_written(self, square_mesh, tmp_path, capsys):
+        solved = tmp_path / "solved"
+        assert run(["solve", "--mesh", square_mesh, "-o", solved]) == 0
+        info = tmp_path / "info.json"
+        info.write_text('{"final_update_norm": NaN}')
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["dmp-check", "--mesh", square_mesh, "--solution", solved / "solution.csv",
+                    "--solve-result", info, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'certificate.json'}: ")
+        assert "Traceback" not in err
+        assert not (out / "certificate.json").exists()
+
 
 class TestRefusedBeforeOutput:
     """Runs that `solve` or `dmp-check` refuse with exit code 1 before they
@@ -992,6 +1032,31 @@ class TestErrorExits:
         out = tmp_path / "out"
         self._check(["dmp-check", "--mesh", mesh, "--solve", "--f", "1", "--checks", checks,
                      "-o", out], out, capsys, "unknown check ''; choose from")
+
+    @pytest.mark.parametrize("command", ["solve", "dmp-check"])
+    @pytest.mark.parametrize("key, bad, message", [
+        ("vertices", None, "vertex 25 is in no cell"),
+        ("cells", 1.5, "key 'cells' has the wrong type: node indices must be integers"),
+        ("cells", 2 ** 63, "key 'cells' has the wrong type: node indices must be integers"),
+        ("dim", 2.5, "key 'dim' has the wrong type: dim 2.5 is not an integer"),
+    ], ids=["vertex-in-no-cell", "fractional-cell", "cell-beyond-int64", "fractional-dim"])
+    def test_refused_mesh_integers_and_vertices(self, tmp_path, capsys, command, key, bad,
+                                                message):
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", "--square", "4x4", "-o", mesh]) == 0
+        data = json.loads(mesh.read_text())
+        if key == "vertices":
+            data["vertices"].append([0.5, 0.55])
+        elif key == "cells":
+            data["cells"][3][1] = bad
+        else:
+            data["dim"] = bad
+        mesh.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = [command, "--mesh", mesh, "-o", out]
+        if command == "dmp-check":
+            argv.append("--solve")
+        self._check(argv, out, capsys, message)
 
     @pytest.mark.parametrize("command", ["solve", "dmp-check"])
     def test_missing_mesh_file(self, tmp_path, capsys, command):

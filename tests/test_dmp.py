@@ -652,6 +652,36 @@ class TestDeGiorgi:
         report = de_giorgi_verify(inp)
         assert report.hypothesis_ok and report.decay_ok and report.tail_ok
 
+    @staticmethod
+    def _fitted_input(n):
+        """The fitted De Giorgi input of n² Poisson f = +1 at k* = 0 (alpha 4, beta 1.5)."""
+        m = generate_structured_2d(n, n)
+        u_h = picard_solve(m, poisson(f=1.0)).u_h
+        grid = np.unique(np.concatenate([[0.0], u_h.nodal_values]))
+        profile = np.column_stack([grid, level_set_profile(m, u_h, grid)])
+        profile = profile[profile[:, 0] >= 0.0]
+        return DeGiorgiInput(M=fit_decay_constant(profile, 4.0, 1.5, 0.0), alpha=4.0,
+                             beta=1.5, k0=0.0, samples=profile)
+
+    @pytest.mark.parametrize("fraction, tail_ok", [(4.0, True), (10.0, False)])
+    def test_short_ladder_failures_match_oracle(self, monkeypatch, fraction, tail_ok):
+        # a fraction of the lemma's rho keeps the fitted hypothesis but
+        # fails the decay at tau = 1, and at rho/10 the tail too
+        inp = self._fitted_input(16)
+        rho = de_giorgi_rho(inp) / fraction
+        monkeypatch.setattr(dmpfem.dmp, "de_giorgi_rho", lambda _: rho)
+        report = de_giorgi_verify(inp)
+        assert report.to_dict() == table_de_giorgi_verify(inp, rho=rho).to_dict()
+        assert (report.decay_ok, report.first_decay_failure, report.tail_ok) \
+            == (False, 1, tail_ok)
+
+    def test_negative_decay_slack_matches_oracle(self, monkeypatch):
+        inp = self._fitted_input(16)
+        monkeypatch.setattr(dmpfem.dmp, "DECAY_SLACK", -0.5)
+        report = de_giorgi_verify(inp)
+        assert report.to_dict() == table_de_giorgi_verify(inp, rel_tol=-0.5).to_dict()
+        assert (report.decay_ok, report.first_decay_failure) == (False, 0)
+
     def test_undershooting_constant_violates(self):
         m = generate_structured_2d(8, 8)
         coeffs = poisson(f=1.0, g=0.0)
@@ -795,6 +825,15 @@ class TestCertificate:
         assert not cert.theorem_3_3_applicable["f_nonpositive"]
         assert cert.empirical_c is not None and cert.empirical_c > 0
         assert cert.de_giorgi is not None and cert.de_giorgi.all_pass
+
+    def test_fitted_constant_failing_its_hypothesis_raises(self, monkeypatch):
+        # a fit that undershoots is an internal inconsistency, not a verdict
+        fit = dmpfem.dmp.fit_decay_constant
+        monkeypatch.setattr(dmpfem.dmp, "fit_decay_constant", lambda *a: fit(*a) / 10.0)
+        m = generate_structured_2d(8, 8)
+        coeffs = poisson(f=1.0)
+        with pytest.raises(HypothesisViolated, match="decay hypothesis fails"):
+            dmp_certificate(m, picard_solve(m, coeffs), coeffs)
 
     @pytest.mark.parametrize("j", [-30, -12, 12, 30])
     def test_bound_verdicts_do_not_depend_on_scale(self, j):

@@ -87,6 +87,13 @@ class TestBuildMesh:
         with pytest.raises(IndexOutOfRange):
             build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]])
 
+    def test_vertex_in_no_cell_rejected(self):
+        m = generate_structured_2d(4, 4)
+        verts = np.vstack([m.vertices[:7], [[0.5, 0.55]], m.vertices[7:]])
+        cells = m.cells + (m.cells >= 7)
+        with pytest.raises(InvalidParameters, match="^vertex 7 is in no cell$"):
+            build_mesh(verts, cells)
+
     def test_non_manifold_edge(self):
         verts = [[0, 0], [1, 0], [0, 1], [0, -1], [-1, 0.5]]
         cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
@@ -559,6 +566,24 @@ class TestSerialization:
         shifted = {**mesh_to_dict(m), "boundary_nodes": [j + 0.9 for j in stored]}
         with pytest.raises(InvalidParameters):
             mesh_from_dict(shifted)
+
+    @pytest.mark.parametrize("key, bad", [("cells", 1.5), ("cells", 2 ** 63),
+                                          ("cells", 2 ** 64), ("cells", float("nan")),
+                                          ("dim", 2.5)])
+    def test_fractional_or_overflowing_integer_rejected(self, key, bad):
+        data = mesh_to_dict(generate_structured_2d(3, 2))
+        if key == "cells":
+            data["cells"][4][1] = bad
+        else:
+            data["dim"] = bad
+        with pytest.raises(InvalidParameters, match=f"key '{key}' has the wrong type"):
+            mesh_from_dict(data)
+
+    def test_integral_float_cells_and_dim_accepted(self):
+        m = generate_structured_2d(3, 2)
+        data = {**mesh_to_dict(m), "dim": 2.0,
+                "cells": [[float(j) for j in cell] for cell in m.cells.tolist()]}
+        assert np.array_equal(mesh_from_dict(data).cells, m.cells)
 
     def test_vtk_writer(self, tmp_path):
         m = generate_structured_2d(2, 2)
