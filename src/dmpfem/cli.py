@@ -220,15 +220,14 @@ def cmd_mesh_gen(args) -> int:
     else:
         nx, ny, nz = _parse_grid(args.cube, 3)
         mesh = generate_structured_3d(nx, ny, nz)
-    audit = acuteness_audit(mesh, args.alpha_exponent)
+    audit = acuteness_audit(mesh)
     save_mesh(mesh, args.output)
     if args.vtk:
         write_vtk(args.vtk, mesh)
     print(f"mesh: dim={mesh.dim} vertices={mesh.num_vertices} "
           f"cells={mesh.num_cells} h={mesh.h:.6g}")
     print(f"angle audit: classification={audit.classification} "
-          f"max_angle={audit.max_angle:.6g} min_angle={audit.min_angle:.6g} "
-          f"gamma_fit={audit.gamma_fit:.6g} (alpha={args.alpha_exponent})")
+          f"max_angle={audit.max_angle:.6g} min_angle={audit.min_angle:.6g}")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pattern", choices=["right-diagonal", "crisscross"],
                      default="right-diagonal")
     gen.add_argument("--skew", type=float, default=0.0)
-    gen.add_argument("--alpha-exponent", type=float, default=DmpParams.alpha_exponent)
     gen.add_argument("-o", "--output", required=True)
     gen.add_argument("--vtk", default=None)
     gen.set_defaults(func=cmd_mesh_gen)

@@ -52,7 +52,6 @@ _BLOCK_TERMS = 1 << 18  # (row, column) table entries evaluated at once
 # summed logarithms) of the deciding value are rescanned exactly.
 _ROW_SLACK = 1e-9
 
-ELEMENT_CASES = ("general-b", "b-zero-c-nonneg", "poisson-like")
 MAX_FAILURE_RECORDS = 50  # failing element pairs listed in a report
 MAX_EDGE_RECORDS = 200  # edge records written by `EdgeConditionReport.to_dict`
 TAU_MAX = 40  # steps of the De Giorgi ladder k0 + rho - rho / 2^tau
@@ -64,28 +63,26 @@ CUT_C_MODES = ("nonnegative", "identically-zero")
 
 @dataclass(frozen=True)
 class DmpParams:
-    """Exponents and margins steering the bound certificates.
+    """Exponents steering the bound certificates.
 
     `p` is the integrability exponent (p > 2, and p < 2d/(d-2) in 3D), `r`
     trades between source integrability and decay speed (1 <= r < p - 1).
-    `lambda_star` is the margin required of per-pair element integrals in the
-    strict cases; None defers to 0.1 * lam of the coefficient set at use.
+    An r so close to p - 1 that the lemma's decay ratio overflows a float is
+    refused.
     """
 
     p: float = 4.0
     r: float = 2.0
-    lambda_star: float | None = None
-    alpha_exponent: float = 0.0
 
     def __post_init__(self):
         if not 2 < self.p < math.inf:
             raise InvalidParameters("need finite p > 2")
         if not 1 <= self.r < self.p - 1:
             raise InvalidParameters("need 1 <= r < p - 1")
-        if self.lambda_star is not None and not 0 < self.lambda_star < math.inf:
-            raise InvalidParameters("lambda_star must be positive and finite")
-        if not 0 <= self.alpha_exponent < math.inf:
-            raise InvalidParameters("alpha_exponent must be finite and >= 0")
+        if _decay_ratio(self.decay_alpha, self.decay_beta) == math.inf:
+            raise InvalidParameters(
+                f"r={self.r} is too close to p - 1: the decay ratio "
+                f"2^(p/(beta - 1)), beta = (p - 1)/r, overflows a float")
 
     def check_for_dim(self, dim: int) -> None:
         if dim == 3 and not self.p < 6.0:
@@ -116,6 +113,18 @@ class DmpParams:
     def to_dict(self) -> dict:
         return json_record(self, q=self.q, s=_finite_or_none(self.s),
                            f_norm_exponent=_finite_or_none(self.f_norm_exponent))
+
+
+def _decay_ratio(alpha: float, beta: float) -> float:
+    """The iteration lemma's per-step decay factor 2^(alpha/(beta - 1)),
+    beta > 1; inf where it, or the factor 2^(beta/(beta - 1)) of
+    `de_giorgi_rho`, overflows a float."""
+    try:
+        if 2.0 ** (beta / (beta - 1.0)) < math.inf:
+            return 2.0 ** (alpha / (beta - 1.0))
+    except OverflowError:
+        pass
+    return math.inf
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -279,15 +288,13 @@ def _cell_scales(parts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElementConditionReport:
-    """Per-cell, per-ordered-pair verdicts of the sign conditions.
+    """Per-cell, per-ordered-pair sign verdicts of the element integrals.
 
-    A full pass in the strict cases (or the diffusion-only case on a
-    non-obtuse mesh) makes the global cut-pair inequality hold for every
-    piecewise-linear field, not just the solved one.
+    A full pass makes every assembled off-diagonal entry nonpositive, so the
+    global cut-pair inequality holds for every piecewise-linear field, not
+    just the solved one.
     """
 
-    case: str
-    lambda_star: float | None
     all_pass: bool
     min_margin: float
     num_pairs: int
@@ -298,74 +305,41 @@ class ElementConditionReport:
         return json_record(self, "all_pass")
 
 
-def element_condition_check(mesh: Mesh, coeffs: CoefficientSet, parts,
-                            case: str = "poisson-like",
-                            lambda_star: float | None = None) -> ElementConditionReport:
-    """Check the per-pair element integrals that force the cut-pair inequality.
+def element_condition_check(mesh: Mesh, parts) -> ElementConditionReport:
+    """Check the sign of the per-pair element integrals.
 
     For each cell and ordered vertex pair (i, j) with i != j the quantity
 
         D_ij = -integral( a grad_i . grad_j + b . grad_i  shape_j
                           + c shape_i shape_j )
 
-    must dominate a geometric reference: `lambda_star * |grad_i||grad_j||T|`
-    in the strict cases, and `lam * |grad_i||grad_j| cos(angle_ij) |T|`
-    together with nonnegativity in the diffusion-only case (where the drift
-    and reaction integrals must vanish).  `parts` are the `local_form_parts`
-    of the form.
+    must be nonnegative, within `PAIR_TOL` times the cell's largest local
+    entry.  Every assembled off-diagonal entry A_ij is then <= 0, so the
+    cut-pair form sum_{i != j} (u_i - k)+ A_ij (u_j - k)- is nonnegative at
+    every level k for every field.  `min_margin` is the smallest
+    D_ij / (|grad_i||grad_j||T|), for the unit Laplacian the cosine of the
+    largest (in 3D dihedral) angle.  `parts` are the `local_form_parts` of
+    the form.
     """
-    if case not in ELEMENT_CASES:
-        raise InvalidParameters(f"case must be one of {ELEMENT_CASES}")
-    if lambda_star is None:
-        lambda_star = 0.1 * coeffs.lam
-
     m = mesh.dim + 1
     # The d(d+1) ordered pairs i != j in row-major order.  local_form_parts
     # stores [cell, test, trial] and the pair quantity carries the gradient on
     # i, so pair (i, j) reads entry [cell, j, i].
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    diffusion, advection, reaction = (
-        part.reshape(len(part), -1)[:, j * m + i] for part in parts)
-    d_pair = -(diffusion + advection + reaction)
+    d_pair = -functools.reduce(np.add, (part.reshape(len(part), -1)[:, j * m + i]
+                                        for part in parts))
     # relative to each cell's own entries, so a scaled form keeps its verdicts
-    tol = PAIR_TOL * _cell_scales(parts)[:, None]
-
-    grads = gradient_table(mesh)
-    gnorm = row_norms(grads)
-    norm_prod = gnorm[:, i] * gnorm[:, j]
-    prod = norm_prod * mesh.cell_measures[:, None]
-
-    if case == "poisson-like":
-        # grad_i . grad_j = -|g_i||g_j| cos(angle_ij)
-        gdots = np.stack([np.einsum("cd,cd->c", grads[:, a], grads[:, b])
-                          for a, b in zip(i, j)], axis=1)
-        cos_angle = -gdots / norm_prod
-        reference = coeffs.lam * prod * cos_angle
-        margin = np.minimum(d_pair - reference, d_pair)
-        ok = (d_pair >= reference - tol) & (d_pair >= -tol) \
-            & (np.abs(advection) <= tol) & (np.abs(reaction) <= tol)
-    else:
-        reference = lambda_star * prod
-        margin = d_pair - reference
-        ok = d_pair >= reference - tol
-        if case == "b-zero-c-nonneg":
-            ok &= np.abs(advection) <= tol
-
-    bad = np.argwhere(~ok)
+    bad = np.argwhere(~(d_pair >= -PAIR_TOL * _cell_scales(parts)[:, None]))
+    gnorm = row_norms(gradient_table(mesh))
+    margin = d_pair / (gnorm[:, i] * gnorm[:, j] * mesh.cell_measures[:, None])
     failures = [{"cell": int(cell), "i": int(i[p]), "j": int(j[p]),
-                 "d_value": float(d_pair[cell, p]), "reference": float(reference[cell, p])}
+                 "d_value": float(d_pair[cell, p])}
                 for cell, p in bad[:MAX_FAILURE_RECORDS]]
-    # The minimum runs over the [cell, i, j] table with +inf on the diagonal,
-    # the layout that decides which zero a tie of +0.0 and -0.0 returns.
-    table = np.full((mesh.num_cells, m * m), np.inf)
-    table[:, i * m + j] = margin
     return ElementConditionReport(
-        case=case,
-        lambda_star=lambda_star if case != "poisson-like" else None,
-        all_pass=bool(ok.all()),
-        min_margin=float(table.min()),
-        num_pairs=int(mesh.num_cells * m * (m - 1)),
-        num_failing_pairs=int(len(bad)),
+        all_pass=not len(bad),
+        min_margin=float(margin.min()) + 0.0,  # a zero minimum reads +0.0
+        num_pairs=d_pair.size,
+        num_failing_pairs=len(bad),
         failures=failures,
     )
 
@@ -576,6 +550,9 @@ class DeGiorgiInput:
             raise InvalidParameters("sample values must be nonnegative")
         if not (self.M > 0 and self.alpha > 0 and self.beta > 1):
             raise InvalidParameters("need M > 0, alpha > 0, beta > 1")
+        if _decay_ratio(self.alpha, self.beta) == math.inf:
+            raise InvalidParameters(f"beta={self.beta} is too close to 1: the decay "
+                                    f"ratio 2^(alpha/(beta - 1)) overflows a float")
         if samples[0, 0] > self.k0:
             raise InvalidParameters("need a sample at or below k0")
         object.__setattr__(self, "samples", samples)
@@ -741,7 +718,7 @@ def de_giorgi_verify(inp: DeGiorgiInput) -> DeGiorgiReport:
             f"decay hypothesis fails on the ladder pair tau={t}",
             pair=(float(ladder[t]), float(ladder[t + 1])))
 
-    ratio = 2.0 ** (inp.alpha / (inp.beta - 1.0))
+    ratio = _decay_ratio(inp.alpha, inp.beta)
     # -inf where phi(k0) = 0, so that any positive value fails
     bound = logphi[0] - np.append(taus, TAU_MAX) * math.log(ratio) + math.log1p(DECAY_SLACK)
     over = logphi[1:] > bound
@@ -869,18 +846,6 @@ def _source_norm(mesh: Mesh, coeffs: CoefficientSet, exponent: float,
         "cq,q,c->", v, norm_rule.weights, mesh.cell_measures))
 
 
-def _select_element_case(parts, coeffs: CoefficientSet) -> str:
-    diffusion, advection, reaction = parts
-    scale = float(np.abs(diffusion).max())
-    b_zero = float(np.abs(advection).max()) <= PAIR_TOL * scale
-    c_zero = float(np.abs(reaction).max()) <= PAIR_TOL * scale
-    if b_zero and c_zero:
-        return "poisson-like"
-    if b_zero and coeffs.c_mode in CUT_C_MODES:
-        return "b-zero-c-nonneg"
-    return "general-b"
-
-
 def require_interior_nodes(mesh: Mesh, name: str = "mesh") -> None:
     """Raise `InvalidParameters` when every node is a boundary node, so that
     the Dirichlet data fix u_h and no check has a free node to test."""
@@ -930,9 +895,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     if mesh.dim == 2:
         edge = edge_condition_check_2d(mesh, coeffs, parts, matrix)
     del matrix
-    case = _select_element_case(parts, coeffs)
-    element = element_condition_check(mesh, coeffs, parts, case=case,
-                                      lambda_star=params.lambda_star)
+    element = element_condition_check(mesh, parts)
     del parts
 
     holds = None
@@ -952,13 +915,12 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
                         k0=k_star, samples=dg_samples)
     dg_report = de_giorgi_verify(inp)
 
-    audit = acuteness_audit(mesh, params.alpha_exponent)
+    audit = acuteness_audit(mesh)
     mesh_info = {
         "dim": mesh.dim, "h": mesh.h, "num_cells": mesh.num_cells,
         "num_vertices": mesh.num_vertices,
         "max_angle": audit.max_angle, "min_angle": audit.min_angle,
         "classification": audit.classification,
-        "gamma_fit": audit.gamma_fit,
     }
 
     return DmpCertificate(

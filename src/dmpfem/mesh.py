@@ -187,18 +187,12 @@ class InteriorEdges:
 
 @dataclass(frozen=True)
 class AngleReport:
-    """Result of an acuteness audit over all cells.
-
-    `gamma_fit` is the smallest value of (pi/2 - angle) / h**alpha_exponent over
-    every cell and vertex pair; it is positive exactly when every angle is
-    strictly below pi/2 (up to tolerance).
-    """
+    """Result of an acuteness audit over all cells."""
 
     cell_angles: np.ndarray  # (n_cells, n_pairs), pairs (0,1), (0,2), ..., (d-1,d)
     max_angle: float
     min_angle: float
     classification: str  # 'acute' | 'non-obtuse' | 'obtuse'
-    gamma_fit: float
 
 
 _SORT_NETWORKS = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)]}  # facet widths 2 and 3
@@ -375,15 +369,12 @@ def _all_cell_angles(mesh: Mesh) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
+def acuteness_audit(mesh: Mesh) -> AngleReport:
     """Scan all angles and classify the mesh.
 
     classification: 'obtuse' iff some angle exceeds pi/2 + tol, 'acute' iff all
-    are below pi/2 - tol, else 'non-obtuse'.  gamma_fit is the binding constant
-    of the margin (pi/2 - angle) measured against h**alpha_exponent.
+    are below pi/2 - tol, else 'non-obtuse'.
     """
-    if not 0 <= alpha_exponent < np.inf:
-        raise InvalidParameters("alpha_exponent must be finite and >= 0")
     angles = _all_cell_angles(mesh)
     max_angle = float(angles.max())
     min_angle = float(angles.min())
@@ -393,15 +384,8 @@ def acuteness_audit(mesh: Mesh, alpha_exponent: float = 0.0) -> AngleReport:
         classification = "acute"
     else:
         classification = "non-obtuse"
-    scale = mesh.h ** alpha_exponent
-    gamma_fit = float(((np.pi / 2 - angles) / scale).min())
-    return AngleReport(
-        cell_angles=angles,
-        max_angle=max_angle,
-        min_angle=min_angle,
-        classification=classification,
-        gamma_fit=gamma_fit,
-    )
+    return AngleReport(cell_angles=angles, max_angle=max_angle, min_angle=min_angle,
+                       classification=classification)
 
 
 def interior_edges_2d(mesh: Mesh) -> InteriorEdges:
@@ -461,8 +445,13 @@ def _node_index(value, what: str = "node index") -> int:
 
 def _node_indices(value) -> np.ndarray:
     """Stored node indices as int64 by the rule of `_node_index`, with no
-    Python loop per entry: a fraction or a value outside int64 is refused."""
+    Python loop per entry: a fraction, a boolean or a value outside int64 is
+    refused.  numpy reads a JSON true among integers as 1, so the types of the
+    rows' entries are collected in one pass."""
     raw = np.asarray(value)
+    if raw.dtype.kind == "b" or (
+            raw.ndim == 2 and bool in set(map(type, itertools.chain.from_iterable(value)))):
+        raise ValueError("node indices must be integers, not booleans")
     if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (np.abs(raw) < 2.0 ** 63)):
         raise ValueError("node indices must be integers within int64")
     return raw.astype(np.int64, copy=False)  # beyond 64 bits: OverflowError

@@ -172,8 +172,7 @@ def test_05_element_condition_sufficiency():
         "equilateral 3x2": equilateral_mesh(3, 2),
     }
     for label, mesh in meshes.items():
-        report = element_condition_check(mesh, poisson(), frozen_form(mesh, poisson())[0],
-                                         case="poisson-like")
+        report = element_condition_check(mesh, frozen_form(mesh, poisson())[0])
         assert report.all_pass, label
         for _ in range(20):
             fc = rng.uniform(-3.0, 3.0, size=3)
@@ -190,8 +189,7 @@ def test_05_element_condition_sufficiency():
 
     obtuse = generate_structured_2d(3, 3, skew=0.55)
     assert acuteness_audit(obtuse).classification == "obtuse"
-    failing = element_condition_check(obtuse, poisson(), frozen_form(obtuse, poisson())[0],
-                                      case="poisson-like")
+    failing = element_condition_check(obtuse, frozen_form(obtuse, poisson())[0])
     assert not failing.all_pass
     assert failing.failures, "failing pairs must be listed as evidence"
     _finish("element condition sufficiency (3 meshes x 20 solves + obtuse)",

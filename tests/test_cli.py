@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestMeshGen:
         assert run(["mesh-gen", "--square", "2x2", "--cube", "1x1x1",
                     "-o", tmp_path / "m.json"]) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--skew", "1.5"), ("--alpha-exponent", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--skew", "1.5")])
     def test_bad_structured_parameter_writes_nothing(self, tmp_path, capsys, flag, value):
         mesh_path, vtk_path = tmp_path / "m.json", tmp_path / "m.vtk"
         assert run(["mesh-gen", "--square", "4x4", flag, value, "-o", mesh_path,
@@ -219,10 +220,7 @@ class TestSolveCommand:
         ["solve", "--picard-max-iter", "-1"],
         ["dmp-check", "--solve", "--picard-max-iter", "-1"],
         ["solve", "--coeffs", "nan-bounds.json"],
-        ["dmp-check", "--solve", "--lambda-star", "nan"],
-        ["dmp-check", "--solve", "--alpha-exponent", "nan"],
         ["dmp-check", "--solve", "--p", "inf"],
-        ["mesh-gen", "--square", "4x4", "--alpha-exponent", "inf"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_parameter_exits_one(self, square_mesh, tmp_path, capsys, argv):
         spec = {"a": "1", "b": ["0", "0"], "c": "0", "f": "-1", "g": "0", "lambda": math.nan,
@@ -709,6 +707,92 @@ class TestRefusedBeforeOutput:
         err = capsys.readouterr().err
         assert "key 'boundary_nodes' has the wrong type: node index 0.9 is not an integer" \
             in err and str(mesh) in err
+
+    @pytest.mark.parametrize("vertex, flag", [(1, True), (0, False)])
+    def test_boolean_cell_entry(self, tmp_path, capsys, vertex, flag):
+        # numpy would read true as vertex 1 and false as vertex 0
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", "--square", "4x4", "-o", mesh]) == 0
+        data = json.loads(mesh.read_text())
+        cell = next(c for c in data["cells"] if vertex in c)
+        cell[cell.index(vertex)] = flag
+        mesh.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["solve"], ["dmp-check", "--solve"]):
+            assert run([*argv, "--mesh", mesh, "-o", out]) == 1
+            assert list(out.iterdir()) == []
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(e.startswith("error: ") and "not booleans" in e for e in errors)
+
+    @pytest.mark.parametrize("r", ["2.99", "2.9999999999"])
+    @pytest.mark.parametrize("f", ["1", "-1"])
+    def test_overflowing_decay_ratio(self, tmp_path, capsys, r, f):
+        # beta = 3/r so near 1 that 2^(p/(beta - 1)) is no float
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", "--square", "4x4", "-o", mesh]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["dmp-check", "--mesh", mesh, "--solve", "--f", f, "--p", "4",
+                    "--r", r, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: r={r} is too close to p - 1") and "Traceback" not in err
+        assert not out.exists()
+        assert run(["dmp-check", "--mesh", mesh, "--solve", "--f", f, "--p", "4",
+                    "--r", "2.98", "-o", out]) == 0
+        assert (out / "certificate.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dmp-check", "--solve", "--lambda-star", "0.1"],
+        ["dmp-check", "--solve", "--alpha-exponent", "1"],
+        ["mesh-gen", "--square", "4x4", "--alpha-exponent", "1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_removed_flag(self, square_mesh, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] == "mesh-gen":
+            argv = [*argv, "--vtk", tmp_path / "m.vtk"]
+        else:
+            argv = [*argv, "--mesh", square_mesh]
+        capsys.readouterr()
+        assert run([*argv, "-o", out]) == 1
+        removed = next(a for a in argv if a in ("--lambda-star", "--alpha-exponent"))
+        assert f"unrecognized arguments: {removed} " in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m.vtk").exists()
+
+
+class TestKnobAudit:
+    """Every field of `DmpParams` and `SolveOptions` changes an output byte or
+    the exit code on one small problem: a setting that changes nothing is a
+    knob to delete."""
+
+    # one non-default value per field
+    VALUES = {"p": "3", "r": "1.5", "picard_max_iter": "2", "picard_tol": "1e-4",
+              "linear_tol": "1e-17", "damping": "0.5"}
+
+    @staticmethod
+    def _outputs(mesh, out, command, flags, name, ignored):
+        code = run([*command, "--mesh", mesh, "--problem", "quasilinear-a", "--f", "1",
+                    *flags, "-o", out])
+        path = out / name
+        data = json.loads(path.read_text()) if path.exists() else None
+        return code, data and {k: v for k, v in data.items() if k not in ignored}
+
+    @pytest.mark.parametrize("cls, command, name, ignored", [
+        (dmpfem.dmp.DmpParams, ["dmp-check", "--solve"], "certificate.json",
+         ("params", "run", "mesh")),
+        (solver.SolveOptions, ["solve"], "solve.json", ("run",)),
+    ], ids=["DmpParams", "SolveOptions"])
+    def test_every_field_changes_an_output(self, square_mesh, tmp_path, cls, command,
+                                           name, ignored):
+        default = self._outputs(square_mesh, tmp_path / "default", command, [], name, ignored)
+        assert default[0] == 0
+        for f in fields(cls):
+            flag = "--" + f.name.replace("_", "-")
+            changed = self._outputs(square_mesh, tmp_path / f.name, command,
+                                    [flag, self.VALUES[f.name]], name, ignored)
+            assert changed != default, f"{cls.__name__}.{f.name} changed nothing"
 
 
 class TestSolutionFile:

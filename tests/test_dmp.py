@@ -11,7 +11,6 @@ import dmpfem.p1
 import dmpfem.solver
 from dmpfem.dmp import (
     BOUND_TOL,
-    ELEMENT_CASES,
     MAX_FAILURE_RECORDS,
     PAIR_TOL,
     SIGN_TOL,
@@ -37,6 +36,7 @@ from dmpfem.errors import (
     UnsupportedCMode,
 )
 from dmpfem.mesh import (
+    acuteness_audit,
     build_mesh,
     generate_structured_2d,
     generate_structured_3d,
@@ -85,9 +85,9 @@ def _sweep(mesh, coeffs, w, k_star=0.0):
     return assumption_a_sweep(w, frozen_form(mesh, coeffs, w)[1], k_star)
 
 
-def _element(mesh, coeffs, **kwargs):
+def _element(mesh, coeffs):
     """`element_condition_check` of the `default_rule` form frozen at zero."""
-    return element_condition_check(mesh, coeffs, frozen_form(mesh, coeffs)[0], **kwargs)
+    return element_condition_check(mesh, frozen_form(mesh, coeffs)[0])
 
 
 def _edge(mesh, coeffs):
@@ -304,35 +304,70 @@ class TestAssumptionSweep:
 class TestElementCondition:
     def test_equilateral_poisson_passes_with_equality(self):
         m = equilateral_mesh(2, 2)
-        report = _element(m, poisson(), case="poisson-like")
+        report = _element(m, poisson())
         assert report.all_pass
-        # margin against the angle reference is zero for constant unit a
-        assert report.min_margin == pytest.approx(0.0, abs=1e-13)
+        # the measured margin of the unit Laplacian is cos(pi/3)
+        assert report.min_margin == pytest.approx(0.5, abs=1e-13)
 
     def test_right_angle_pair_boundary_case(self, reference_triangle):
-        report_iii = _element(reference_triangle, poisson(), case="poisson-like")
-        assert report_iii.all_pass
-        report_i = _element(reference_triangle, poisson(), case="general-b", lambda_star=0.1)
-        assert not report_i.all_pass  # the orthogonal pair has zero integral
+        report = _element(reference_triangle, poisson())
+        assert report.all_pass  # the orthogonal pair has zero integral
+        assert report.min_margin == pytest.approx(0.0, abs=1e-15)
+        # any reaction makes that pair's integral negative
+        report = _element(reference_triangle, advection_diffusion([0.0, 0.0], c0=1e-3))
+        assert not report.all_pass
+        assert [(f["i"], f["j"]) for f in report.failures] == [(1, 2), (2, 1)]
 
     def test_obtuse_triangle_fails(self):
         m = build_mesh([[0, 0], [1, 0], [0.8, 0.15]], [[0, 1, 2]])
-        report = _element(m, poisson(), case="poisson-like")
+        report = _element(m, poisson())
         assert not report.all_pass
         assert report.failures
         worst = report.failures[0]
         assert worst["d_value"] < 0
 
-    def test_case_validation(self):
-        m = generate_structured_2d(2, 2)
-        with pytest.raises(InvalidParameters):
-            _element(m, poisson(), case="bogus")
-
     def test_acute_mesh_passes_strict_case(self):
+        # a reaction lowers the margin of an acute mesh, which stays strictly
+        # positive: D = (cos(pi/3) |grad|^2 - c/12) |T| > 0
         m = equilateral_mesh(2, 2)
-        report = _element(m, poisson(), case="b-zero-c-nonneg", lambda_star=0.2)
-        # equilateral: D = cos(pi/3) * prod = 0.5 * prod >= 0.2 * prod
+        report = _element(m, advection_diffusion([0.0, 0.0], c0=1.0))
         assert report.all_pass
+        assert 0.0 < report.min_margin < 0.5
+
+    @pytest.mark.parametrize("c0, passes", [(0.5, True), (5.0, False)])
+    def test_apex_87_degrees_with_reaction(self, c0, passes):
+        # base 1, apex angle 87 degrees: the apex pair's cotangent term
+        # -cot(87°)/2 = -0.026 against the reaction's c0 |T| / 12
+        height = 0.5 / math.tan(math.radians(43.5))
+        m = build_mesh([[0.0, 0.0], [1.0, 0.0], [0.5, height]], [[0, 1, 2]])
+        coeffs = advection_diffusion([0.0, 0.0], c0=c0)
+        parts = frozen_form(m, coeffs)[0]
+        local = sum(parts)[0]  # dense element matrix [test, trial]
+        off_diagonal = local[~np.eye(3, dtype=bool)]
+        report = element_condition_check(m, parts)
+        assert report.all_pass == passes
+        if passes:
+            assert off_diagonal.max() <= -0.015
+        else:
+            assert off_diagonal.max() == pytest.approx(0.084, abs=1e-3)
+            assert report.num_failing_pairs == int((off_diagonal > 0).sum()) == 2
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: equilateral_mesh(3, 2), 0.5),
+        (lambda: generate_structured_2d(8, 8), 0.0),
+        (lambda: generate_structured_2d(8, 8, skew=0.5), -0.4472),
+        (lambda: generate_structured_3d(3, 3, 3), 0.0),
+        (lambda: perturbed_mesh(generate_structured_3d(3, 3, 3), np.random.default_rng(7),
+                                0.1), None),
+    ], ids=["equilateral", "right-diagonal", "skew-0.5", "kuhn", "perturbed-kuhn"])
+    def test_unit_laplacian_margin_is_cos_max_angle(self, make, expected):
+        m = make()
+        report = _element(m, poisson())
+        margin = math.cos(acuteness_audit(m).max_angle)
+        assert report.min_margin == pytest.approx(margin, abs=1e-12)
+        if expected is not None:
+            assert report.min_margin == pytest.approx(expected, abs=1e-4)
+        assert report.all_pass == (report.min_margin >= 0.0)
 
     def test_failures_count_every_pair_and_list_the_written_ones(self):
         # unit Laplacian: pair (i, j) fails exactly when the angle at the
@@ -376,8 +411,7 @@ class TestPassesMatchCertificate:
 
         assert dumps(assumption_a_sweep(u_h, matrix, cert.k_star)) == \
             dumps(written["assumption_a"])
-        case = dmpfem.dmp._select_element_case(parts, coeffs)
-        assert dumps(element_condition_check(m, coeffs, parts, case=case)) == \
+        assert dumps(element_condition_check(m, parts)) == \
             dumps(written["element_condition"])
         edge = edge_condition_check_2d(m, coeffs, parts, matrix) if dim == 2 \
             else {"verdict": "not-applicable"}
@@ -388,7 +422,7 @@ class TestPassesMatchCertificate:
             zero_parts, zero_matrix = frozen_form(m, coeffs)
             assert dumps(assumption_a_sweep(u_h, zero_matrix, cert.k_star)) != \
                 dumps(written["assumption_a"])
-            assert dumps(element_condition_check(m, coeffs, zero_parts, case=case)) != \
+            assert dumps(element_condition_check(m, zero_parts)) != \
                 dumps(written["element_condition"])
 
 
@@ -412,14 +446,8 @@ class TestSlackScale:
         verdicts = set()
         for j in (-60, -40, -20, 0, 20, 40):
             coeffs = _scaled_laplacian(2.0 ** j)
-            case = dmpfem.dmp._select_element_case(
-                local_form_parts(m, constant_field(m, 0.0), coeffs,
-                                 default_rule(m, coeffs)), coeffs)
-            element = _element(m, coeffs, case=case)
-            edge = _edge(m, coeffs)
-            verdicts.add((case, element.all_pass, edge.all_pass))
-        assert len(verdicts) == 1
-        assert verdicts.pop()[1:] == ((False, False) if skew else (True, True))
+            verdicts.add((_element(m, coeffs).all_pass, _edge(m, coeffs).all_pass))
+        assert verdicts == ({(False, False)} if skew else {(True, True)})
 
     @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12])
     def test_small_obtuse_operator_fails(self, s):
@@ -428,7 +456,9 @@ class TestSlackScale:
         element = _element(m, coeffs)
         edge = _edge(m, coeffs)
         assert not element.all_pass and not edge.all_pass
-        assert element.min_margin == pytest.approx(-0.3 * s, rel=1e-9)
+        # the margin is scaled by |grad_i||grad_j||T|, not by the form
+        assert element.min_margin == pytest.approx(
+            s * math.cos(acuteness_audit(m).max_angle), rel=1e-9)
         assert edge.max_sum == pytest.approx(0.6 * s, rel=1e-9)
 
 
@@ -790,10 +820,20 @@ class TestDmpParams:
         with pytest.raises(InvalidParameters):
             DmpParams(p=6.5, r=2.0).check_for_dim(3)
         DmpParams(p=6.5, r=2.0).check_for_dim(2)
-        for bad in ({"p": math.inf}, {"lambda_star": math.nan}, {"lambda_star": math.inf},
-                    {"alpha_exponent": math.nan}, {"alpha_exponent": math.inf}):
-            with pytest.raises(InvalidParameters):
-                DmpParams(**bad)
+        with pytest.raises(InvalidParameters):
+            DmpParams(p=math.inf)
+
+    @pytest.mark.parametrize("r", [2.99, 2.9999999999])
+    def test_overflowing_decay_ratio_refused(self, r):
+        # beta = 3/r -> 1, so 2^(p/(beta - 1)) leaves the float range
+        with pytest.raises(InvalidParameters, match=f"r={r}"):
+            DmpParams(p=4.0, r=r)
+        assert DmpParams(p=4.0, r=2.98).decay_beta > 1.0
+
+    def test_de_giorgi_input_refuses_beta_near_one(self):
+        with pytest.raises(InvalidParameters, match="too close to 1"):
+            DeGiorgiInput(M=1.0, alpha=4.0, beta=1 + 1e-12, k0=0.0,
+                          samples=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestCertificate:
@@ -910,14 +950,14 @@ class TestCertificate:
             assert cert.theorem_3_3_verdict == "pass", f"n={n}"
 
     def test_element_sufficiency_implies_sweep(self):
-        # whenever the diffusion-only case passes on all pairs, the sweep must
-        # hold for every solved field
+        # whenever the element check passes on all pairs, the sweep must hold
+        # for every solved field
         rng = np.random.default_rng(3)
         meshes = [generate_structured_2d(4, 4),
                   generate_structured_2d(3, 3, pattern="crisscross"),
                   equilateral_mesh(3, 2)]
         for m in meshes:
-            report = _element(m, poisson(), case="poisson-like")
+            report = _element(m, poisson())
             assert report.all_pass
             for _ in range(5):
                 fc = rng.uniform(-2, 2)
@@ -930,6 +970,36 @@ class TestCertificate:
                                         coeffs.c_mode)
                 sweep = _sweep(m, coeffs, result.u_h, k_star=k_star)
                 assert sweep.satisfied
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["equilateral", "right-diagonal", "kuhn"]),
+           n=st.integers(2, 4), amount=st.sampled_from([0.0, 0.05]),
+           b_scale=st.sampled_from([0.0, 0.3, 3.0]), c0=st.sampled_from([0.0, 0.5, 5.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_element_pass_implies_sweep_with_lower_order_terms(self, kind, n, amount,
+                                                               b_scale, c0, seed):
+        # acceptance test 05 with drift, reaction and a state-dependent a:
+        # wherever every element pair passes, every assembled off-diagonal is
+        # <= 0, so the cut-pair form is nonnegative for any field and threshold
+        rng = np.random.default_rng(seed)
+        base = {"equilateral": lambda: equilateral_mesh(n, n),
+                "right-diagonal": lambda: generate_structured_2d(n, n),
+                "kuhn": lambda: generate_structured_3d(n, n, n)}[kind]()
+        m = perturbed_mesh(base, rng, amount)
+        drift = rng.uniform(-1.0, 1.0, m.dim) * b_scale
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+            b=lambda x, e, p: np.broadcast_to(drift, np.shape(x)),
+            c=lambda x, e: np.full(np.shape(e), c0), f=0.0, g=0.0, lam=0.5, Lam=1.5,
+            nu=10.0, c_mode="nonnegative")
+        parts, matrix = frozen_form(m, coeffs, random_nodal_field(m, rng))
+        report = element_condition_check(m, parts)
+        if kind == "equilateral" and amount == 0.0 and b_scale <= 0.3 and c0 <= 0.5:
+            assert report.all_pass  # the premise is met on these draws
+        if report.all_pass:
+            for _ in range(3):
+                u = random_nodal_field(m, rng)
+                assert assumption_a_sweep(u, matrix, float(rng.uniform(-1.0, 1.0))).satisfied
 
     def test_certificate_json_shape(self):
         m = generate_structured_2d(4, 4)
@@ -1032,26 +1102,22 @@ class TestBlockedPassesMatchOracles:
         rule = default_rule(m, coeffs)
         for form in (coeffs, poisson()):
             parts = local_form_parts(m, w, form, rule)
-            for case in ELEMENT_CASES:
-                for lambda_star in (None, 0.05):
-                    assert _dumps(element_condition_check(
-                        m, form, parts, case=case, lambda_star=lambda_star)) == \
-                        _dumps(full_element_condition_check(m, form, case, lambda_star, parts))
+            assert _dumps(element_condition_check(m, parts)) == \
+                _dumps(full_element_condition_check(m, parts))
         assert _dumps(check_zeroth_order_condition(m, w, coeffs)) == \
             _dumps(unblocked_zeroth_order_condition(m, w, coeffs, rule))
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_kuhn_zero_margin_sign(self, n):
         # right dihedral angles give margins of +0.0 and -0.0; the reported
-        # minimum keeps the zero the full table gives (the minimum over the
-        # pairs alone gives +0.0 for the solved field at 8^3, the table -0.0)
+        # minimum reads a zero as +0.0, whichever of the two the table holds
         m = generate_structured_3d(n, n, n)
         coeffs = quasilinear_a(f=1.0)
         for w in (constant_field(m, 0.0), random_nodal_field(m, np.random.default_rng(n)),
                   picard_solve(m, coeffs).u_h):
             parts = local_form_parts(m, w, coeffs, default_rule(m, coeffs))
-            assert _dumps(element_condition_check(m, coeffs, parts)) == \
-                _dumps(full_element_condition_check(m, coeffs, "poisson-like", None, parts))
+            assert _dumps(element_condition_check(m, parts)) == \
+                _dumps(full_element_condition_check(m, parts))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_block_size_does_not_change_bytes(self, monkeypatch, dim):
@@ -1140,8 +1206,8 @@ class TestMemoryBudget:
 
 
 class TestZeroDriftReactionCertificate:
-    """b = 0 with c0 > 0: the certificate checks the `b-zero-c-nonneg` element
-    case, and the reaction term lifts the diagonal edges' sums above zero."""
+    """b = 0 with c0 > 0: the reaction term makes the right-angle element
+    pairs negative and lifts the diagonal edges' sums above zero."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -1153,9 +1219,8 @@ class TestZeroDriftReactionCertificate:
     def test_element_block_matches_full_table_oracle(self, solved):
         m, coeffs, result, cert = solved
         parts, _ = frozen_form(m, coeffs, result.u_h)
-        assert cert.element_condition.case == "b-zero-c-nonneg"
         assert _dumps(cert.element_condition) == _dumps(
-            full_element_condition_check(m, coeffs, "b-zero-c-nonneg", None, parts))
+            full_element_condition_check(m, parts))
 
     def test_verdicts(self, solved):
         verdicts = solved[3].verdicts()

@@ -214,9 +214,6 @@ class TestGenerators:
             generate_structured_2d(1, 1, pattern="diagonal")
         with pytest.raises(InvalidParameters):
             generate_structured_3d(1, 0, 1)
-        for exponent in (-1.0, math.nan, math.inf):
-            with pytest.raises(InvalidParameters):
-                acuteness_audit(generate_structured_2d(1, 1), exponent)
 
     @pytest.mark.parametrize("args", [(1, 1, "right-diagonal", 0.0),
                                       (5, 3, "right-diagonal", 0.35),
@@ -303,20 +300,21 @@ class TestAngles:
 
 
 class TestAcutenessAudit:
+    # the angle margin pi/2 - max_angle, called gamma in the tests' names
     def test_right_diagonal_non_obtuse(self):
-        report = acuteness_audit(generate_structured_2d(4, 4), 0.0)
+        report = acuteness_audit(generate_structured_2d(4, 4))
         assert report.classification == "non-obtuse"
-        assert report.gamma_fit == pytest.approx(0.0, abs=1e-12)
+        assert math.pi / 2 - report.max_angle == pytest.approx(0.0, abs=1e-12)
 
     def test_equilateral_gamma(self):
-        report = acuteness_audit(equilateral_mesh(3, 2), 0.0)
+        report = acuteness_audit(equilateral_mesh(3, 2))
         assert report.classification == "acute"
-        assert report.gamma_fit == pytest.approx(math.pi / 6, abs=1e-12)
+        assert math.pi / 2 - report.max_angle == pytest.approx(math.pi / 6, abs=1e-12)
 
     def test_obtuse_negative_gamma(self):
-        report = acuteness_audit(generate_structured_2d(2, 2, skew=0.6), 0.0)
+        report = acuteness_audit(generate_structured_2d(2, 2, skew=0.6))
         assert report.classification == "obtuse"
-        assert report.gamma_fit < 0
+        assert math.pi / 2 - report.max_angle < 0
 
     def test_rigid_motion_and_scaling_invariance(self):
         m = generate_structured_2d(3, 3, skew=0.35)
@@ -578,6 +576,17 @@ class TestSerialization:
             data["dim"] = bad
         with pytest.raises(InvalidParameters, match=f"key '{key}' has the wrong type"):
             mesh_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_boolean_cells_rejected(self, bad):
+        # numpy reads a boolean among integers as 0 or 1
+        data = mesh_to_dict(generate_structured_2d(3, 2))
+        data["cells"][4][1] = bad
+        with pytest.raises(InvalidParameters, match="key 'cells' has the wrong type: "
+                                                    "node indices must be integers, not booleans"):
+            mesh_from_dict(data)
+        with pytest.raises(InvalidParameters, match="not booleans"):
+            mesh_from_dict({**data, "cells": [[bad] * 3 for _ in data["cells"]]})
 
     def test_integral_float_cells_and_dim_accepted(self):
         m = generate_structured_2d(3, 2)
