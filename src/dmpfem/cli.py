@@ -194,13 +194,8 @@ def _given_solver_options(args) -> dict:
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("solver", argument_default=argparse.SUPPRESS)
-    group.add_argument("--picard-max-iter", type=int)
-    group.add_argument("--picard-tol", type=float)
-    group.add_argument("--linear-tol", type=float,
-                       help="bound on the componentwise backward error of every linear "
-                            "solve; a Picard pass refined with an earlier LU factor that "
-                            f"misses it refactors (default {SolveOptions.linear_tol})")
-    group.add_argument("--damping", type=float)
+    for f in fields(SolveOptions):
+        group.add_argument(_flag(f.name), type=type(f.default))
 
 
 def _add_dmp_args(parser: argparse.ArgumentParser) -> None:

@@ -41,6 +41,7 @@ SPOT_SAMPLES = 1000  # random (x, eta, p) samples of `validate_coefficients`
 SPOT_RANGE = 10.0  # eta and each component of p lie in [-SPOT_RANGE, SPOT_RANGE]
 BLOCK_POINTS = 1 << 15  # quadrature points whose coefficients are sampled at once
 REFINE_STEPS = 10  # refinement steps with a kept LU factor before a solve refactors
+LINEAR_TOL = 1e-12  # bound on the backward error of every linear solve
 ZEROTH_ORDER_SLACK = 4.0 * float(np.finfo(float).eps)  # per unit of c - div b/2's rounding
 
 
@@ -52,15 +53,22 @@ def as_point_callable(value):
     return lambda x: np.full(np.shape(x)[:-1], v)
 
 
-def point_values(name: str, fn, x: np.ndarray) -> np.ndarray:
-    """The coordinate callable `fn` (f or g, called `name`) at the points x
-    (..., D), broadcast to their leading shape.  Raises `NonFiniteValue`,
-    naming a point and its value, if any value is NaN or infinite."""
-    values = np.broadcast_to(np.asarray(fn(x), float), x.shape[:-1])
-    finite = np.isfinite(values)
-    if not finite.all():
-        k = np.unravel_index(np.argmin(finite), finite.shape)
-        raise NonFiniteValue(f"{name} is {float(values[k])!r} at x={x[k].tolist()}")
+def point_values(name: str, fn, x: np.ndarray, *args, shape=None) -> np.ndarray:
+    """`fn(x, *args)` at the points x (..., D), broadcast to `shape` (their
+    leading shape when None): the one sampling of f, g, a, b, c and div_b,
+    called `name`.  The formula runs with numpy's floating-point warnings
+    off, and any NaN or infinite value raises `NonFiniteValue` naming it and
+    its point."""
+    with np.errstate(all="ignore"):
+        raw = np.asarray(fn(x, *args), float)
+    values = np.broadcast_to(raw, x.shape[:-1] if shape is None else shape)
+    # min and max propagate NaN and hold no (..., D) temporary; an axis along
+    # which fn's array repeats one value (stride 0) is read once
+    distinct = raw[tuple(slice(None) if s else slice(0, 1) for s in raw.strides)]
+    if not np.isfinite([distinct.min(initial=0.0), distinct.max(initial=0.0)]).all():
+        k = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        point = x[k[:x.ndim - 1]].tolist()
+        raise NonFiniteValue(f"{name} is {float(values[k])!r} at x={point}")
     return values
 
 
@@ -101,6 +109,14 @@ class CoefficientSet:
             raise InvalidParameters(f"c_mode must be one of {C_MODES}")
         object.__setattr__(self, "f", as_point_callable(self.f))
         object.__setattr__(self, "g", as_point_callable(self.g))
+
+
+def coefficient_values(coeffs: CoefficientSet, x: np.ndarray, eta: np.ndarray, p: np.ndarray):
+    """a, b and c at the points x (..., D) with state eta and gradient p, each
+    through `point_values`."""
+    return (point_values("coefficient a", coeffs.a, x, eta, p),
+            point_values("coefficient b", coeffs.b, x, eta, p, shape=x.shape),
+            point_values("coefficient c", coeffs.c, x, eta))
 
 
 def poisson(f=-1.0, g=0.0) -> CoefficientSet:
@@ -164,16 +180,7 @@ def validate_coefficients(coeffs: CoefficientSet, mesh: Mesh, seed: int = 0) -> 
     eta = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=SPOT_SAMPLES)
     p = rng.uniform(-SPOT_RANGE, SPOT_RANGE, size=(SPOT_SAMPLES, mesh.dim))
 
-    a = np.broadcast_to(np.asarray(coeffs.a(x, eta, p), float), eta.shape)
-    b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
-    c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
-    for name, values in (("a", a), ("b", b), ("c", c)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite.reshape(SPOT_SAMPLES, -1).all(axis=1)))
-            raise NonFiniteValue(
-                f"coefficient {name} is {values[k].tolist()} at x={x[k].tolist()}, "
-                f"eta={float(eta[k])!r}")
+    a, b, c = coefficient_values(coeffs, x, eta, p)
 
     slack = 1e-12 * coeffs.Lam  # relative: the bounds on a keep their verdict under scaling
     if a.min() < coeffs.lam - slack:
@@ -214,12 +221,11 @@ class SparseSystem:
 class SolveOptions:
     picard_max_iter: int = 100
     picard_tol: float = 1e-10
-    linear_tol: float = 1e-12
     damping: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.picard_tol < np.inf and 0 < self.linear_tol < np.inf):
-            raise InvalidParameters("tolerances must be positive and finite")
+        if not 0 < self.picard_tol < np.inf:
+            raise InvalidParameters("picard_tol must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParameters("damping must lie in (0, 1]")
         if self.picard_max_iter < 0:
@@ -297,9 +303,8 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     are constant on a cell.  a, b and c are sampled one `cell_blocks` slice
     at a time, so no (C, Q, D) coefficient array is held.  A block whose b
     (or c) samples are all zero skips that term's products and writes +0.0,
-    the entries the products give there; a NaN sample is not zero.
-    `_samples` are the `state_samples` of w when the caller already holds
-    them.
+    the entries the products give there.  `_samples` are the `state_samples`
+    of w when the caller already holds them.
     """
     samples = _samples or state_samples(w, rule)
     grads = gradient_table(mesh)
@@ -313,9 +318,7 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     diffusion, advection, reaction = (np.empty((mesh.num_cells, n_local, n_local))
                                       for _ in range(3))
     for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
-        a = np.broadcast_to(np.asarray(coeffs.a(x, eta, p), float), eta.shape)
-        b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
-        c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+        a, b, c = coefficient_values(coeffs, x, eta, p)
         g, m = grads[cells], meas[cells]
         a_cell = np.einsum("cq,q->c", a, wq) * m
         diffusion[cells] = np.einsum("c,cmd,cnd->cmn", a_cell, g, g)
@@ -457,35 +460,8 @@ class KeptFactor:
     residual: float = float("nan")
 
 
-def _refine(kept: KeptFactor, system: SparseSystem, abs_matrix, x: np.ndarray, linear_tol):
-    """Iterative refinement x <- x + LU^-1 (b - A x) with the kept, older factor,
-    for as long as each step at least halves the `backward_error` and for at
-    most `REFINE_STEPS` steps; a step that does not lower it is dropped.  So it
-    stops at the rounding floor, not at `linear_tol`, which keeps the last
-    Picard update a true one.  `abs_matrix` is |A|, and the residual of a step
-    is the right-hand side of the next.  Returns the refined x and its
-    backward error, or None unless some step was kept and the error ended at
-    or below `linear_tol`."""
-    matrix, rhs = system.matrix, system.rhs
-    r = rhs - matrix @ x
-    error = backward_error(matrix, rhs, x, _parts=(abs_matrix, r))
-    kept_steps = 0
-    for _ in range(REFINE_STEPS):
-        trial = x + kept.lu.solve(r)
-        kept.refinement_steps += 1
-        r_trial = rhs - matrix @ trial
-        trial_error = backward_error(matrix, rhs, trial, _parts=(abs_matrix, r_trial))
-        if not trial_error < error:  # at the floor, not contracting, or NaN
-            break
-        halved = trial_error <= 0.5 * error
-        x, r, error, kept_steps = trial, r_trial, trial_error, kept_steps + 1
-        if not halved:
-            break
-    return (x, error) if kept_steps and error <= linear_tol else None
-
-
-def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
-                 kept: KeptFactor | None = None, x0: np.ndarray | None = None) -> np.ndarray:
+def linear_solve(system: SparseSystem, kept: KeptFactor | None = None,
+                 x0: np.ndarray | None = None) -> np.ndarray:
     """Solve the free-node system of `apply_dirichlet` (symmetric or not) by one
     SuperLU factorization; minimum degree on A^T + A halves the COLAMD fill on
     the 2D and 3D ladders.  The pattern of every such system is symmetric, so
@@ -493,18 +469,35 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
     stays partial (threshold 1).
 
     The solve works through `kept` (a fresh `KeptFactor` when not given), whose
-    factor outlives the call: when it holds one (of an earlier matrix), the
-    solve first refines the start x0 with it (`_refine`), and only if that
-    misses `linear_tol` does it factor this matrix, keeping the new factor in
-    its place; `kept.residual` records the `backward_error` of the returned
-    solution.  A singular or non-finite matrix, or a backward error above
-    `linear_tol`, raises `LinearSolveDiverged`."""
-    opts = opts or SolveOptions()
+    factor outlives the call.  When it holds one (of an earlier matrix) and x0
+    is given, the solve first refines x0 with it, x <- x + LU^-1 (b - A x),
+    for as long as each step at least halves the `backward_error` and for at
+    most `REFINE_STEPS` steps; a step that does not lower it is dropped.  So
+    refinement stops at the rounding floor, not at `LINEAR_TOL`, which keeps
+    the last Picard update a true one.  Unless some step was kept and the
+    error ended at or below `LINEAR_TOL`, it factors this matrix, keeping the
+    new factor in its place.  `kept.residual` records the backward error of
+    the returned solution.  A singular or non-finite matrix, or a backward
+    error above `LINEAR_TOL`, raises `LinearSolveDiverged`."""
     kept = kept or KeptFactor()
     matrix, rhs = system.matrix, system.rhs
     abs_matrix = abs(matrix)
-    refined = None if kept.lu is None else _refine(kept, system, abs_matrix, x0, opts.linear_tol)
-    if refined is None:
+    kept_steps = 0
+    if kept.lu is not None and x0 is not None:
+        x, r = x0, rhs - matrix @ x0  # the residual of a step is the next one's rhs
+        error = backward_error(matrix, rhs, x, _parts=(abs_matrix, r))
+        for _ in range(REFINE_STEPS):
+            trial = x + kept.lu.solve(r)
+            kept.refinement_steps += 1
+            r_trial = rhs - matrix @ trial
+            trial_error = backward_error(matrix, rhs, trial, _parts=(abs_matrix, r_trial))
+            if not trial_error < error:  # at the floor, not contracting, or NaN
+                break
+            halved = trial_error <= 0.5 * error
+            x, r, error, kept_steps = trial, r_trial, trial_error, kept_steps + 1
+            if not halved:
+                break
+    if not (kept_steps and error <= LINEAR_TOL):
         try:
             lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            options={"SymmetricMode": True})
@@ -513,11 +506,11 @@ def linear_solve(system: SparseSystem, opts: SolveOptions | None = None,
             raise LinearSolveDiverged(f"sparse LU factorization failed: {exc}",
                                       residual=float("nan")) from exc
         kept.lu, kept.factorizations = lu, kept.factorizations + 1
-        refined = x, backward_error(matrix, rhs, x, _parts=(abs_matrix, rhs - matrix @ x))
-    x, kept.residual = refined
-    if not kept.residual <= opts.linear_tol:
-        raise LinearSolveDiverged(f"backward error {kept.residual:.3e} above tolerance "
-                                  f"{opts.linear_tol:.1e}", residual=kept.residual)
+        error = backward_error(matrix, rhs, x, _parts=(abs_matrix, rhs - matrix @ x))
+    kept.residual = error
+    if not error <= LINEAR_TOL:
+        raise LinearSolveDiverged(f"backward error {error:.3e} above tolerance "
+                                  f"{LINEAR_TOL:.1e}", residual=error)
     return x
 
 
@@ -535,7 +528,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     iterate and are computed once; a pass samples the coefficients, forms
     the local parts and scatters them.  The first pass factors its system;
     later passes refine the current iterate with that factor and refactor
-    only when refinement misses `linear_tol` (see `linear_solve`).  With
+    only when refinement misses `LINEAR_TOL` (see `linear_solve`).  With
     `constant_coefficients` the form does not depend on the iterate either,
     so the system is assembled and factored once and later passes reuse its
     solution.
@@ -554,10 +547,14 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
         if sol is None or not coeffs.constant_coefficients:
             system = apply_dirichlet(form.system(P1Field(mesh, u)), values, mesh)
             sol = u.copy()
-            sol[free] = linear_solve(system, opts, kept, u[free])
+            sol[free] = linear_solve(system, kept, u[free])
         diff = sol - u
-        denom = max(float(np.linalg.norm(sol)), 1e-30)
-        update = opts.damping * float(np.linalg.norm(diff)) / denom
+        # both norms at the scale 2^-e of max|sol|: exact, so the ratio keeps
+        # its bits, and tiny or huge data do not under- or overflow it
+        e = np.frexp(np.abs(sol).max())[1]
+        sol_norm, diff_norm = (float(np.linalg.norm(np.ldexp(v, -e))) for v in (sol, diff))
+        update = (opts.damping * diff_norm / sol_norm if sol_norm
+                  else np.inf if diff_norm else 0.0)
         if update <= opts.picard_tol:
             u = u + opts.damping * diff
             return SolveResult(u_h=P1Field(mesh, u), picard_iterations=applied,
@@ -630,14 +627,14 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
     values = np.empty(samples[1].shape)
     holds = True
     for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
-        c = np.broadcast_to(np.asarray(coeffs.c(x, eta), float), eta.shape)
+        c = point_values("coefficient c", coeffs.c, x, eta)
         noise = np.zeros(eta.shape)
         if supplied:
-            div = np.broadcast_to(np.asarray(coeffs.div_b(x, eta, p), float), eta.shape)
+            div = point_values("coefficient div_b", coeffs.div_b, x, eta, p)
         else:
             div = np.zeros(eta.shape)
             if cell_constant:
-                b = np.broadcast_to(np.asarray(coeffs.b(x, eta, p), float), x.shape)
+                b = point_values("coefficient b", coeffs.b, x, eta, p, shape=x.shape)
             for axis in range(mesh.dim):
                 if cell_constant:
                     b_plus = b_minus = b[..., axis]
@@ -646,10 +643,10 @@ def check_zeroth_order_condition(mesh: Mesh, u_h: P1Field, coeffs: CoefficientSe
                     shift[axis] = step
                     eta_shift = p[:, :1, axis] * step  # (C, 1): constant on each cell
                     # component `axis` of b, copied so that the rest is freed
-                    b_plus = np.broadcast_to(np.asarray(
-                        coeffs.b(x + shift, eta + eta_shift, p), float), x.shape)[..., axis].copy()
-                    b_minus = np.broadcast_to(np.asarray(
-                        coeffs.b(x - shift, eta - eta_shift, p), float), x.shape)[..., axis].copy()
+                    b_plus = point_values("coefficient b", coeffs.b, x + shift,
+                                          eta + eta_shift, p, shape=x.shape)[..., axis].copy()
+                    b_minus = point_values("coefficient b", coeffs.b, x - shift,
+                                           eta - eta_shift, p, shape=x.shape)[..., axis].copy()
                     noise += (np.abs(b_plus) + np.abs(b_minus) + np.abs(b_plus - b_minus)
                               * np.abs(x[..., axis]) / (2.0 * step)) / (2.0 * step)
                 div = div + (b_plus - b_minus) / (2.0 * step)

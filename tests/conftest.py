@@ -601,12 +601,14 @@ def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
         system = apply_dirichlet(assemble_q(mesh, P1Field(mesh, u), coeffs),
                                  values, mesh)
         sol = u.copy()
-        sol[free] = linear_solve(system, opts)
+        sol[free] = linear_solve(system)
         passes += 1
         lin_res = backward_error(system.matrix, system.rhs, sol[free])
         diff = sol - u
-        update = opts.damping * float(np.linalg.norm(diff)) \
-            / max(float(np.linalg.norm(sol)), 1e-30)
+        e = np.frexp(np.abs(sol).max())[1]
+        sol_norm, diff_norm = (float(np.linalg.norm(np.ldexp(v, -e))) for v in (sol, diff))
+        update = (opts.damping * diff_norm / sol_norm if sol_norm
+                  else np.inf if diff_norm else 0.0)
         if update <= opts.picard_tol:
             return SolveResult(u_h=P1Field(mesh, u + opts.damping * diff),
                                picard_iterations=applied, final_update_norm=update,

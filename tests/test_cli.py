@@ -214,7 +214,6 @@ class TestSolveCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--linear-tol", "nan"],
         ["solve", "--picard-tol", "nan"],
         ["solve", "--picard-tol", "inf"],
         ["solve", "--picard-max-iter", "-1"],
@@ -292,7 +291,7 @@ class TestSolveCommand:
         assert sorted(record) == ["command", "dmp_params", "mesh_source", "problem",
                                   "seed", "solver_options"]
         assert sorted(record["solver_options"]) == [
-            "damping", "linear_tol", "picard_max_iter", "picard_tol"]
+            "damping", "picard_max_iter", "picard_tol"]
         assert run(["solve", "--mesh", square_mesh, "--linear-max-iter", "5",
                     "-o", tmp_path / "gone"]) == 1
 
@@ -651,6 +650,26 @@ class TestRefusedBeforeOutput:
         assert len(errors) == 3
         assert all(e.startswith(f"error: mesh {mesh} has no interior nodes") for e in errors)
 
+    def test_nan_coefficient_at_a_quadrature_point(self, tmp_path, capsys, recwarn):
+        # a = 1 + 0/eta is NaN only where eta = 0, which no spot-check sample
+        # draws: the zero first iterate of `solve`, and the boundary of a
+        # solved field, give it at quadrature points
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", "--square", "4x4", "-o", mesh]) == 0
+        good = tmp_path / "good"
+        assert run(["solve", "--mesh", mesh, "-o", good]) == 0
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({**_COEFFS_2D, "a": "1 + 0/eta"}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for argv in (["solve"], ["dmp-check", "--solution", good / "solution.csv"]):
+            assert run([*argv, "--mesh", mesh, "--coeffs", coeffs, "-o", out]) == 1
+            assert not out.exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(e.startswith("error: coefficient a is nan at x=[") for e in errors)
+        assert not recwarn.list
+
     def test_general_c_mode_in_dmp_check(self, tmp_path, capsys):
         cube = tmp_path / "cube.json"
         assert run(["mesh-gen", "--cube", "3x3x3", "-o", cube]) == 0
@@ -748,6 +767,8 @@ class TestRefusedBeforeOutput:
         ["dmp-check", "--solve", "--lambda-star", "0.1"],
         ["dmp-check", "--solve", "--alpha-exponent", "1"],
         ["mesh-gen", "--square", "4x4", "--alpha-exponent", "1"],
+        ["solve", "--linear-tol", "1e-12"],
+        ["dmp-check", "--solve", "--linear-tol", "1e-12"],
     ], ids=lambda argv: " ".join(argv))
     def test_removed_flag(self, square_mesh, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -757,7 +778,8 @@ class TestRefusedBeforeOutput:
             argv = [*argv, "--mesh", square_mesh]
         capsys.readouterr()
         assert run([*argv, "-o", out]) == 1
-        removed = next(a for a in argv if a in ("--lambda-star", "--alpha-exponent"))
+        removed = next(a for a in argv
+                       if a in ("--lambda-star", "--alpha-exponent", "--linear-tol"))
         assert f"unrecognized arguments: {removed} " in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "m.vtk").exists()
 
@@ -769,7 +791,7 @@ class TestKnobAudit:
 
     # one non-default value per field
     VALUES = {"p": "3", "r": "1.5", "picard_max_iter": "2", "picard_tol": "1e-4",
-              "linear_tol": "1e-17", "damping": "0.5"}
+              "damping": "0.5"}
 
     @staticmethod
     def _outputs(mesh, out, command, flags, name, ignored):

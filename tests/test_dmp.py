@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -57,6 +58,7 @@ from dmpfem.solver import (
     picard_solve,
     poisson,
     quasilinear_a,
+    validate_coefficients,
 )
 
 from conftest import (
@@ -1256,6 +1258,43 @@ class TestSupNormSource:
         written = cert.to_dict()
         assert written["theorem_3_2"]["f_norm_exponent"] is None
         assert written["params"]["s"] is None
+
+
+class TestNonFiniteCoefficient:
+    def test_nan_at_a_quadrature_point_is_refused(self):
+        # 0/eta is NaN where u_h = 0: on the boundary, at no spot-check sample
+        m = generate_structured_2d(4, 4)
+        result = picard_solve(m, poisson())
+        coeffs = dataclasses.replace(poisson(), a=state_function("1 + 0/eta", 2),
+                                     constant_coefficients=False)
+        validate_coefficients(coeffs, m)
+        with pytest.raises(NonFiniteValue, match=r"^coefficient a is nan at x=\["):
+            dmp_certificate(m, result, coeffs)
+        with pytest.raises(NonFiniteValue, match=r"^coefficient a is nan at x=\["):
+            picard_solve(m, coeffs)
+
+
+class TestTinySourceVerdicts:
+    """A source f = +-2^-k certifies as f = +-1 does: no absolute floor
+    under f_norm turns a tiny f into a zero one."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("problem", ["poisson", "quasilinear-a"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [150, 1000])
+    def test_every_verdict_as_for_unit_source(self, dim, problem, sign, k):
+        m = generate_structured_2d(8, 8) if dim == 2 else generate_structured_3d(3, 3, 3)
+        make = poisson if problem == "poisson" else quasilinear_a
+        certs = []
+        for f in (sign, sign * 2.0 ** -k):
+            coeffs = make(f=f)
+            certs.append(dmp_certificate(m, picard_solve(m, coeffs), coeffs))
+        base, tiny = certs
+        assert tiny.verdicts() == base.verdicts()
+        assert tiny.theorem_3_2_verdict == "pass"
+        assert tiny.empirical_c is not None
+        if problem == "poisson":  # u_h and f_norm scale exactly
+            assert tiny.empirical_c == base.empirical_c
 
 
 class TestSourceNormScale:

@@ -436,15 +436,17 @@ class TestZeroTermSkip:
                 assert not part.any() and not np.signbit(part).any()
 
     def test_nan_sample_takes_the_full_path(self):
+        # a NaN sample is not zero: it is refused before any product
         m = generate_structured_2d(3, 3)
-        coeffs = CoefficientSet(a=lambda x, e, p: np.ones(np.shape(e)),
-                                b=lambda x, e, p: np.full(np.shape(x), np.nan),
-                                c=lambda x, e: np.full(np.shape(e), np.nan),
-                                f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=1.0)
-        with np.errstate(invalid="ignore"):
-            _, advection, reaction = local_form_parts(m, constant_field(m, 0.0), coeffs,
-                                                      quadrature_rule(2, 2))
-        assert np.isnan(advection).all() and np.isnan(reaction).all()
+        nan_b = CoefficientSet(a=lambda x, e, p: np.ones(np.shape(e)),
+                               b=lambda x, e, p: np.full(np.shape(x), np.nan),
+                               c=lambda x, e: np.zeros(np.shape(e)),
+                               f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=1.0)
+        nan_c = replace(nan_b, b=lambda x, e, p: np.zeros(np.shape(x)),
+                        c=lambda x, e: np.full(np.shape(e), np.nan))
+        for entry, coeffs in (("b", nan_b), ("c", nan_c)):
+            with pytest.raises(NonFiniteValue, match=f"^coefficient {entry} is nan at x="):
+                local_form_parts(m, constant_field(m, 0.0), coeffs, quadrature_rule(2, 2))
 
 
 class TestCellConstantDivergence:
@@ -459,12 +461,15 @@ class TestCellConstantDivergence:
                            else generate_structured_3d(2, 3, 3), rng, 0.1)
         u = random_nodal_field(m, rng)
         sources = [drift] + ["0"] * (dim - 1)
-        with np.errstate(invalid="ignore"):
-            fast = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2"))
-            fd = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2",
-                                                                wrap=True))
+        if drift == "1e308*10":  # an infinite drift is refused on either path
+            for wrap in (False, True):
+                with pytest.raises(NonFiniteValue, match="^coefficient b is inf at x="):
+                    check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2",
+                                                                   wrap=wrap))
+            return
+        fast = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2"))
+        fd = check_zeroth_order_condition(m, u, formula_set(dim, sources, "eta^2", wrap=True))
         assert np.float64(fast.min_value).tobytes() == np.float64(fd.min_value).tobytes()
-        assert math.isnan(fast.min_value) == (drift == "1e308*10")
         assert fast.condition_holds == fd.condition_holds
         assert not fast.used_supplied_divergence and not fd.used_supplied_divergence
 
@@ -737,6 +742,14 @@ class TestKeptFactor:
             linear_solve(system, kept=kept, x0=system.rhs)
         assert kept.factorizations == 2 and kept.refinement_steps == 0
 
+    def test_kept_factor_without_start_factors(self):
+        # with no x0 there is nothing to refine: the solve factors this matrix
+        system = SparseSystem(sparse.diags([2.0, 4.0, 8.0], format="csr"), np.ones(3))
+        kept = dmpfem.solver.KeptFactor()
+        for _ in range(2):
+            assert np.array_equal(linear_solve(system, kept=kept), [0.5, 0.25, 0.125])
+        assert kept.factorizations == 2 and kept.refinement_steps == 0
+
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_singular_or_nan_system_still_fails(self, bad):
         # refinement with the kept identity factor cannot lower the residual,
@@ -991,25 +1004,26 @@ class TestBackwardError:
         assert normwise < 1e-20
         assert backward_error(matrix, rhs, y) > 1e-8
 
-    def test_tolerance_between_the_floors(self):
+    def test_tolerance_between_the_floors(self, monkeypatch):
         # at 64x64 the LU solution's relative residual ||b - A x|| / ||b||
         # (7.7e-14) is above 10 * 1e-15 and its backward error (3.6e-16) below
+        monkeypatch.setattr(dmpfem.solver, "LINEAR_TOL", 1e-15)
         m, coeffs = generate_structured_2d(64, 64), poisson(f=1.0)
-        opts = SolveOptions(linear_tol=1e-15)
         system = apply_dirichlet(assemble_q(m, constant_field(m, 0.0), coeffs),
                                  interpolate_boundary(m, coeffs.g), m)
-        x = linear_solve(system, opts)
+        x = linear_solve(system)
         relative = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
-        assert relative > 10.0 * opts.linear_tol
-        result = picard_solve(m, coeffs, opts)
+        assert relative > 10.0 * 1e-15
+        result = picard_solve(m, coeffs)
         assert result.converged
         assert result.final_linear_residual == backward_error(system.matrix, system.rhs, x)
-        assert result.final_linear_residual <= opts.linear_tol
+        assert result.final_linear_residual <= 1e-15
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(dmpfem.solver, "LINEAR_TOL", 1e-20)
         m = generate_structured_2d(16, 16)
         with pytest.raises(LinearSolveDiverged, match="^backward error .* above tolerance"):
-            picard_solve(m, poisson(f=1.0), SolveOptions(linear_tol=1e-20))
+            picard_solve(m, poisson(f=1.0))
 
 
 class TestPicard:
@@ -1038,6 +1052,21 @@ class TestPicard:
         m = generate_structured_2d(4, 4)
         with pytest.raises(PicardDiverged):
             picard_solve(m, poisson(), SolveOptions(picard_max_iter=0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [150, 1000])
+    def test_tiny_source_takes_one_update(self, dim, sign, k):
+        # the update is measured at the scale of the solution, so f = +-2^-k
+        # reads as unconverged from the zero start, as f = +-1 does, and
+        # u_h scales with f bit for bit
+        m = generate_structured_2d(8, 8) if dim == 2 else generate_structured_3d(3, 3, 3)
+        base = picard_solve(m, poisson(f=sign))
+        tiny = picard_solve(m, poisson(f=sign * 2.0 ** -k))
+        assert tiny.picard_iterations == base.picard_iterations == 1
+        assert np.array_equal(np.ldexp(tiny.u_h.nodal_values, k), base.u_h.nodal_values)
+        assert tiny.final_update_norm == base.final_update_norm
+        assert picard_solve(m, quasilinear_a(f=sign * 2.0 ** -k)).picard_iterations == 1
 
     def test_converged_iterate_satisfies_galerkin_identity(self):
         m = generate_structured_2d(8, 8)
