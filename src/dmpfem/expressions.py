@@ -115,15 +115,21 @@ def state_function(source: str, dim: int, with_gradient: bool = True):
 
 def vector_state_function(sources, dim: int):
     """Compile per-component formulas into one gradient-shaped callable;
-    `variables` is the union of the components' variables."""
+    `variables` is the union of the components' variables.  When no
+    component names a variable, the value is the read-only broadcast of the
+    constant vector (stride 0 along the points), evaluated at each call."""
     if len(sources) != dim:
         raise InvalidParameters(f"need {dim} drift components, got {len(sources)}")
     components = [state_function(s, dim) for s in sources]
+    variables = frozenset().union(*(c.variables for c in components))
+    origin = np.zeros(dim)
 
     def fn(x, eta, p):
         x = np.asarray(x, dtype=float)
+        if not variables:
+            return np.broadcast_to([float(c(origin)) for c in components], x.shape)
         vals = [np.broadcast_to(c(x, eta, p), x.shape[:-1]) for c in components]
         return np.stack(vals, axis=-1)
 
-    fn.variables = frozenset().union(*(c.variables for c in components))
+    fn.variables = variables
     return fn

@@ -147,8 +147,8 @@ class Mesh:
     @cached_property
     def shape_gradients(self) -> np.ndarray:
         # Kept as the strided, component-major view of the closed form,
-        # without a copy: the diffusion einsum of `local_form_parts` gives the
-        # same bits on a contiguous copy but runs slower on it.
+        # without a copy: the diffusion products of `local_form_parts` copy
+        # each block of it into their own (D, M, cells) order anyway.
         grads = barycentric_gradients(self.vertices[self.cells])
         grads.flags.writeable = False
         return grads

@@ -53,6 +53,12 @@ def as_point_callable(value):
     return lambda x: np.full(np.shape(x)[:-1], v)
 
 
+def distinct_values(values: np.ndarray) -> np.ndarray:
+    """`values` with every axis along which it repeats one value (stride 0)
+    cut to its first entry: a view holding each stored value once."""
+    return values[tuple(slice(None) if s else slice(0, 1) for s in values.strides)]
+
+
 def point_values(name: str, fn, x: np.ndarray, *args, shape=None) -> np.ndarray:
     """`fn(x, *args)` at the points x (..., D), broadcast to `shape` (their
     leading shape when None): the one sampling of f, g, a, b, c and div_b,
@@ -62,9 +68,8 @@ def point_values(name: str, fn, x: np.ndarray, *args, shape=None) -> np.ndarray:
     with np.errstate(all="ignore"):
         raw = np.asarray(fn(x, *args), float)
     values = np.broadcast_to(raw, x.shape[:-1] if shape is None else shape)
-    # min and max propagate NaN and hold no (..., D) temporary; an axis along
-    # which fn's array repeats one value (stride 0) is read once
-    distinct = raw[tuple(slice(None) if s else slice(0, 1) for s in raw.strides)]
+    # min and max propagate NaN and hold no (..., D) temporary
+    distinct = distinct_values(raw)
     if not np.isfinite([distinct.min(initial=0.0), distinct.max(initial=0.0)]).all():
         k = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
         point = x[k[:x.ndim - 1]].tolist()
@@ -123,11 +128,11 @@ def poisson(f=-1.0, g=0.0) -> CoefficientSet:
     """Unit Laplacian: a=1, b=0, c=0."""
     return CoefficientSet(
         a=lambda x, eta, p: np.ones(np.shape(eta)),
-        b=lambda x, eta, p: np.zeros(np.shape(x)),
-        c=lambda x, eta: np.zeros(np.shape(eta)),
+        b=lambda x, eta, p: np.broadcast_to(0.0, np.shape(x)),
+        c=lambda x, eta: np.broadcast_to(0.0, np.shape(eta)),
         f=f, g=g, lam=1.0, Lam=1.0, nu=0.0,
         c_mode="identically-zero",
-        div_b=lambda x, eta, p: np.zeros(np.shape(eta)),
+        div_b=lambda x, eta, p: np.broadcast_to(0.0, np.shape(eta)),
         constant_coefficients=True,
     )
 
@@ -135,8 +140,10 @@ def poisson(f=-1.0, g=0.0) -> CoefficientSet:
 def advection_diffusion(b_vector, f=-1.0, g=0.0, c0: float = 0.0) -> CoefficientSet:
     """Unit diffusion plus a constant drift and constant reaction c0 >= 0."""
     b_vector = np.asarray(b_vector, dtype=float)
-    if c0 < 0:
-        raise InvalidParameters("constant reaction c0 must be >= 0")
+    if not np.isfinite(b_vector).all():
+        raise InvalidParameters("drift b must be finite")
+    if not 0.0 <= c0 < np.inf:
+        raise InvalidParameters("constant reaction c0 must be finite and >= 0")
     nu = float(np.sqrt((b_vector ** 2).sum() + c0 ** 2))
     return CoefficientSet(
         a=lambda x, eta, p: np.ones(np.shape(eta)),
@@ -144,7 +151,7 @@ def advection_diffusion(b_vector, f=-1.0, g=0.0, c0: float = 0.0) -> Coefficient
         c=lambda x, eta: np.full(np.shape(eta), c0),
         f=f, g=g, lam=1.0, Lam=1.0, nu=nu,
         c_mode="identically-zero" if c0 == 0.0 else "nonnegative",
-        div_b=lambda x, eta, p: np.zeros(np.shape(eta)),
+        div_b=lambda x, eta, p: np.broadcast_to(0.0, np.shape(eta)),
         constant_coefficients=True,
     )
 
@@ -153,11 +160,11 @@ def quasilinear_a(f=-1.0, g=0.0) -> CoefficientSet:
     """Diffusion a = 1 + eta^2/(1+eta^2), saturating between 1 and 2."""
     return CoefficientSet(
         a=lambda x, eta, p: 1.0 + eta ** 2 / (1.0 + eta ** 2),
-        b=lambda x, eta, p: np.zeros(np.shape(x)),
-        c=lambda x, eta: np.zeros(np.shape(eta)),
+        b=lambda x, eta, p: np.broadcast_to(0.0, np.shape(x)),
+        c=lambda x, eta: np.broadcast_to(0.0, np.shape(eta)),
         f=f, g=g, lam=1.0, Lam=2.0, nu=0.0,
         c_mode="identically-zero",
-        div_b=lambda x, eta, p: np.zeros(np.shape(eta)),
+        div_b=lambda x, eta, p: np.broadcast_to(0.0, np.shape(eta)),
         constant_coefficients=False,
     )
 
@@ -300,11 +307,15 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     [cell, m, n] = integral over the cell of the term with trial shape
     function n and test shape function m.  Each term is first summed over the
     quadrature points and then multiplied once per cell: the shape gradients
-    are constant on a cell.  a, b and c are sampled one `cell_blocks` slice
-    at a time, so no (C, Q, D) coefficient array is held.  A block whose b
-    (or c) samples are all zero skips that term's products and writes +0.0,
-    the entries the products give there.  `_samples` are the `state_samples`
-    of w when the caller already holds them.
+    are constant on a cell.  The diffusion entry is summed over the axes d
+    from +0.0 as ((0 + (a g_m0) g_n0) + (a g_m1) g_n1) + ..., the order of
+    einsum("c,cmd,cnd->cmn").  a, b and c are sampled one `cell_blocks` slice
+    at a time, so no (C, Q, D) coefficient array is held.  A block whose
+    distinct b (or c) values are all zero skips that term's products and
+    keeps +0.0, the entries the products give there; a term zero on every
+    block is returned as a read-only zero view, `np.broadcast_to(0.0, ...)`,
+    and allocates no table.  `_samples` are the `state_samples` of w when
+    the caller already holds them.
     """
     samples = _samples or state_samples(w, rule)
     grads = gradient_table(mesh)
@@ -315,23 +326,38 @@ def local_form_parts(mesh: Mesh, w: P1Field, coeffs: CoefficientSet,
     b_weights = bar * wq[:, None]
     mass = (bar[:, :, None] * bar[:, None, :] * wq[:, None, None]).reshape(len(wq), -1)
 
-    diffusion, advection, reaction = (np.empty((mesh.num_cells, n_local, n_local))
-                                      for _ in range(3))
+    shape = (mesh.num_cells, n_local, n_local)
+    diffusion = np.empty(shape)
+    advection = reaction = None
+    # the diffusion products run along the cells of a block, in buffers
+    # allocated once for the largest block: (M, M, cells) entries and the
+    # (D, M, cells) gradients and a-weighted gradients
+    most = max(s.stop - s.start for s in cell_blocks(mesh.num_cells, len(wq)))
+    entries = np.empty((2, n_local, n_local, most))
+    axes = np.empty((2, mesh.dim, n_local, most))
     for cells, x, eta, p in _sample_blocks(mesh, rule, samples):
         a, b, c = coefficient_values(coeffs, x, eta, p)
         g, m = grads[cells], meas[cells]
-        a_cell = np.einsum("cq,q->c", a, wq) * m
-        diffusion[cells] = np.einsum("c,cmd,cnd->cmn", a_cell, g, g)
-        if b.any():
+        total, term = entries[..., :len(m)]
+        g_t, a_g = axes[..., :len(m)]
+        np.copyto(g_t, g.transpose(2, 1, 0))
+        np.multiply(np.einsum("cq,q->c", a, wq) * m, g_t, out=a_g)
+        np.multiply(a_g[0, :, None], g_t[0, None], out=total)
+        for axis in range(1, mesh.dim):
+            np.multiply(a_g[axis, :, None], g_t[axis, None], out=term)
+            total += term
+        # + 0.0 last for a sum begun at +0.0: only an all -0.0 sum differs
+        np.add(total.transpose(2, 0, 1), 0.0, out=diffusion[cells])
+        if distinct_values(b).any():
+            advection = np.zeros(shape) if advection is None else advection
             b_cell = np.matmul(b.transpose(0, 2, 1), b_weights).transpose(0, 2, 1)
             advection[cells] = (b_cell @ g.transpose(0, 2, 1)) * m[:, None, None]
-        else:
-            advection[cells] = 0.0
-        if c.any():
+        if distinct_values(c).any():
+            reaction = np.zeros(shape) if reaction is None else reaction
             reaction[cells] = (c @ mass).reshape(-1, n_local, n_local) * m[:, None, None]
-        else:
-            reaction[cells] = 0.0
-    return diffusion, advection, reaction
+    zero = np.broadcast_to(0.0, shape)
+    return (diffusion, zero if advection is None else advection,
+            zero if reaction is None else reaction)
 
 
 @dataclass(frozen=True)
@@ -374,9 +400,15 @@ def assembly_map(mesh: Mesh) -> AssemblyMap:
 
 def assemble_matrix(mesh: Mesh, parts, layout: AssemblyMap | None = None) -> sparse.csr_matrix:
     """Global matrix of the form from its `local_form_parts`, scattered through
-    `layout` (the mesh's `assembly_map`, built when not given)."""
-    diffusion, advection, reaction = parts
-    return (layout or assembly_map(mesh)).matrix(diffusion + advection + reaction)
+    `layout` (the mesh's `assembly_map`, built when not given).  A part that
+    is zero throughout, such as the read-only zero view `local_form_parts`
+    returns for an absent term, is not added: the scatter sums each entry
+    from +0.0, so the matrix keeps its bits."""
+    local, *lower = parts
+    for part in lower:
+        if distinct_values(part).any():
+            local = local + part
+    return (layout or assembly_map(mesh)).matrix(local)
 
 
 class _FrozenFormAssembly:
@@ -396,13 +428,17 @@ class _FrozenFormAssembly:
         self.layout = assembly_map(mesh)
 
     def system(self, w: P1Field) -> SparseSystem:
+        """The system frozen at w.  As in `assemble_matrix`, a part that is
+        zero throughout (a term `local_form_parts` returns as a read-only zero
+        view) is not added."""
         mesh, rule = self.mesh, self.rule
-        local, advection, reaction = local_form_parts(
+        local, *lower = local_form_parts(
             mesh, w, self.coeffs, rule, _samples=state_samples(w, rule, self.points))
         # the parts are this call's own: summed in place, in `assemble_matrix`'s
         # order, they add no (C, M, M) temporary next to the solve's kept factor
-        local += advection
-        local += reaction
+        for part in lower:
+            if distinct_values(part).any():
+                local += part
         return SparseSystem(matrix=self.layout.matrix(local), rhs=self.rhs)
 
 
@@ -423,17 +459,42 @@ def apply_dirichlet(system: SparseSystem, values: np.ndarray, mesh: Mesh) -> Spa
     """The system of the free nodes (not in `mesh.boundary_nodes`, ascending) once
     the boundary nodes take `values`, one each in their order: the free rows and
     columns of A, duplicates summed and exact zeros dropped, and the load
-    rhs[free] - A[free, boundary] values."""
+    rhs[free] - A[free, boundary] values.
+
+    Both are cut from the canonical CSR arrays of A (a copy of them, summed,
+    when A has unsorted or duplicate entries) by boolean masks over its
+    entries; the caller's matrix is not changed.  The boundary columns keep
+    their explicit zeros, so the lift's matvec sums the same terms in the
+    same order as A's rows do."""
     pinned = mesh.boundary_nodes
     if np.shape(values) != pinned.shape:
         raise MissingBoundaryValue(
             f"{len(pinned)} boundary nodes need one value each, got {np.shape(values)}")
-    free = np.flatnonzero(~mesh.boundary_mask())
-    rows = system.matrix.tocsr()[free]
-    rows.sum_duplicates()
-    matrix = rows[:, free]
-    matrix.eliminate_zeros()  # kept, the many exact zeros raise the LU fill ~1.7x
-    return SparseSystem(matrix=matrix, rhs=system.rhs[free] - rows[:, pinned] @ values)
+    a = system.matrix.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    free = ~mesh.boundary_mask()
+    n_free = int(free.sum())
+    column = np.empty(len(free), dtype=a.indices.dtype)  # position among free or pinned
+    column[free] = np.arange(n_free)
+    column[pinned] = np.arange(len(pinned))
+    counts = np.diff(a.indptr)
+    row = np.repeat(column, counts)
+    free_row, free_column = np.repeat(free, counts), free.take(a.indices)
+
+    def cut(keep, width):
+        entries = np.flatnonzero(keep)
+        indptr = np.zeros(n_free + 1, dtype=a.indptr.dtype)
+        np.cumsum(np.bincount(row.take(entries), minlength=n_free), out=indptr[1:])
+        return sparse.csr_matrix(
+            (a.data.take(entries), column.take(a.indices.take(entries)), indptr),
+            shape=(n_free, width))
+
+    # dropped: kept, the many exact zeros of the free block raise the LU fill ~1.7x
+    matrix = cut(free_row & free_column & (a.data != 0.0), n_free)
+    lift = cut(free_row & ~free_column, len(pinned))
+    return SparseSystem(matrix=matrix, rhs=system.rhs[free] - lift @ values)
 
 
 def backward_error(matrix, rhs, x, *, _parts=None) -> float:

@@ -584,6 +584,21 @@ def dict_apply_dirichlet(system, assignment: dict, mesh: Mesh):
     return SparseSystem(matrix=constrained, rhs=rhs)
 
 
+def slicing_apply_dirichlet(system, values, mesh: Mesh):
+    """`apply_dirichlet` by scipy's row and column indexing: the free rows of
+    A, duplicates summed, then their free columns with the exact zeros
+    dropped, and the load rhs[free] - A[free, boundary] values."""
+    from dmpfem.solver import SparseSystem
+
+    pinned = mesh.boundary_nodes
+    free = np.flatnonzero(~mesh.boundary_mask())
+    rows = system.matrix.tocsr()[free]
+    rows.sum_duplicates()
+    matrix = rows[:, free]
+    matrix.eliminate_zeros()
+    return SparseSystem(matrix=matrix, rhs=system.rhs[free] - rows[:, pinned] @ values)
+
+
 def assemble_every_pass_picard(mesh: Mesh, coeffs, opts=None):
     """`picard_solve` from a zero interior guess that assembles and factors
     the system on every pass."""

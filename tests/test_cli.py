@@ -8,7 +8,7 @@ import pytest
 import dmpfem.dmp
 from dmpfem import cli, expressions, solver
 from dmpfem.cli import main
-from dmpfem.errors import InvalidParameters
+from dmpfem.errors import InvalidParameters, NonFiniteValue
 from dmpfem.mesh import load_mesh
 from dmpfem.p1 import P1Field, field_to_csv
 
@@ -65,6 +65,25 @@ class TestExpressions:
         out = fn(x, np.zeros(4), np.zeros((4, 2)))
         assert out.shape == (4, 2)
         assert np.all(out[:, 0] == 1.0) and np.all(out[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("sources", [["1", "0"], ["2^-3", "-1.5", "0"]])
+    def test_constant_vector_is_one_stored_row(self, sources):
+        # no component names a variable: a read-only stride-0 broadcast of
+        # the values each component gives
+        dim = len(sources)
+        fn = expressions.vector_state_function(sources, dim=dim)
+        x = np.random.default_rng(0).random((5, 3, dim))
+        out = fn(x, x[..., 0], x)
+        want = np.stack([expressions.state_function(s, dim)(x, x[..., 0], x)
+                         for s in sources], axis=-1)
+        assert out.shape == x.shape and out.strides[:-1] == (0, 0)
+        assert not out.flags.writeable and out.tobytes() == want.tobytes()
+
+    def test_constant_nan_component_raises(self):
+        fn = expressions.vector_state_function(["0", "1e308*10 - 1e308*10"], dim=2)
+        x = np.zeros((4, 3, 2))
+        with pytest.raises(NonFiniteValue, match=r"^coefficient b is nan at x=\[0.0, 0.0\]$"):
+            solver.point_values("coefficient b", fn, x, x[..., 0], x, shape=x.shape)
 
     def test_constant_arithmetic_errors(self):
         x = np.zeros((2, 2))
@@ -212,6 +231,21 @@ class TestSolveCommand:
                     "--b", "1,x", "-o", tmp_path / "run"]) == 1
         assert capsys.readouterr().err.startswith("error: --b needs numbers")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--c0=nan", "constant reaction c0 must be finite and >= 0"),
+        ("--c0=inf", "constant reaction c0 must be finite and >= 0"),
+        ("--c0=-0.5", "constant reaction c0 must be finite and >= 0"),
+        ("--b=nan,0", "drift b must be finite"),
+        ("--b=inf,0", "drift b must be finite"),
+    ])
+    def test_invalid_drift_or_reaction_named(self, square_mesh, tmp_path, capsys,
+                                                flag, message):
+        # c0 = NaN once passed `c0 < 0` and surfaced as a non-finite bound nu
+        assert run(["dmp-check", "--solve", "--mesh", square_mesh, "--problem",
+                    "advection-diffusion", flag, "-o", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--picard-tol", "nan"],

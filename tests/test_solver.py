@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,7 @@ from conftest import (
     perturbed_mesh,
     random_nodal_field,
     random_triangle,
+    slicing_apply_dirichlet,
     triangle_vertex_angles,
 )
 
@@ -431,9 +433,42 @@ class TestZeroTermSkip:
                         for part, oracle, skip in zip(got, want, skipped)]
         assert assemble_matrix(m, got).data.tobytes() == \
             assemble_matrix(m, oracle_zeros).data.tobytes()
+        assert assemble_q(m, w, coeffs).matrix.data.tobytes() == \
+            assemble_matrix(m, oracle_zeros).data.tobytes()
         for part, is_zero in zip(got, skipped):
+            # a term zero on every block is a read-only view, not a table
+            assert part.flags.writeable != is_zero
             if is_zero:
                 assert not part.any() and not np.signbit(part).any()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("term", ["b", "c"])
+    def test_term_zero_on_some_blocks(self, monkeypatch, dim, term):
+        # the cells run in rows of increasing y, so the first blocks see no
+        # drift (or reaction) and the last ones do
+        monkeypatch.setattr(dmpfem.solver, "BLOCK_POINTS", 64)
+        rng = np.random.default_rng(5)
+        m = perturbed_mesh(generate_structured_2d(6, 6) if dim == 2
+                           else generate_structured_3d(3, 3, 4), rng, 0.05)
+        w = random_nodal_field(m, rng)
+        upper = lambda x: x[..., -1:] > 0.5
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: 1.0 + 0.5 * np.cos(e + x[..., 0]),
+            b=(lambda x, e, p: np.where(upper(x), drift_field(x, e, p), 0.0))
+            if term == "b" else KERNEL_B["zero"],
+            c=(lambda x, e: np.where(upper(x)[..., 0], 1.0 + e ** 2, 0.0))
+            if term == "c" else KERNEL_C["zero"],
+            f=0.0, g=0.0, lam=0.5, Lam=1.5, nu=1e9)
+        rule = quadrature_rule(dim, 4)
+        got = local_form_parts(m, w, coeffs, rule)
+        want = einsum_local_form_parts(m, w, coeffs, rule)
+        new, old = (got[1], want[1]) if term == "b" else (got[2], want[2])
+        blocks = dmpfem.solver.cell_blocks(m.num_cells, len(rule.weights))
+        zero_blocks = [not new[cells].any() for cells in blocks]
+        assert any(zero_blocks) and not all(zero_blocks)
+        assert new.flags.writeable and not np.signbit(new[new == 0.0]).any()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
 
     def test_nan_sample_takes_the_full_path(self):
         # a NaN sample is not zero: it is refused before any product
@@ -447,6 +482,26 @@ class TestZeroTermSkip:
         for entry, coeffs in (("b", nan_b), ("c", nan_c)):
             with pytest.raises(NonFiniteValue, match=f"^coefficient {entry} is nan at x="):
                 local_form_parts(m, constant_field(m, 0.0), coeffs, quadrature_rule(2, 2))
+
+    @pytest.mark.parametrize("entry", ["b", "c"])
+    def test_nan_in_an_otherwise_zero_block(self, monkeypatch, entry):
+        # one NaN point among the zero samples of one block of many
+        monkeypatch.setattr(dmpfem.solver, "BLOCK_POINTS", 64)
+        m = generate_structured_2d(6, 6)
+        rule = quadrature_rule(2, 2)
+        target = physical_points(m, rule)[40, 1]
+        spot = lambda x: np.all(x == target, axis=-1)
+        coeffs = CoefficientSet(
+            a=lambda x, e, p: np.ones(np.shape(e)),
+            b=(lambda x, e, p: np.where(spot(x)[..., None], np.nan, np.zeros(np.shape(x))))
+            if entry == "b" else KERNEL_B["zero-broadcast"],
+            c=(lambda x, e: np.where(spot(x), np.nan, 0.0))
+            if entry == "c" else KERNEL_C["zero-broadcast"],
+            f=0.0, g=0.0, lam=1.0, Lam=1.0, nu=1.0)
+        assert spot(physical_points(m, rule)).sum() == 1
+        point = re.escape(str(target.tolist()))
+        with pytest.raises(NonFiniteValue, match=f"^coefficient {entry} is nan at x={point}$"):
+            local_form_parts(m, constant_field(m, 0.0), coeffs, rule)
 
 
 class TestCellConstantDivergence:
@@ -1339,3 +1394,57 @@ class TestNonCanonicalDirichlet:
         for attr in ("data", "indices", "indptr"):
             assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()
         assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
+def _non_canonical(a, rng, kind):
+    """A copy of the canonical CSR matrix `a` with each row's entries in a
+    random order and each entry split into up to three duplicates, as CSR
+    ("messy") or as COO ("coo")."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    pieces = rng.integers(1, 4, size=a.nnz)
+    entry = np.repeat(np.arange(a.nnz), pieces)
+    share = rng.uniform(0.1, 1.0, size=len(entry))
+    share /= np.bincount(entry, weights=share)[entry]
+    order = np.lexsort((rng.random(len(entry)), rows[entry]))
+    entry, data = entry[order], (a.data[entry] * share)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[entry], minlength=a.shape[0]))])
+    messy = sparse.csr_matrix((data, a.indices[entry], indptr), shape=a.shape)
+    return messy.tocoo() if kind == "coo" else messy
+
+
+class TestSlicingOracle:
+    """The masked free-node system against scipy's row and column slicing."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 5), amount=st.floats(0.0, 0.15),
+           form=st.sampled_from(["poisson", "drift-reaction", "quasilinear"]),
+           g=st.sampled_from(["0", "1 - 2*x + y"]),
+           kind=st.sampled_from(["canonical", "messy", "coo"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_slicing_bytes(self, dim, n, amount, form, g, kind, seed):
+        rng = np.random.default_rng(seed)
+        base = generate_structured_2d(n + 1, n) if dim == 2 \
+            else generate_structured_3d(n, n, n + 1)
+        m = perturbed_mesh(base, rng, amount)
+        g_fn = expressions.point_function(g, dim)
+        coeffs = {"poisson": lambda: poisson(f=1.0, g=g_fn),
+                  "drift-reaction": lambda: advection_diffusion(
+                      [0.7, -0.4, 0.2][:dim], f=-1.0, c0=0.3, g=g_fn),
+                  "quasilinear": lambda: quasilinear_a(f=-1.0, g=g_fn)}[form]()
+        system = assemble_q(m, random_nodal_field(m, rng), coeffs)
+        if kind != "canonical":
+            system = replace(system, matrix=_non_canonical(system.matrix, rng, kind))
+        before = [arr.copy() for arr in (
+            (system.matrix.row, system.matrix.col, system.matrix.data) if kind == "coo"
+            else (system.matrix.indptr, system.matrix.indices, system.matrix.data))]
+        values = interpolate_boundary(m, g_fn)
+        got = apply_dirichlet(system, values, m)
+        want = slicing_apply_dirichlet(system, values, m)
+        for attr in ("indptr", "indices", "data"):
+            new, old = getattr(got.matrix, attr), getattr(want.matrix, attr)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        assert got.matrix.shape == want.matrix.shape
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+        after = ((system.matrix.row, system.matrix.col, system.matrix.data) if kind == "coo"
+                 else (system.matrix.indptr, system.matrix.indices, system.matrix.data))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
