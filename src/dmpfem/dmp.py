@@ -40,6 +40,7 @@ from .solver import (
     default_rule,
     interpolate_boundary,
     local_form_parts,
+    nonzero_parts,
     point_values,
     state_samples,
 )
@@ -277,12 +278,14 @@ def assumption_a_sweep(u_h: P1Field, matrix, k_star: float = 0.0) -> AssumptionS
                            scale=max(1.0, float(np.abs(q_values).max())))
 
 
-def _cell_scales(parts) -> np.ndarray:
-    """Largest entry of |diffusion| + |advection| + |reaction| in each cell."""
-    diffusion, advection, reaction = parts
+def cell_scales(parts) -> np.ndarray:
+    """Largest entry of |diffusion| + |advection| + |reaction| in each cell of
+    the `local_form_parts`.  Only the `nonzero_parts` are added: |entry| + 0.0
+    is |entry|, so the scales keep their bits."""
+    diffusion, *lower = nonzero_parts(parts)
     total = np.abs(diffusion)
-    total += np.abs(advection)
-    total += np.abs(reaction)
+    for part in lower:
+        total += np.abs(part)
     total = total.reshape(len(total), -1)
     return functools.reduce(np.maximum, (total[:, k] for k in range(total.shape[1])))
 
@@ -306,7 +309,7 @@ class ElementConditionReport:
         return json_record(self, "all_pass")
 
 
-def element_condition_check(mesh: Mesh, parts) -> ElementConditionReport:
+def element_condition_check(mesh: Mesh, parts, *, _scales=None) -> ElementConditionReport:
     """Check the sign of the per-pair element integrals.
 
     For each cell and ordered vertex pair (i, j) with i != j the quantity
@@ -320,17 +323,23 @@ def element_condition_check(mesh: Mesh, parts) -> ElementConditionReport:
     every level k for every field.  `min_margin` is the smallest
     D_ij / (|grad_i||grad_j||T|), for the unit Laplacian the cosine of the
     largest (in 3D dihedral) angle.  `parts` are the `local_form_parts` of
-    the form.
+    the form, of which only the `nonzero_parts` are read, and `_scales` their
+    `cell_scales` when the caller already holds them.
     """
     m = mesh.dim + 1
     # The d(d+1) ordered pairs i != j in row-major order.  local_form_parts
     # stores [cell, test, trial] and the pair quantity carries the gradient on
     # i, so pair (i, j) reads entry [cell, j, i].
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    d_pair = -functools.reduce(np.add, (part.reshape(len(part), -1)[:, j * m + i]
-                                        for part in parts))
+    d_pair = functools.reduce(np.add, (part.reshape(len(part), -1)[:, j * m + i]
+                                       for part in nonzero_parts(parts)))
+    # + 0.0 stands for the skipped zero parts; it can only turn a -0.0 sum
+    # into +0.0, which no verdict, margin or record tells apart
+    d_pair += 0.0
+    np.negative(d_pair, out=d_pair)
+    scales = cell_scales(parts) if _scales is None else _scales
     # relative to each cell's own entries, so a scaled form keeps its verdicts
-    bad = np.argwhere(~(d_pair >= -PAIR_TOL * _cell_scales(parts)[:, None]))
+    bad = np.argwhere(~(d_pair >= -PAIR_TOL * scales[:, None]))
     gnorm = row_norms(gradient_table(mesh))
     margin = d_pair / (gnorm[:, i] * gnorm[:, j] * mesh.cell_measures[:, None])
     failures = [{"cell": int(cell), "i": int(i[p]), "j": int(j[p]),
@@ -373,7 +382,7 @@ def _is_unit_poisson(mesh: Mesh, coeffs: CoefficientSet) -> bool:
                 and np.abs(c).max() <= 1e-14)
 
 
-def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts,
+def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, scales,
                             matrix) -> EdgeConditionReport:
     """Check nonpositivity of the two-cell integral sum over each interior edge.
 
@@ -385,8 +394,8 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts,
     is nonpositive exactly when alpha + beta <= pi; it is evaluated from the
     apex-vector cotangents.  When `_is_unit_poisson` holds the identity is
     verified to rounding as a cross-check of the assembled integrals.
-    `parts` are the `local_form_parts` of the form and `matrix` their
-    `assemble_matrix`.
+    `scales` are the `cell_scales` of the form's `local_form_parts` and
+    `matrix` their `assemble_matrix`.
     """
     if mesh.dim != 2:
         raise DimensionMismatch("edge-based verification is 2D only")
@@ -396,7 +405,7 @@ def edge_condition_check_2d(mesh: Mesh, coeffs: CoefficientSet, parts,
     m_nodes, n_nodes = edges.nodes.T
     s_fwd = np.asarray(matrix[n_nodes, m_nodes]).ravel()
     s_rev = np.asarray(matrix[m_nodes, n_nodes]).ravel()
-    scale = _cell_scales(parts)[edges.cells].max(axis=1)
+    scale = scales[edges.cells].max(axis=1)
     alpha, beta = edges.opposite_angles.T
     cot = edges.opposite_cotangents
     closed = -(cot[:, 0] + cot[:, 1]) / 2.0
@@ -855,7 +864,9 @@ def require_interior_nodes(mesh: Mesh, name: str = "mesh") -> None:
 def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSet,
                     params: DmpParams | None = None) -> DmpCertificate:
     """Run every verification pass on a converged solution and bundle the
-    evidence.  Raises `NotConverged` for unconverged inputs, `InvalidParameters`
+    evidence.  The form at u_h is assembled through the result's `layout`
+    when u_h lives on this very mesh object, and through a new `assembly_map`
+    otherwise.  Raises `NotConverged` for unconverged inputs, `InvalidParameters`
     for a mesh without interior nodes, and `HypothesisViolated` if the fitted
     De Giorgi constant fails its own hypothesis (an internal inconsistency)."""
     if not solve_result.converged:
@@ -873,7 +884,7 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     # One sampling of u_h at the quadrature points serves the zeroth-order
     # check, the sign and norm of f and the form parts.  The points are
     # dropped before the sweep and the element and edge checks, which share
-    # the (C, M, M) parts.
+    # the (C, M, M) parts and their cell scales.
     samples = state_samples(u_h, rule, physical_points(mesh, rule))
     zeroth = check_zeroth_order_condition(mesh, u_h, coeffs, _samples=samples)
     points = samples[0]
@@ -886,16 +897,19 @@ def dmp_certificate(mesh: Mesh, solve_result: SolveResult, coeffs: CoefficientSe
     parts = local_form_parts(mesh, u_h, coeffs, rule, _samples=samples)
     del samples
 
-    # one assembly serves the sweep and the edge check; it is dropped before
-    # the element check, the pass with the largest temporaries
-    matrix = assemble_matrix(mesh, parts)
+    # one assembly serves the sweep and the edge check; the element check
+    # runs first, so the parts are freed before the edge check builds its
+    # per-edge records
+    layout = solve_result.layout if u_h.mesh is mesh else None
+    matrix = assemble_matrix(mesh, parts, layout)
     sweep = assumption_a_sweep(u_h, matrix, k_star)
+    scales = cell_scales(parts)
+    element = element_condition_check(mesh, parts, _scales=scales)
+    del parts
     edge = None
     if mesh.dim == 2:
-        edge = edge_condition_check_2d(mesh, coeffs, parts, matrix)
-    del matrix
-    element = element_condition_check(mesh, parts)
-    del parts
+        edge = edge_condition_check_2d(mesh, coeffs, scales, matrix)
+    del matrix, scales
 
     holds = None
     if f_nonpositive and h_nu < 1.0 and sweep.satisfied:

@@ -19,7 +19,7 @@ shape (...) and state gradients of shape (..., dim); `c(x, eta)`, `f(x)` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -144,7 +144,12 @@ def advection_diffusion(b_vector, f=-1.0, g=0.0, c0: float = 0.0) -> Coefficient
         raise InvalidParameters("drift b must be finite")
     if not 0.0 <= c0 < np.inf:
         raise InvalidParameters("constant reaction c0 must be finite and >= 0")
-    nu = float(np.sqrt((b_vector ** 2).sum() + c0 ** 2))
+    with np.errstate(over="ignore"):
+        nu = float(np.sqrt((b_vector ** 2).sum() + np.square(c0)))
+        too_large = np.square(nu) == np.inf  # the spot-check compares against nu^2
+    if too_large:
+        raise InvalidParameters(f"drift b={b_vector.tolist()} and reaction c0={c0!r} are too "
+                                f"large: |b|^2 + c0^2 overflows a float")
     return CoefficientSet(
         a=lambda x, eta, p: np.ones(np.shape(eta)),
         b=lambda x, eta, p: np.broadcast_to(b_vector, np.shape(x)),
@@ -244,7 +249,16 @@ class SolveResult:
     """The outcome of `picard_solve`.  `final_linear_residual` is the
     `backward_error` of its last linear solve (None, as the update norm, when
     unknown), `factorizations` counts the sparse LU factorizations it ran and
-    `refinement_steps` the solves with a kept factor (see `linear_solve`)."""
+    `refinement_steps` the solves with a kept factor (see `linear_solve`).
+
+    `layout` is the `AssemblyMap.compact` copy of the assembly map the solve
+    scattered through, so that `dmp_certificate` assembles the form at u_h
+    without sorting the mesh's entries again.  It holds about 4 C (d+1)^2
+    bytes of slots plus the int32 CSR pattern, 4 (N + 1 + nnz) bytes, for as
+    long as the result lives.  Only `picard_solve` sets it: it is not a
+    constructor argument, so no caller can hand in the layout of another
+    mesh, and any other result (a `dataclasses.replace` copy included) holds
+    None.  It is left out of `to_dict`, repr and equality."""
 
     u_h: P1Field
     picard_iterations: int
@@ -253,10 +267,12 @@ class SolveResult:
     converged: bool
     factorizations: int
     refinement_steps: int
+    layout: AssemblyMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        """Every field but `u_h`, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u_h"}
+        """Every constructor field but `u_h`, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.init and f.name != "u_h"}
 
 
 def interpolate_boundary(mesh: Mesh, g) -> np.ndarray:
@@ -366,7 +382,11 @@ class AssemblyMap:
     every local entry [cell, test, trial] (row-major over the cells).
 
     Assembling is then one `np.bincount` of the local entries into the
-    pattern: no sort and no duplicate summation per assembly.
+    pattern: no sort and no duplicate summation per assembly.  `indptr` and
+    `indices` are int32 when they fit, the index dtype scipy gives a matrix
+    of that size, so `matrix` copies neither.  `slots` are intp, which
+    `bincount` reads without a cast, until `compact` stores them as int32:
+    4 C (d+1)^2 bytes instead of 8.
     """
 
     indptr: np.ndarray
@@ -375,10 +395,16 @@ class AssemblyMap:
 
     def matrix(self, local: np.ndarray) -> sparse.csr_matrix:
         """Global matrix of (C, M, M) local matrices; the contributions to each
-        entry are summed in cell order."""
+        entry are summed from +0.0 in cell order, whatever the slots' dtype."""
         data = np.bincount(self.slots, weights=local.ravel(), minlength=self.indices.shape[0])
         n = self.indptr.shape[0] - 1
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def compact(self) -> AssemblyMap:
+        """This map with its slots, which index the pattern, in the pattern's
+        index dtype: int32 when they fit.  For keeping; each `matrix` call
+        then casts them back to intp in a temporary."""
+        return replace(self, slots=self.slots.astype(self.indices.dtype))
 
 
 def assembly_map(mesh: Mesh) -> AssemblyMap:
@@ -393,21 +419,28 @@ def assembly_map(mesh: Mesh) -> AssemblyMap:
     slots[order] = np.cumsum(first) - 1
     pattern = keys[order[first]]
     rows = pattern // n
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    index = np.int32 if len(pattern) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return AssemblyMap(indptr=indptr, indices=pattern - rows * n, slots=slots)
+    return AssemblyMap(indptr=indptr, indices=(pattern - rows * n).astype(index), slots=slots)
+
+
+def nonzero_parts(parts) -> list:
+    """The diffusion part of `local_form_parts` and each lower-order part that
+    is not zero throughout: an absent term's read-only zero view is left
+    out, so no caller adds or gathers a table of zeros."""
+    diffusion, *lower = parts
+    return [diffusion] + [part for part in lower if distinct_values(part).any()]
 
 
 def assemble_matrix(mesh: Mesh, parts, layout: AssemblyMap | None = None) -> sparse.csr_matrix:
     """Global matrix of the form from its `local_form_parts`, scattered through
-    `layout` (the mesh's `assembly_map`, built when not given).  A part that
-    is zero throughout, such as the read-only zero view `local_form_parts`
-    returns for an absent term, is not added: the scatter sums each entry
-    from +0.0, so the matrix keeps its bits."""
-    local, *lower = parts
+    `layout` (the mesh's `assembly_map`, built when not given).  Only the
+    `nonzero_parts` are added: the scatter sums each entry from +0.0, so the
+    matrix keeps its bits."""
+    local, *lower = nonzero_parts(parts)
     for part in lower:
-        if distinct_values(part).any():
-            local = local + part
+        local = local + part
     return (layout or assembly_map(mesh)).matrix(local)
 
 
@@ -428,17 +461,15 @@ class _FrozenFormAssembly:
         self.layout = assembly_map(mesh)
 
     def system(self, w: P1Field) -> SparseSystem:
-        """The system frozen at w.  As in `assemble_matrix`, a part that is
-        zero throughout (a term `local_form_parts` returns as a read-only zero
-        view) is not added."""
+        """The system frozen at w.  As in `assemble_matrix`, only the
+        `nonzero_parts` are added."""
         mesh, rule = self.mesh, self.rule
-        local, *lower = local_form_parts(
-            mesh, w, self.coeffs, rule, _samples=state_samples(w, rule, self.points))
+        local, *lower = nonzero_parts(local_form_parts(
+            mesh, w, self.coeffs, rule, _samples=state_samples(w, rule, self.points)))
         # the parts are this call's own: summed in place, in `assemble_matrix`'s
         # order, they add no (C, M, M) temporary next to the solve's kept factor
         for part in lower:
-            if distinct_values(part).any():
-                local += part
+            local += part
         return SparseSystem(matrix=self.layout.matrix(local), rhs=self.rhs)
 
 
@@ -592,7 +623,7 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
     only when refinement misses `LINEAR_TOL` (see `linear_solve`).  With
     `constant_coefficients` the form does not depend on the iterate either,
     so the system is assembled and factored once and later passes reuse its
-    solution.
+    solution.  The result keeps the compact assembly map as its `layout`.
     """
     opts = opts or SolveOptions()
     values = interpolate_boundary(mesh, coeffs.g)
@@ -618,11 +649,13 @@ def picard_solve(mesh: Mesh, coeffs: CoefficientSet,
                   else np.inf if diff_norm else 0.0)
         if update <= opts.picard_tol:
             u = u + opts.damping * diff
-            return SolveResult(u_h=P1Field(mesh, u), picard_iterations=applied,
-                               final_update_norm=update,
-                               final_linear_residual=kept.residual, converged=True,
-                               factorizations=kept.factorizations,
-                               refinement_steps=kept.refinement_steps)
+            result = SolveResult(u_h=P1Field(mesh, u), picard_iterations=applied,
+                                 final_update_norm=update,
+                                 final_linear_residual=kept.residual, converged=True,
+                                 factorizations=kept.factorizations,
+                                 refinement_steps=kept.refinement_steps)
+            object.__setattr__(result, "layout", form.layout.compact())
+            return result
         if applied >= opts.picard_max_iter:
             raise PicardDiverged(
                 f"no convergence after {applied} updates (last update {update:.3e})",

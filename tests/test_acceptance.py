@@ -11,6 +11,7 @@ from dmpfem.dmp import (
     DeGiorgiInput,
     DmpParams,
     assumption_a_sweep,
+    cell_scales,
     compute_k_star,
     de_giorgi_rho,
     de_giorgi_verify,
@@ -96,7 +97,8 @@ def test_02_edge_sum_closed_form():
         if abs(alpha + beta - math.pi) < 1e-9:
             continue
         mesh = adjacent_pair(alpha, beta)
-        report = edge_condition_check_2d(mesh, poisson(), *frozen_form(mesh, poisson()))
+        parts, matrix = frozen_form(mesh, poisson())
+        report = edge_condition_check_2d(mesh, poisson(), cell_scales(parts), matrix)
         record = report.edges[0]
         closed = -math.sin(alpha + beta) / (2 * math.sin(alpha) * math.sin(beta))
         assert abs(record["sum"] - closed) <= 1e-12 * max(1.0, abs(closed))

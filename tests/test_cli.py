@@ -247,6 +247,20 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--b=1e200,0", "drift b=[1e+200, 0.0] and reaction c0=0.0 are too large: "
+                        "|b|^2 + c0^2 overflows a float"),
+        ("--c0=1e200", "drift b=[1.0, 0.0] and reaction c0=1e+200 are too large: "
+                       "|b|^2 + c0^2 overflows a float"),
+    ])
+    def test_overflowing_drift_named(self, square_mesh, tmp_path, capsys, flag, message):
+        # nu = |(b, c0)| once overflowed with a RuntimeWarning and was refused
+        # as a non-finite bound nu, which the user never set
+        assert run(["dmp-check", "--solve", "--mesh", square_mesh, "--problem",
+                    "advection-diffusion", flag, "-o", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--picard-tol", "nan"],
         ["solve", "--picard-tol", "inf"],
@@ -495,6 +509,39 @@ class TestDmpCheckCommand:
         cert_b = json.loads((two_b / "certificate.json").read_text())
         cert_a.pop("run"), cert_b.pop("run")
         assert cert_a == cert_b
+
+    @pytest.mark.parametrize("shape, problem", [
+        ("--square=8x8", ["--problem", "quasilinear-a", "--f", "1 - 2*x*y"]),
+        ("--square=6x6", ["--problem", "advection-diffusion", "--b", "3,-2", "--c0", "0.5",
+                          "--f", "1"]),
+        ("--cube=3x3x3", ["--coeffs", "coeffs3d.json"]),
+    ], ids=["quasilinear-2d", "drift-2d", "quasilinear-kuhn"])
+    def test_handed_layout_certificate_bytes(self, tmp_path, shape, problem):
+        # dmp-check --solve certifies through the solve's own assembly map,
+        # the two-step route through a map of its own: the same bytes outside
+        # `run`, and solve.json keeps its keys
+        (tmp_path / "coeffs3d.json").write_text(json.dumps(_COEFFS_3D))
+        problem = [tmp_path / a if a.endswith(".json") else a for a in problem]
+        mesh = tmp_path / "mesh.json"
+        assert run(["mesh-gen", shape, "-o", mesh]) == 0
+        inline, steps, checked = tmp_path / "inline", tmp_path / "steps", tmp_path / "checked"
+        code = run(["dmp-check", "--solve", "--mesh", mesh, *problem, "-o", inline])
+        assert code in (0, 4)  # the drift fails the element and edge checks on 6x6
+        assert run(["solve", "--mesh", mesh, *problem, "-o", steps]) == 0
+        assert run(["dmp-check", "--mesh", mesh, "--solution", steps / "solution.csv",
+                    "--solve-result", steps / "solve.json", *problem, "-o", checked]) == code
+
+        def outside_run(path):
+            record = json.loads(path.read_text())
+            record.pop("run")
+            return json.dumps(record)
+
+        assert outside_run(inline / "certificate.json") == \
+            outside_run(checked / "certificate.json")
+        for out in (inline, steps):
+            assert sorted(json.loads((out / "solve.json").read_text())) == [
+                "converged", "factorizations", "final_linear_residual",
+                "final_update_norm", "picard_iterations", "refinement_steps", "run"]
 
     def test_solve_result_norms_read_as_floats(self, square_mesh, tmp_path):
         solved = tmp_path / "solved"

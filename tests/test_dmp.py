@@ -18,6 +18,7 @@ from dmpfem.dmp import (
     DeGiorgiInput,
     DmpParams,
     assumption_a_sweep,
+    cell_scales,
     compute_k_star,
     de_giorgi_rho,
     de_giorgi_verify,
@@ -94,7 +95,8 @@ def _element(mesh, coeffs):
 
 def _edge(mesh, coeffs):
     """`edge_condition_check_2d` of the `default_rule` form frozen at zero."""
-    return edge_condition_check_2d(mesh, coeffs, *frozen_form(mesh, coeffs))
+    parts, matrix = frozen_form(mesh, coeffs)
+    return edge_condition_check_2d(mesh, coeffs, cell_scales(parts), matrix)
 
 
 def _assert_sweep_matches_loop(sweep, m, v, parts, k_star):
@@ -415,7 +417,7 @@ class TestPassesMatchCertificate:
             dumps(written["assumption_a"])
         assert dumps(element_condition_check(m, parts)) == \
             dumps(written["element_condition"])
-        edge = edge_condition_check_2d(m, coeffs, parts, matrix) if dim == 2 \
+        edge = edge_condition_check_2d(m, coeffs, cell_scales(parts), matrix) if dim == 2 \
             else {"verdict": "not-applicable"}
         assert dumps(edge) == dumps(written["edge_condition"])
         assert len(written["assumption_a"]["k_values"]) > 5
@@ -511,7 +513,7 @@ class TestEdgeCondition:
             for form, matrix in (frozen_form(mesh, coeffs), frozen_form(mesh, coeffs, w)):
                 records, all_pass, max_sum, identity_err = loop_edge_records(
                     mesh, form, PAIR_TOL)
-                report = edge_condition_check_2d(mesh, coeffs, form, matrix)
+                report = edge_condition_check_2d(mesh, coeffs, cell_scales(form), matrix)
                 # json.dumps tells every bit, the sign of zero included
                 assert json.dumps(report.edges) == json.dumps(records)
                 assert (report.all_pass, report.max_sum, report.num_edges) == \
@@ -546,7 +548,7 @@ class TestEdgeCondition:
         for sign in signs:
             parts = tuple(-0.0 * sign)
             records, _, _, _ = loop_edge_records(mesh, parts, PAIR_TOL)
-            report = edge_condition_check_2d(mesh, poisson(), parts,
+            report = edge_condition_check_2d(mesh, poisson(), cell_scales(parts),
                                              assemble_matrix(mesh, parts))
             assert json.dumps(report.edges) == json.dumps(records)
             assert math.copysign(1.0, report.edges[0]["sum"]) == 1.0
@@ -557,7 +559,7 @@ class TestEdgeCondition:
         coeffs = poisson()
         parts = tuple(2.0 * part for part in frozen_form(m, coeffs)[0])
         with pytest.raises(InvalidParameters, match="cotangent closed form"):
-            edge_condition_check_2d(m, coeffs, parts, assemble_matrix(m, parts))
+            edge_condition_check_2d(m, coeffs, cell_scales(parts), assemble_matrix(m, parts))
 
     @pytest.mark.parametrize("declared", [False, True])
     def test_identity_needs_unit_coefficients_at_every_vertex(self, declared):
@@ -580,15 +582,76 @@ class TestEdgeCondition:
                                       generate_structured_3d(3, 3, 3)],
                              ids=["2d", "3d"])
     def test_one_assembly_map_per_certificate(self, mesh, monkeypatch):
+        # none for the solve's own result, which hands over its layout; one
+        # for a result without a layout
         for coeffs in (poisson(f=1.0), quasilinear_a()):
             result = picard_solve(mesh, coeffs)
-            calls = []
-            real = dmpfem.solver.assembly_map
-            monkeypatch.setattr(dmpfem.solver, "assembly_map",
-                                lambda m: calls.append(m) or real(m))
-            dmp_certificate(mesh, result, coeffs)
-            monkeypatch.undo()
-            assert len(calls) == 1
+            for handed, wanted in ((result, 0), (dataclasses.replace(result), 1)):
+                calls = _count_assembly_maps(monkeypatch)
+                dmp_certificate(mesh, handed, coeffs)
+                monkeypatch.undo()
+                assert len(calls) == wanted
+
+
+def _count_assembly_maps(monkeypatch) -> list:
+    """The meshes of every later `assembly_map` call, until `monkeypatch.undo()`."""
+    calls = []
+    real = dmpfem.solver.assembly_map
+    monkeypatch.setattr(dmpfem.solver, "assembly_map", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def _layout_meshes():
+    return {"right-diagonal": generate_structured_2d(8, 8),
+            "skewed": generate_structured_2d(6, 7, skew=0.5),
+            "crisscross": generate_structured_2d(6, 6, pattern="crisscross"),
+            "kuhn": generate_structured_3d(3, 3, 3)}
+
+
+def _layout_problems(dim):
+    return {"poisson": poisson(f=1.0),
+            "quasilinear-formula-f": quasilinear_a(f=point_function("-1 - x*y", dim)),
+            "advection-diffusion": advection_diffusion([3.0, -2.0, 1.0][:dim], f=1.0, c0=0.5)}
+
+
+class TestHandedLayout:
+    """`picard_solve` hands its assembly map to `dmp_certificate` through the
+    result; the certificate must not tell which map it assembled through."""
+
+    @pytest.mark.parametrize("problem", ["poisson", "quasilinear-formula-f",
+                                         "advection-diffusion"])
+    @pytest.mark.parametrize("name", sorted(_layout_meshes()))
+    def test_same_certificate_bytes(self, name, problem):
+        mesh = _layout_meshes()[name]
+        coeffs = _layout_problems(mesh.dim)[problem]
+        result = picard_solve(mesh, coeffs)
+        assert result.layout is not None and result.layout.slots.dtype == np.int32
+        bare = dataclasses.replace(result)
+        assert bare.layout is None and bare == result
+        for params in (DmpParams(), DmpParams(p=3.0, r=1.5)):
+            handed = dmp_certificate(mesh, result, coeffs, params)
+            built = dmp_certificate(mesh, bare, coeffs, params)
+            assert json.dumps(handed.to_dict()) == json.dumps(built.to_dict())
+
+    def test_equal_mesh_object_builds_its_own_map(self, monkeypatch):
+        mesh = generate_structured_2d(6, 6)
+        twin = build_mesh(mesh.vertices.copy(), mesh.cells.copy())
+        coeffs = quasilinear_a(f=1.0)
+        result = picard_solve(mesh, coeffs)
+        calls = _count_assembly_maps(monkeypatch)
+        cert = dmp_certificate(twin, result, coeffs)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0] is twin
+        want = dmp_certificate(mesh, result, coeffs)
+        assert json.dumps(cert.to_dict()) == json.dumps(want.to_dict())
+
+    def test_layout_stays_out_of_the_record(self):
+        mesh = generate_structured_2d(4, 4)
+        result = picard_solve(mesh, poisson())
+        assert "layout" not in result.to_dict() and "layout" not in repr(result)
+        assert "layout" not in dmp_certificate(mesh, result, poisson()).to_dict()["solve"]
+        with pytest.raises(TypeError):
+            SolveResult(u_h=result.u_h, layout=result.layout, **result.to_dict())
 
 
 class TestLevelSets:

@@ -12,6 +12,7 @@ import dmpfem.solver
 from dmpfem import expressions
 from dmpfem.errors import (
     CoefficientBoundsViolation,
+    InvalidParameters,
     LinearSolveDiverged,
     MissingBoundaryValue,
     NonFiniteValue,
@@ -84,6 +85,20 @@ class TestCoefficientValidation:
         for coeffs in (poisson(), advection_diffusion([1.0, -0.5]), quasilinear_a()):
             report = validate_coefficients(coeffs, m, seed=1)
             assert report["a_min"] >= coeffs.lam - 1e-12
+
+    @pytest.mark.parametrize("b, c0", [([1e200, 0.0], 0.0), ([0.0, 0.0, 0.0], 1e200),
+                                       ([1e154, 1e154], 0.0)])
+    def test_overflowing_drift_refused_by_name(self, b, c0):
+        # |b|^2 + c0^2 overflowed with a RuntimeWarning (an error under
+        # pytest) and was refused as a non-finite bound nu
+        with pytest.raises(InvalidParameters, match=r"^drift b=.* too large"):
+            advection_diffusion(b, c0=c0)
+
+    def test_largest_drift_validates(self):
+        coeffs = advection_diffusion([1e154, 0.0])
+        assert coeffs.nu == 1e154
+        validate_coefficients(coeffs, generate_structured_2d(2, 2))
+        assert advection_diffusion([3.0, -2.0], c0=0.5).nu == math.sqrt(13.25)
 
     def test_ellipticity_violation(self):
         m = generate_structured_2d(2, 2)
@@ -648,6 +663,24 @@ class TestAssemblyMap:
             assert np.array_equal(got.indices, want.indices)
             assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
             assert np.array_equal(assemble_matrix(m, parts).data, got.data)
+
+
+    @pytest.mark.parametrize("name", ["right-diagonal", "kuhn"])
+    def test_pattern_is_shared_and_compact_slots_keep_the_bits(self, name):
+        # scipy holds a pattern of this size as int32: the map's own arrays
+        # become the matrix's, with no copy per assembly
+        m = _map_oracle_cases()[name]
+        layout = assembly_map(m)
+        parts = local_form_parts(m, random_nodal_field(m, np.random.default_rng(6)),
+                                 quasilinear_a(), quadrature_rule(m.dim, 4))
+        got = assemble_matrix(m, parts, layout)
+        assert np.shares_memory(got.indices, layout.indices)
+        assert np.shares_memory(got.indptr, layout.indptr)
+        compact = layout.compact()
+        assert compact.slots.dtype == np.int32 and layout.slots.dtype == np.intp
+        again = assemble_matrix(m, parts, compact)
+        assert again.data.tobytes() == got.data.tobytes()
+        assert np.array_equal(compact.slots, layout.slots)
 
 
 class TestPicardStructureReuse:
